@@ -75,9 +75,7 @@ from .selection import (
     SelectionPlan,
     SelectionResult,
     WeightVector,
-    aggregate_score,
     aggregate_scores,
-    intersection_select,
     read_manifest,
     reference_weights,
     select_top_k,

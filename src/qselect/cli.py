@@ -162,7 +162,7 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
     plan = cfg.require_plan()
     if args.cc_only:
-        plan = SelectionPlan.cc_only(plan.token_budget, plan.tie_break)
+        plan = SelectionPlan.cc_only(plan.token_budget)
     docs, matrix = _load_scored_matrix(cfg, corpus_path)
     weights = read_weights(args.weights, normalize=True)
     result = select_top_k(matrix, docs, weights, plan)

@@ -9,7 +9,7 @@ Top-level keys (all optional unless a command needs them):
                  importance?: {targets: {books: path, ...}, bucket_count?,
                                smoothing?},
                  ratings?: {files: [path, ...], min_coverage?}}
-  plan          {token_budget, domain_targets?, tie_break?}
+  plan          {token_budget, domain_targets?}
   campaign      {n?, trainer: {type: "oracle"|"command", ...}, valset?,
                  threads?, proxy?: {hidden_dim, layers, heads, kv_heads,
                  token_budget}}
@@ -176,7 +176,6 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
             domain_targets=dict(
                 section.get("domain_targets", DEFAULT_DOMAIN_WEIGHTS)
             ),
-            tie_break=section.get("tie_break", "lexicographic"),
         )
 
     if "campaign" in raw:

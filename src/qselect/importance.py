@@ -10,11 +10,9 @@ log-ratio finite.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from pathlib import Path
 
 import numpy as np
 
@@ -52,18 +50,15 @@ class HashedBagModel:
     bucket_count: int
     seed: int
     smoothing: float = 1.0
-    counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    _log_probs: np.ndarray | None = field(default=None, repr=False, compare=False)
+    counts: np.ndarray = field(init=False)
+    _log_probs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bucket_count < 2:
             raise ValidationError("bucket_count must be at least 2")
         if self.smoothing <= 0:
             raise ValidationError("smoothing must be positive")
-        if self.counts.size == 0:
-            self.counts = np.zeros(self.bucket_count, dtype=np.int64)
-        elif self.counts.size != self.bucket_count:
-            raise ValidationError("counts length does not match bucket_count")
+        self.counts = np.zeros(self.bucket_count, dtype=np.int64)
 
     @property
     def total(self) -> int:
@@ -78,31 +73,6 @@ class HashedBagModel:
             denom = self.total + self.smoothing * self.bucket_count
             self._log_probs = np.log((self.counts + self.smoothing) / denom)
         return self._log_probs
-
-    def probability(self, bucket: int) -> float:
-        denom = self.total + self.smoothing * self.bucket_count
-        return (float(self.counts[bucket]) + self.smoothing) / denom
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "bucket_count": self.bucket_count,
-            "seed": self.seed,
-            "smoothing": self.smoothing,
-            "counts": self.counts.tolist(),
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "HashedBagModel":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            bucket_count=payload["bucket_count"],
-            seed=payload["seed"],
-            smoothing=payload["smoothing"],
-            counts=np.asarray(payload["counts"], dtype=np.int64),
-        )
 
 
 def fit_bag_model(
@@ -132,28 +102,6 @@ def fit_bag_model(
     if n_docs == 0:
         raise ValidationError("cannot fit a bag model on an empty corpus")
     return model
-
-
-def merge_bag_models(models: Iterable[HashedBagModel]) -> HashedBagModel:
-    """Sum shard-local models fit with identical bucket_count/seed/smoothing."""
-    merged: HashedBagModel | None = None
-    for model in models:
-        if merged is None:
-            merged = HashedBagModel(
-                bucket_count=model.bucket_count,
-                seed=model.seed,
-                smoothing=model.smoothing,
-                counts=model.counts.copy(),
-            )
-            continue
-        _check_compatible(merged, model)
-        if model.smoothing != merged.smoothing:
-            raise ValidationError("cannot merge models with different smoothing")
-        merged.counts += model.counts
-        merged._log_probs = None
-    if merged is None:
-        raise ValidationError("no models to merge")
-    return merged
 
 
 def _check_compatible(p: HashedBagModel, q: HashedBagModel) -> None:

@@ -9,14 +9,11 @@ and importance scores are computed locally and must be complete.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .corpus import Document
 from .errors import MatrixError, ValidationError
@@ -89,21 +86,6 @@ class ScoreMatrix:
         except KeyError:
             raise MatrixError(f"unknown doc id {doc_id!r}") from None
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self._name_index[name]
-        except KeyError:
-            raise MatrixError(f"unknown score name {name!r}") from None
-
-    def column(self, name: str, normalized: bool = False) -> np.ndarray:
-        source = self._require_normalized() if normalized else self.raw
-        return source[:, self.column_index(name)]
-
-    def _require_normalized(self) -> np.ndarray:
-        if self.normalized is None:
-            raise MatrixError("matrix has not been normalized yet")
-        return self.normalized
-
     @classmethod
     def from_documents(
         cls, docs: Sequence[Document], score_names: Sequence[str]
@@ -156,15 +138,6 @@ def ingest_ratings(
     return report
 
 
-def coverage_by_column(matrix: ScoreMatrix) -> dict[str, float]:
-    """Fraction of non-missing cells per column."""
-    n = matrix.n_docs
-    if n == 0:
-        return {name: 0.0 for name in matrix.score_names}
-    present = np.sum(~np.isnan(matrix.raw), axis=0)
-    return {name: present[j] / n for j, name in enumerate(matrix.score_names)}
-
-
 def impute_missing(matrix: ScoreMatrix) -> list[tuple[str, str]]:
     """Fill remaining gaps with column medians, recording each imputation.
 
@@ -192,12 +165,23 @@ def impute_missing(matrix: ScoreMatrix) -> list[tuple[str, str]]:
     return flagged
 
 
+def _average_ranks(col: np.ndarray) -> np.ndarray:
+    """1-based ranks of a column; tied values share their average rank."""
+    order = np.argsort(col, kind="stable")
+    ordered = col[order]
+    boundaries = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [col.size]))
+    ranks = np.empty(col.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _rank_unit(col: np.ndarray) -> np.ndarray:
     n = col.size
     if n == 1:
         return np.array([0.5])
-    ranks = rankdata(col, method="average")
-    return (ranks - 1.0) / (n - 1.0)
+    return (_average_ranks(col) - 1.0) / (n - 1.0)
 
 
 def rank_normalize(matrix: ScoreMatrix, method: str = "rank") -> ScoreMatrix:
@@ -241,7 +225,9 @@ def spearman_matrix(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
     n, m = matrix.raw.shape
     if n < 2:
         raise MatrixError("spearman correlation needs at least 2 documents")
-    ranks = np.column_stack([rankdata(matrix.raw[:, j], method="average") for j in range(m)])
+    if np.isnan(matrix.raw).any():
+        raise MatrixError("matrix has missing cells; impute before correlating")
+    ranks = np.column_stack([_average_ranks(matrix.raw[:, j]) for j in range(m)])
     constant = ranks.std(axis=0) == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
         rho = np.corrcoef(ranks, rowvar=False)
@@ -263,28 +249,3 @@ def correlation_csv(score_names: Sequence[str], rho: np.ndarray) -> str:
         lines.append(f"{name},{cells}")
     return "\n".join(lines) + "\n"
 
-
-def save_matrix(matrix: ScoreMatrix, path: str | Path) -> None:
-    """Persist raw values: a JSON header line of score names, then one
-    line per document. Floats survive the round trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"score_names": matrix.score_names}) + "\n")
-        for i, doc_id in enumerate(matrix.doc_ids):
-            row = {"id": doc_id, "values": [float(v) for v in matrix.raw[i]]}
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_matrix(path: str | Path) -> ScoreMatrix:
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        names = header["score_names"]
-        ids: list[str] = []
-        rows: list[list[float]] = []
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            ids.append(obj["id"])
-            rows.append(obj["values"])
-    raw = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(names)))
-    return ScoreMatrix(names, ids, raw)

@@ -163,9 +163,14 @@ def write_weights(path: str | Path, w: WeightVector, seed: int | None = None) ->
 def read_weights(path: str | Path, normalize: bool = False) -> WeightVector:
     """Load a weights file; accepts the report object or a bare list."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = payload["weights"] if isinstance(payload, dict) else payload
-    mapping = {row["name"]: float(row["weight"]) for row in rows}
+        try:
+            payload = json.load(fh)
+            rows = payload["weights"] if isinstance(payload, dict) else payload
+            mapping = {row["name"]: float(row["weight"]) for row in rows}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValidationError(
+                f"malformed weights file {path}: {type(exc).__name__}: {exc}"
+            ) from exc
     return WeightVector.from_mapping(mapping, normalize=normalize)
 
 

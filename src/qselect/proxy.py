@@ -308,7 +308,10 @@ def run_campaign(
     already present in the log are skipped. Trainer failures are recorded
     and the campaign continues, but aborts once failures exceed
     ``max_failure_rate`` of n. Records are appended to the log in
-    experiment order regardless of worker count.
+    experiment order regardless of worker count. On any exception (the
+    budget's CampaignError, or anything but a TrainerError from the
+    trainer) queued experiments are cancelled, and those already running
+    finish unlogged.
     """
     if n < 1:
         raise ValidationError("campaign size n must be at least 1")
@@ -371,10 +374,13 @@ def run_campaign(
     failures = sum(1 for r in existing.values() if r.status == "failed")
     failure_budget = max_failure_rate * n
     new_records: list[ExperimentRecord] = []
-    with open(log_path, "a", encoding="utf-8") as log:
-        if threads <= 1:
-            results = (run_one(i, eid) for i, eid in pending)
-            for record in results:
+    with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
+        max_workers=max(1, threads)
+    ) as pool:
+        futures = [pool.submit(run_one, i, eid) for i, eid in pending]
+        try:
+            for future in futures:
+                record = future.result()
                 log.write(record.to_json() + "\n")
                 log.flush()
                 new_records.append(record)
@@ -385,23 +391,10 @@ def run_campaign(
                             f"{failures} trainer failures exceed "
                             f"{max_failure_rate:.0%} of n={n}"
                         )
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [pool.submit(run_one, i, eid) for i, eid in pending]
-                for future in futures:
-                    record = future.result()
-                    log.write(record.to_json() + "\n")
-                    log.flush()
-                    new_records.append(record)
-                    if record.status == "failed":
-                        failures += 1
-                        if failures > failure_budget:
-                            for f in futures:
-                                f.cancel()
-                            raise CampaignError(
-                                f"{failures} trainer failures exceed "
-                                f"{max_failure_rate:.0%} of n={n}"
-                            )
+        except BaseException:
+            # A resume reruns the experiments that were running unlogged.
+            pool.shutdown(cancel_futures=True)
+            raise
 
     all_records = list(existing.values()) + new_records
     all_records.sort(key=lambda r: r.experiment_id)

@@ -3,8 +3,8 @@
 Selection fills each domain's token quota (budget x proportion)
 independently, taking documents in descending aggregate score. The
 document that crosses a quota is included, so per-domain overshoot is at
-most one document. Ties break by the plan's policy (lexicographic id by
-default) so results are reproducible across runs and thread counts.
+most one document. Ties break by document id, so results are
+reproducible across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .matrix import ScoreMatrix
 from .registry import DEFAULT_DOMAIN_WEIGHTS, REFERENCE_WEIGHT_PCT
 
 SIMPLEX_TOL = 1e-9
-
-TIE_BREAK_POLICIES = ("lexicographic",)
 
 
 @dataclass(frozen=True)
@@ -93,19 +91,16 @@ def reference_weights() -> WeightVector:
 
 @dataclass(frozen=True)
 class SelectionPlan:
-    """Token budget, per-domain target proportions, and tie-break policy."""
+    """Token budget and per-domain target proportions."""
 
     token_budget: int
     domain_targets: Mapping[str, float] = field(
         default_factory=lambda: dict(DEFAULT_DOMAIN_WEIGHTS)
     )
-    tie_break: str = "lexicographic"
 
     def __post_init__(self) -> None:
         if self.token_budget <= 0:
             raise ValidationError("token_budget must be positive")
-        if self.tie_break not in TIE_BREAK_POLICIES:
-            raise ValidationError(f"unknown tie_break policy {self.tie_break!r}")
         if not self.domain_targets:
             raise ValidationError("empty domain_targets")
         for name, p in self.domain_targets.items():
@@ -116,8 +111,8 @@ class SelectionPlan:
             raise ValidationError(f"domain proportions sum to {total!r}, expected 1")
 
     @classmethod
-    def cc_only(cls, token_budget: int, tie_break: str = "lexicographic") -> "SelectionPlan":
-        return cls(token_budget, {"CommonCrawl": 1.0}, tie_break)
+    def cc_only(cls, token_budget: int) -> "SelectionPlan":
+        return cls(token_budget, {"CommonCrawl": 1.0})
 
 
 @dataclass
@@ -174,80 +169,12 @@ class SelectionResult:
             fh.write("\n")
 
 
-def aggregate_score(doc_scores: Mapping[str, float], w: WeightVector) -> float:
-    """Weighted sum of one document's normalized scores."""
-    if set(doc_scores) != set(w.names):
-        raise ValidationError("score names do not match weight names")
-    return float(math.fsum(w.as_mapping()[n] * doc_scores[n] for n in w.names))
-
-
 def aggregate_scores(matrix: ScoreMatrix, w: WeightVector) -> np.ndarray:
     """Aggregate scores for every document, in matrix row order."""
     normalized = matrix.normalized
     if normalized is None:
         raise ValidationError("matrix must be normalized before aggregation")
     return normalized @ w.aligned_to(matrix.score_names)
-
-
-def _fill_quota(
-    ordered: list[tuple[str, float, int]], target: float
-) -> tuple[list[str], int, float | None]:
-    """Take docs in order until ``target`` tokens are reached.
-
-    The crossing document is included. Returns (ids, tokens, last score).
-    """
-    ids: list[str] = []
-    tokens = 0
-    threshold: float | None = None
-    for doc_id, score, doc_tokens in ordered:
-        if tokens >= target:
-            break
-        ids.append(doc_id)
-        tokens += doc_tokens
-        threshold = score
-    return ids, tokens, threshold
-
-
-def _budgeted_selection(
-    pools: dict[str, list[tuple[str, float, int]]], plan: SelectionPlan
-) -> SelectionResult:
-    selected: list[str] = []
-    domain_tokens: dict[str, int] = {}
-    thresholds: dict[str, float | None] = {}
-    shortfalls: list[DomainShortfall] = []
-    for domain, proportion in plan.domain_targets.items():
-        target = plan.token_budget * proportion
-        pool = pools.get(domain, [])
-        pool.sort(key=lambda item: (-item[1], item[0]))
-        ids, tokens, threshold = _fill_quota(pool, target)
-        selected.extend(ids)
-        domain_tokens[domain] = tokens
-        thresholds[domain] = threshold
-        if tokens < target:
-            shortfalls.append(DomainShortfall(domain, target, tokens))
-    total = sum(domain_tokens.values())
-    achieved = {
-        domain: (tokens / total if total else 0.0)
-        for domain, tokens in domain_tokens.items()
-    }
-    return SelectionResult(selected, domain_tokens, achieved, thresholds, shortfalls)
-
-
-def _domain_pools(
-    matrix: ScoreMatrix,
-    docs: Iterable[Document],
-    plan: SelectionPlan,
-    scores: np.ndarray,
-) -> dict[str, list[tuple[str, float, int]]]:
-    pools: dict[str, list[tuple[str, float, int]]] = {d: [] for d in plan.domain_targets}
-    for doc in docs:
-        row = matrix.row_index(doc.id)
-        pool = pools.get(doc.domain)
-        if pool is None:
-            # Domains outside the plan contribute nothing to any quota.
-            continue
-        pool.append((doc.id, float(scores[row]), doc.token_estimate))
-    return pools
 
 
 def select_top_k(
@@ -259,49 +186,45 @@ def select_top_k(
     """Select the top-scoring documents per domain under the plan's quotas.
 
     Equivalent to sorting each domain by aggregate score (ties by id) and
-    taking the shortest prefix whose token sum reaches the domain target.
-    Domains whose pools run out early are reported as shortfalls.
+    taking the shortest prefix whose token sum reaches the domain target;
+    the document that crosses the target is included. Domains whose pools
+    run out early are reported as shortfalls. Documents of domains outside
+    the plan contribute nothing to any quota.
     """
     scores = aggregate_scores(matrix, w)
-    pools = _domain_pools(matrix, docs, plan, scores)
-    return _budgeted_selection(pools, plan)
-
-
-def intersection_select(
-    matrix: ScoreMatrix,
-    docs: Iterable[Document],
-    thresholds: Mapping[str, float],
-    plan: SelectionPlan,
-) -> SelectionResult:
-    """Admit only documents meeting every threshold, then fill quotas.
-
-    Thresholds apply to rank-normalized values in [0, 1]. Admitted
-    documents are ranked by their mean normalized value over the
-    thresholded scores, so all-zero thresholds reduce to uniform-weight
-    top-k over the full pool. Strict thresholds can empty a domain, which
-    surfaces as a shortfall rather than an error.
-    """
-    if not thresholds:
-        raise ValidationError("intersection_select needs at least one threshold")
-    normalized = matrix.normalized
-    if normalized is None:
-        raise ValidationError("matrix must be normalized before selection")
-    cols = [matrix.column_index(name) for name in thresholds]
-    mins = np.array([thresholds[name] for name in thresholds])
-    values = normalized[:, cols]
-    admitted = (values >= mins).all(axis=1)
-    order_scores = values.mean(axis=1)
-
     pools: dict[str, list[tuple[str, float, int]]] = {d: [] for d in plan.domain_targets}
     for doc in docs:
         row = matrix.row_index(doc.id)
-        if not admitted[row]:
-            continue
         pool = pools.get(doc.domain)
-        if pool is None:
-            continue
-        pool.append((doc.id, float(order_scores[row]), doc.token_estimate))
-    return _budgeted_selection(pools, plan)
+        if pool is not None:
+            pool.append((doc.id, float(scores[row]), doc.token_estimate))
+
+    selected: list[str] = []
+    domain_tokens: dict[str, int] = {}
+    thresholds: dict[str, float | None] = {}
+    shortfalls: list[DomainShortfall] = []
+    for domain, proportion in plan.domain_targets.items():
+        target = plan.token_budget * proportion
+        tokens = 0
+        threshold: float | None = None
+        for doc_id, score, doc_tokens in sorted(
+            pools[domain], key=lambda item: (-item[1], item[0])
+        ):
+            if tokens >= target:
+                break
+            selected.append(doc_id)
+            tokens += doc_tokens
+            threshold = score
+        domain_tokens[domain] = tokens
+        thresholds[domain] = threshold
+        if tokens < target:
+            shortfalls.append(DomainShortfall(domain, target, tokens))
+    total = sum(domain_tokens.values())
+    achieved = {
+        domain: (tokens / total if total else 0.0)
+        for domain, tokens in domain_tokens.items()
+    }
+    return SelectionResult(selected, domain_tokens, achieved, thresholds, shortfalls)
 
 
 def read_manifest(path: str | Path) -> list[str]:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +244,19 @@ class TestSelect:
         weights = self.make_weights(tmp_path, {"ch0": 1.5, "ch1": -0.3, "ch2": -0.2})
         assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
 
+    @pytest.mark.parametrize(
+        "content, cause",
+        [("{not json", "JSONDecodeError"), ('[{"weight": 1.0}]', "KeyError")],
+    )
+    def test_malformed_weights_file(self, tmp_path, capsys, content, cause):
+        config = synth_config(tmp_path)
+        weights = tmp_path / "weights.json"
+        weights.write_text(content)
+        assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert str(weights) in err["message"] and cause in err["message"]
+
     def test_byte_identical_rerun(self, tmp_path, capsys):
         config = synth_config(tmp_path)
         weights = self.make_weights(tmp_path, {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2})
@@ -330,6 +346,21 @@ class TestCorrelate:
 
 
 class TestErrorSurface:
+    def test_version_imports_no_scipy(self):
+        # -X importtime lists every module the start-up imports on stderr
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        )}
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "qselect.cli", "--version"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and "qselect" in proc.stdout
+        modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "qselect.matrix" in modules
+        assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
         bad.write_text("{not json")

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from qselect.errors import ValidationError
-from qselect.importance import (
-    HashedBagModel,
-    features,
-    fit_bag_model,
-    importance_score,
-    merge_bag_models,
-)
+from qselect.importance import features, fit_bag_model, importance_score
 
 from conftest import make_doc
 from oracles import ref_unhashed_log_ratio
@@ -72,18 +66,6 @@ class TestFitBagModel:
         assert abs(probs.sum() - 1.0) < 1e-9
         assert (probs > 0).all() and (probs < 1).all()
 
-    def test_merge_matches_single_pass(self):
-        rng = np.random.default_rng(0)
-        texts = sample_texts(rng, 30, VOCAB)
-        whole = fit_bag_model(texts, bucket_count=1024, seed=2)
-        parts = merge_bag_models(
-            [
-                fit_bag_model(texts[:10], bucket_count=1024, seed=2),
-                fit_bag_model(texts[10:], bucket_count=1024, seed=2),
-            ]
-        )
-        assert np.array_equal(whole.counts, parts.counts)
-
 
 class TestImportanceScore:
     def test_identical_models_score_zero(self):
@@ -144,15 +126,3 @@ class TestImportanceScore:
         base = importance_score("beta", p, q)
         extended = importance_score("beta alpha", p, q)
         assert extended > base
-
-
-class TestModelIO:
-    def test_save_load_round_trip(self, tmp_path):
-        model = fit_bag_model(["a b c a b"], bucket_count=512, seed=13, smoothing=0.5)
-        path = tmp_path / "model.json"
-        model.save(path)
-        back = HashedBagModel.load(path)
-        assert back.bucket_count == model.bucket_count
-        assert back.seed == model.seed
-        assert back.smoothing == model.smoothing
-        assert np.array_equal(back.counts, model.counts)

@@ -8,12 +8,9 @@ from qselect.matrix import (
     RatingAnnotation,
     ScoreMatrix,
     correlation_csv,
-    coverage_by_column,
     impute_missing,
     ingest_ratings,
-    load_matrix,
     rank_normalize,
-    save_matrix,
     spearman_matrix,
 )
 
@@ -58,11 +55,16 @@ class TestRankNormalize:
         assert np.array_equal(once.normalized, twice.normalized)
 
     def test_matches_reference_ranks(self, rng):
-        for _ in range(20):
-            col = rng.integers(0, 10, size=17).astype(float)
+        columns = [rng.integers(0, 10, size=17).astype(float) for _ in range(20)]
+        columns += [rng.normal(size=int(rng.integers(2, 60))) for _ in range(20)]
+        columns += [
+            rng.choice([-1.0, -0.0, 0.0, 2.5], size=int(rng.integers(2, 40)))
+            for _ in range(20)
+        ]
+        columns += [np.array([3.0]), np.array([-0.0, 0.0]), np.array([0.0, -0.0, 1.0])]
+        for col in columns:
             got = rank_normalize(matrix_from({"s": col.tolist()})).normalized[:, 0]
-            want = ref_rank_unit(col.tolist())
-            assert np.allclose(got, want, atol=1e-12)
+            assert got.tolist() == ref_rank_unit(col.tolist())
 
     def test_zscore_mode(self, rng):
         col = rng.normal(size=30)
@@ -111,8 +113,8 @@ class TestIngest:
     def test_coverage_with_known_gaps(self):
         matrix = ScoreMatrix.from_documents(self.docs(), ["Fluency"])
         anns = [RatingAnnotation(f"d{i}", "Fluency", 1.0) for i in range(9)]
-        ingest_ratings(matrix, anns)
-        assert coverage_by_column(matrix)["Fluency"] == pytest.approx(0.9)
+        report = ingest_ratings(matrix, anns)
+        assert report.coverage(matrix.n_docs)["Fluency"] == pytest.approx(0.9)
 
     def test_impute_to_median_and_flag(self):
         matrix = ScoreMatrix.from_documents(self.docs(), ["Fluency"])
@@ -189,6 +191,11 @@ class TestSpearman:
         with pytest.raises(MatrixError):
             spearman_matrix(matrix_from({"a": [1.0]}))
 
+    def test_missing_cells_rejected(self):
+        m = matrix_from({"a": [1.0, float("nan"), 3.0], "b": [2.0, 1.0, 3.0]})
+        with pytest.raises(MatrixError, match="missing"):
+            spearman_matrix(m)
+
     def test_csv_export(self):
         rho, _ = spearman_matrix(matrix_from({"a": [1.0, 2.0], "b": [2.0, 1.0]}))
         csv = correlation_csv(["a", "b"], rho)
@@ -198,18 +205,6 @@ class TestSpearman:
 
 
 class TestMatrixIO:
-    def test_round_trip_exact(self, tmp_path, rng):
-        raw = rng.normal(size=(25, 4)) * 10.0**rng.integers(-8, 8, size=(25, 4))
-        matrix = ScoreMatrix(
-            ["a", "b", "c", "d"], [f"id-{i}" for i in range(25)], raw
-        )
-        path = tmp_path / "matrix.jsonl"
-        save_matrix(matrix, path)
-        back = load_matrix(path)
-        assert back.score_names == matrix.score_names
-        assert back.doc_ids == matrix.doc_ids
-        assert np.array_equal(back.raw, matrix.raw)
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(MatrixError):
             ScoreMatrix(["s"], ["d0", "d0"], np.zeros((2, 1)))

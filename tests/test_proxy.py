@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -179,6 +180,26 @@ class TestRunCampaign:
         log = read_campaign_log(tmp_path / "campaign.jsonl")
         assert all(r.status == "failed" for r in log)
         assert 0 < len(log) <= 3  # aborts once failures exceed 20% of 10
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_exception_cancels_queued_experiments(self, tmp_path, threads, error):
+        docs, matrix, plan = single_domain_fixture()
+        calls = []
+
+        def trainer(request: TrainerRequest) -> float:
+            calls.append(request.experiment_id)
+            if request.experiment_id == "exp-0000":
+                raise error("trainer crashed")
+            time.sleep(0.05)
+            return 1.0
+
+        with pytest.raises(error):
+            run_campaign(
+                matrix, docs, plan, trainer, n=40, seed=1, out_dir=tmp_path, threads=threads
+            )
+        assert len(calls) <= 2 * threads
+        assert read_campaign_log(tmp_path / "campaign.jsonl") == []
 
     def test_single_failure_continues(self, tmp_path):
         docs, matrix, plan = single_domain_fixture()

@@ -8,9 +8,7 @@ from qselect.registry import DEFAULT_DOMAIN_WEIGHTS
 from qselect.selection import (
     SelectionPlan,
     WeightVector,
-    aggregate_score,
     aggregate_scores,
-    intersection_select,
     read_manifest,
     reference_weights,
     select_top_k,
@@ -88,16 +86,23 @@ class TestWeightVector:
             w.aligned_to(["a", "c"])
 
 
+def normalized_matrix(names, rows):
+    values = np.asarray(rows, dtype=float)
+    ids = [f"d{i}" for i in range(len(values))]
+    return ScoreMatrix(names, ids, values, normalized=values)
+
+
 class TestAggregate:
     def test_identity_weighting(self):
         w = WeightVector.from_mapping({"a": 1.0, "b": 0.0})
-        assert aggregate_score({"a": 0.37, "b": 0.99}, w) == 0.37
+        matrix = normalized_matrix(["a", "b"], [[0.37, 0.99]])
+        assert aggregate_scores(matrix, w).tolist() == [0.37]
 
     def test_uniform_equals_mean(self):
         names = ["a", "b", "c", "d"]
         w = WeightVector.uniform(names)
-        scores = {"a": 0.1, "b": 0.2, "c": 0.6, "d": 0.9}
-        assert aggregate_score(scores, w) == pytest.approx(0.45, abs=1e-12)
+        matrix = normalized_matrix(names, [[0.1, 0.2, 0.6, 0.9]])
+        assert aggregate_scores(matrix, w)[0] == pytest.approx(0.45, abs=1e-12)
 
     def test_reference_weights_match_dot_oracle(self, rng):
         w = reference_weights()
@@ -165,6 +170,52 @@ class TestSelectTopK:
         assert len(result.shortfalls) == 1
         assert result.shortfalls[0].achieved_tokens == 5
 
+    def test_empty_plan_domain_is_a_shortfall(self):
+        docs = [Document("a", "", "C4", 5)]
+        matrix = rank_normalize(ScoreMatrix(["s"], ["a"], np.array([[1.0]])))
+        plan = SelectionPlan(10, {"C4": 0.5, "Books": 0.5})
+        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        assert result.selected_ids == ["a"]
+        assert result.domain_tokens["Books"] == 0
+        assert result.thresholds["Books"] is None
+        [shortfall] = result.shortfalls
+        assert (shortfall.domain, shortfall.achieved_tokens) == ("Books", 0)
+
+    def test_zero_proportion_domain_selects_nothing(self):
+        docs = [Document("a", "", "C4", 5), Document("b", "", "Books", 5)]
+        matrix = rank_normalize(ScoreMatrix(["s"], ["a", "b"], np.array([[0.0], [1.0]])))
+        plan = SelectionPlan(5, {"C4": 1.0, "Books": 0.0})
+        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        assert result.selected_ids == ["a"]
+        assert result.domain_tokens["Books"] == 0
+        assert result.thresholds["Books"] is None
+        assert not result.shortfalls
+
+    def test_zero_token_documents(self):
+        # zero-token documents never reach the quota by themselves: every
+        # one ranked above the crossing document is taken, none below it
+        ids = ["a", "b", "c", "d", "e"]
+        tokens = [0, 0, 6, 0, 6]
+        docs = [Document(i, "", "C4", t) for i, t in zip(ids, tokens)]
+        raw = np.array([[5.0], [4.0], [3.0], [2.0], [1.0]])
+        matrix = rank_normalize(ScoreMatrix(["s"], ids, raw))
+        w = WeightVector(("s",), np.array([1.0]))
+        result = select_top_k(matrix, docs, w, SelectionPlan(6, {"C4": 1.0}))
+        assert result.selected_ids == ["a", "b", "c"]
+        assert result.total_tokens == 6
+        assert not result.shortfalls
+        starved = select_top_k(matrix, docs[:2], w, SelectionPlan(6, {"C4": 1.0}))
+        assert starved.selected_ids == ["a", "b"]
+        assert starved.shortfalls[0].achieved_tokens == 0
+
+    def test_domains_outside_the_plan_ignored(self):
+        docs = [Document("a", "", "C4", 5), Document("b", "", "Elsewhere", 5)]
+        matrix = rank_normalize(ScoreMatrix(["s"], ["a", "b"], np.array([[0.0], [1.0]])))
+        plan = SelectionPlan(10, {"C4": 1.0})
+        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        assert result.selected_ids == ["a"]
+        assert set(result.domain_tokens) == {"C4"}
+
     def test_matches_brute_force_on_100_seeded_pools(self):
         names = [f"s{j}" for j in range(4)]
         for trial in range(100):
@@ -225,42 +276,6 @@ class TestSelectTopK:
         assert not result.shortfalls
         for domain, p in plan.domain_targets.items():
             assert abs(result.achieved_proportions[domain] - p) <= 0.005
-
-
-class TestIntersection:
-    def test_zero_thresholds_equal_uniform_top_k(self, rng):
-        names = ["a", "b", "c"]
-        docs, matrix = build_pool(rng, 500, names)
-        plan = SelectionPlan(4000)
-        inter = intersection_select(matrix, docs, {n: 0.0 for n in names}, plan)
-        top = select_top_k(matrix, docs, WeightVector.uniform(names), plan)
-        assert set(inter.selected_ids) == set(top.selected_ids)
-
-    def test_threshold_at_maximum(self, rng):
-        names = ["a"]
-        docs, matrix = build_pool(rng, 50, names, domains=["C4"])
-        plan = SelectionPlan(10_000, {"C4": 1.0})
-        result = intersection_select(matrix, docs, {"a": 1.0}, plan)
-        top_value = matrix.normalized[:, 0].max()
-        argmax_ids = {
-            matrix.doc_ids[i]
-            for i in np.nonzero(matrix.normalized[:, 0] == top_value)[0]
-        }
-        assert set(result.selected_ids) <= argmax_ids
-        assert result.shortfalls
-
-    def test_each_doc_fails_one_score(self):
-        # 4 scores, 4 docs; doc i is worst on score i -> empty selection
-        names = ["s0", "s1", "s2", "s3"]
-        raw = np.ones((4, 4))
-        for i in range(4):
-            raw[i, i] = 0.0
-        docs = [Document(f"d{i}", "", "C4", 5) for i in range(4)]
-        matrix = rank_normalize(ScoreMatrix(names, [d.id for d in docs], raw))
-        plan = SelectionPlan(20, {"C4": 1.0})
-        result = intersection_select(matrix, docs, {n: 0.5 for n in names}, plan)
-        assert result.selected_ids == []
-        assert result.shortfalls and result.shortfalls[0].achieved_tokens == 0
 
 
 class TestManifest:
