@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import load_corpus, synthesize_corpus, write_corpus
-from .errors import QselectError, ValidationError
+from .errors import ValidationError
 from .importance import fit_bag_model, importance_score
 from .matrix import (
     RatingAnnotation,
@@ -36,7 +37,7 @@ from .proxy import (
     flops_train_structural,
     run_campaign,
 )
-from .registry import canonical_order
+from .registry import SIGNAL_NAMES, canonical_order
 from .selection import SelectionPlan, select_top_k
 
 logger = logging.getLogger(__name__)
@@ -46,8 +47,6 @@ EXIT_RUNTIME = 2
 
 
 def _annotated_names(cfg: RunConfig) -> list[str]:
-    from .registry import SIGNAL_NAMES
-
     names: list[str] = []
     if cfg.scores.signals:
         names.extend(SIGNAL_NAMES)
@@ -66,8 +65,11 @@ def _read_annotations(paths: list[str]):
                     continue
                 try:
                     obj = json.loads(line)
-                    yield RatingAnnotation(obj["doc_id"], obj["rater"], float(obj["value"]))
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    value = float(obj["value"])
+                    if not math.isfinite(value):
+                        raise ValueError(f"non-finite value {value!r}")
+                    yield RatingAnnotation(obj["doc_id"], obj["rater"], value)
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
 
 
@@ -90,12 +92,13 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         rating_names = sorted({a.rater for a in annotations})
 
     names = canonical_order(_annotated_names(cfg) + rating_names)
-    scored: list[dict[str, float]] = []
-    for doc in docs:
-        scores = dict(doc.scores or {})
-        if cfg.scores.signals:
-            scores.update(compute_signals(doc.text))
-        scored.append(scores)
+    matrix = ScoreMatrix.from_documents(docs, names) if names else None
+
+    if cfg.scores.signals:
+        signal_cols = [names.index(name) for name in SIGNAL_NAMES]
+        for i, doc in enumerate(docs):
+            signals = compute_signals(doc.text)
+            matrix.raw[i, signal_cols] = [signals[name] for name in SIGNAL_NAMES]
 
     if cfg.scores.importance is not None:
         imp = cfg.scores.importance
@@ -105,13 +108,9 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 raise ValidationError(f"importance target corpus {target_path} missing")
             target_docs, _ = load_corpus(target_path, cfg.schema)
             target_model = fit_bag_model(target_docs, imp.bucket_count, cfg.seed, imp.smoothing)
-            name = f"{target}_importance"
-            for doc, scores in zip(docs, scored):
-                scores[name] = importance_score(doc, target_model, source_model)
-
-    matrix = ScoreMatrix.from_documents(
-        [doc.with_scores(scores) for doc, scores in zip(docs, scored)], names
-    ) if names else None
+            matrix.raw[:, names.index(f"{target}_importance")] = [
+                importance_score(doc, target_model, source_model) for doc in docs
+            ]
 
     if matrix is not None and annotations:
         ingest = ingest_ratings(matrix, annotations)
@@ -130,20 +129,17 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
     out_path = cfg.output_dir / "annotated.jsonl"
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if matrix is None:
-        write_corpus(docs, out_path)
-    else:
-        annotated = []
-        for i, doc in enumerate(docs):
-            scores = dict(doc.scores or {})
-            scores.update({name: float(matrix.raw[i, j]) for j, name in enumerate(names)})
-            annotated.append(doc.with_scores(scores))
-        write_corpus(annotated, out_path)
+    if matrix is not None:
+        docs = [
+            doc.with_scores({**(doc.scores or {}), **dict(zip(names, row))})
+            for doc, row in zip(docs, matrix.raw.tolist())
+        ]
+    write_corpus(docs, out_path)
     print(json.dumps({"annotated": len(docs), "scores": names, "output": str(out_path)}))
     return 0
 
 
-def _load_scored_matrix(cfg: RunConfig, corpus_path: Path):
+def _load_scored_matrix(cfg: RunConfig, corpus_path: Path) -> ScoreMatrix:
     docs, report = load_corpus(corpus_path, cfg.schema)
     if report.errors:
         logger.warning("corpus read: %s", report.summary())
@@ -154,7 +150,7 @@ def _load_scored_matrix(cfg: RunConfig, corpus_path: Path):
         raise ValidationError("corpus documents carry no scores; run annotate first")
     matrix = ScoreMatrix.from_documents(docs, names)
     impute_missing(matrix)
-    return docs, rank_normalize(matrix, cfg.optimizer.normalization)
+    return rank_normalize(matrix, cfg.optimizer.normalization)
 
 
 def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -163,9 +159,9 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     plan = cfg.require_plan()
     if args.cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
-    docs, matrix = _load_scored_matrix(cfg, corpus_path)
+    matrix = _load_scored_matrix(cfg, corpus_path)
     weights = read_weights(args.weights, normalize=True)
-    result = select_top_k(matrix, docs, weights, plan)
+    result = select_top_k(matrix, weights, plan)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = cfg.output_dir / "selection.txt"
     report_path = cfg.output_dir / "selection.json"
@@ -179,11 +175,10 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run the proxy-experiment loop and append to the campaign log."""
     corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
     plan = cfg.require_plan()
-    docs, matrix = _load_scored_matrix(cfg, corpus_path)
+    matrix = _load_scored_matrix(cfg, corpus_path)
     trainer = cfg.build_trainer()
     records = run_campaign(
         matrix,
-        docs,
         plan,
         trainer,
         n=cfg.campaign.n,
@@ -237,7 +232,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Export the Spearman correlation matrix of all scores as CSV."""
     corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
-    _, matrix = _load_scored_matrix(cfg, corpus_path)
+    matrix = _load_scored_matrix(cfg, corpus_path)
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))
@@ -351,14 +346,11 @@ def main(argv: list[str] | None = None) -> int:
             "synth": cmd_synth,
         }[args.command]
         return handler(cfg, args)
-    except ValidationError as exc:
+    except Exception as exc:
+        logger.debug("%s failed", args.command, exc_info=True)
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
-        return EXIT_VALIDATION
-    except (QselectError, OSError) as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_RUNTIME
+        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -119,6 +119,8 @@ def _parse_record(obj: object, schema: CorpusSchema) -> Document:
         for name, value in scores.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"score {name!r} is not a number")
+            if not math.isfinite(value):
+                raise ValueError(f"score {name!r} is not finite")
         scores = {name: float(value) for name, value in scores.items()}
     return Document(doc_id, text, domain, schema.estimate_tokens(text), scores)
 
@@ -130,11 +132,11 @@ def read_corpus(
 ) -> Iterator[Document]:
     """Stream Documents from a JSONL corpus file in file order.
 
-    Malformed lines (bad JSON, missing id/text, unknown domain) are
-    recorded in ``report`` with their line numbers and skipped. A
-    duplicate document id is a hard error: selection outputs reference
-    ids, so silently keeping either copy would corrupt downstream
-    manifests. Memory stays bounded by one record plus the id index used
+    Malformed lines (bad JSON, missing id/text, unknown domain, a score
+    that is not a finite number) are recorded in ``report`` with their
+    line numbers and skipped. A duplicate document id is a hard error:
+    selection outputs reference ids, so silently keeping either copy would
+    corrupt downstream manifests. Memory stays bounded by one record plus the id index used
     for duplicate detection.
     """
     schema = schema or CorpusSchema()
@@ -147,7 +149,7 @@ def read_corpus(
             try:
                 obj = json.loads(line)
                 doc = _parse_record(obj, schema)
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (json.JSONDecodeError, ValueError, OverflowError) as exc:
                 if report is not None:
                     report.add(line_no, str(exc))
                 continue

@@ -1,14 +1,17 @@
 """Per-document score matrix: ingestion, normalization, correlation.
 
-Raw scores live on wildly different scales (counts, entropies, log
-ratios, 0-5 ratings), so columns are rank-normalized to [0, 1] before
-weighting; a z-score mode exists for comparison. Model-based ratings may
-arrive with gaps and are imputed to the column median (flagged); signals
-and importance scores are computed locally and must be complete.
+Each row carries its document's id, domain and token estimate beside the
+scores, so selection needs nothing but the matrix. Raw scores live on
+wildly different scales (counts, entropies, log ratios, 0-5 ratings), so
+columns are rank-normalized to [0, 1] before weighting; a z-score mode
+exists for comparison. Model-based ratings may arrive with gaps and are
+imputed to the column median (flagged); signals and importance scores
+are computed locally and must be complete.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -49,15 +52,20 @@ class IngestReport:
 
 
 class ScoreMatrix:
-    """Documents x score-names matrix of raw and normalized values."""
+    """Documents x score-names matrix of raw and normalized values.
+
+    Row ``i`` is document ``doc_ids[i]`` of domain ``domains[i]`` with
+    ``tokens[i]`` estimated tokens; ``id_order`` lists the rows by id.
+    """
 
     def __init__(
         self,
         score_names: Sequence[str],
         doc_ids: Sequence[str],
+        domains: Sequence[str],
+        tokens: Sequence[int],
         raw: np.ndarray,
         normalized: np.ndarray | None = None,
-        imputed: list[tuple[str, str]] | None = None,
     ) -> None:
         names = list(score_names)
         if len(set(names)) != len(names):
@@ -65,26 +73,30 @@ class ScoreMatrix:
         ids = list(doc_ids)
         if len(set(ids)) != len(ids):
             raise MatrixError("duplicate doc ids")
+        domains = np.asarray(domains, dtype=str)
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if domains.shape != (len(ids),) or tokens.shape != (len(ids),):
+            raise MatrixError("domains and tokens must have one entry per doc id")
         raw = np.asarray(raw, dtype=np.float64)
         if raw.shape != (len(ids), len(names)):
             raise MatrixError(f"raw shape {raw.shape} does not match ids x names")
         self.score_names = names
         self.doc_ids = ids
+        self.domains = domains
+        self.tokens = tokens
         self.raw = raw
         self.normalized = normalized
-        self.imputed = imputed or []
-        self._id_index = {doc_id: i for i, doc_id in enumerate(ids)}
-        self._name_index = {name: j for j, name in enumerate(names)}
+        # An object array compares and gathers the ids as Python strings.
+        self._ids = np.array(ids, dtype=object)
+        self.id_order = np.argsort(self._ids, kind="stable")
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
 
-    def row_index(self, doc_id: str) -> int:
-        try:
-            return self._id_index[doc_id]
-        except KeyError:
-            raise MatrixError(f"unknown doc id {doc_id!r}") from None
+    def ids_at(self, rows: np.ndarray) -> list[str]:
+        """Doc ids of ``rows``, in the order given."""
+        return self._ids[rows].tolist()
 
     @classmethod
     def from_documents(
@@ -97,15 +109,19 @@ class ScoreMatrix:
         """
         names = list(score_names)
         raw = np.full((len(docs), len(names)), np.nan)
-        ids = []
         for i, doc in enumerate(docs):
-            ids.append(doc.id)
             if doc.scores:
                 for j, name in enumerate(names):
                     value = doc.scores.get(name)
                     if value is not None:
                         raw[i, j] = value
-        return cls(names, ids, raw)
+        return cls(
+            names,
+            [doc.id for doc in docs],
+            [doc.domain for doc in docs],
+            [doc.token_estimate for doc in docs],
+            raw,
+        )
 
 
 def ingest_ratings(
@@ -119,19 +135,21 @@ def ingest_ratings(
     """
     if matrix.normalized is not None:
         raise MatrixError("cannot ingest into a normalized matrix")
+    rows = {doc_id: i for i, doc_id in enumerate(matrix.doc_ids)}
+    cols = {name: j for j, name in enumerate(matrix.score_names)}
     report = IngestReport()
     for ann in annotations:
-        if ann.rater not in matrix._name_index:
+        if ann.rater not in cols:
             raise MatrixError(f"unregistered rater {ann.rater!r}")
         if ann.rater in PRRC_NAMES and not (PRRC_RANGE[0] <= ann.value <= PRRC_RANGE[1]):
             raise ValidationError(
                 f"{ann.rater} value {ann.value} outside {list(PRRC_RANGE)}"
             )
-        row = matrix._id_index.get(ann.doc_id)
+        row = rows.get(ann.doc_id)
         if row is None:
             report.unknown_doc_ids.append(ann.doc_id)
             continue
-        col = matrix._name_index[ann.rater]
+        col = cols[ann.rater]
         if math.isnan(matrix.raw[row, col]):
             report.filled[ann.rater] = report.filled.get(ann.rater, 0) + 1
         matrix.raw[row, col] = ann.value
@@ -139,7 +157,7 @@ def ingest_ratings(
 
 
 def impute_missing(matrix: ScoreMatrix) -> list[tuple[str, str]]:
-    """Fill remaining gaps with column medians, recording each imputation.
+    """Fill remaining gaps with column medians; return the cells filled.
 
     Signal and importance columns are computed locally and must already be
     complete; a gap there is an upstream bug, not missing data.
@@ -161,7 +179,6 @@ def impute_missing(matrix: ScoreMatrix) -> list[tuple[str, str]]:
         for i in np.nonzero(missing)[0]:
             flagged.append((matrix.doc_ids[i], name))
         col[missing] = median
-    matrix.imputed.extend(flagged)
     return flagged
 
 
@@ -185,7 +202,7 @@ def _rank_unit(col: np.ndarray) -> np.ndarray:
 
 
 def rank_normalize(matrix: ScoreMatrix, method: str = "rank") -> ScoreMatrix:
-    """Return a matrix with per-column normalized values.
+    """Return a copy of the matrix (sharing its arrays) with normalized columns.
 
     ``rank`` maps each column to average-tie ranks scaled to [0, 1] (a
     single-document matrix maps to 0.5); ``zscore`` is the comparison mode
@@ -206,13 +223,9 @@ def rank_normalize(matrix: ScoreMatrix, method: str = "rank") -> ScoreMatrix:
         normalized = (matrix.raw - mean) / std
     else:
         raise ValidationError(f"unknown normalization method {method!r}")
-    return ScoreMatrix(
-        matrix.score_names,
-        matrix.doc_ids,
-        matrix.raw,
-        normalized=normalized,
-        imputed=list(matrix.imputed),
-    )
+    result = copy.copy(matrix)
+    result.normalized = normalized
+    return result
 
 
 def spearman_matrix(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:

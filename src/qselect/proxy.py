@@ -17,13 +17,12 @@ import shutil
 import subprocess
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document
 from .errors import CampaignError, TrainerError, ValidationError
 from .matrix import ScoreMatrix
 from .selection import SelectionPlan, WeightVector, select_top_k
@@ -246,16 +245,7 @@ class ExperimentRecord:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "experiment_id": self.experiment_id,
-                "weights": self.weights,
-                "loss": self.loss,
-                "status": self.status,
-                "manifest": self.manifest,
-                "metadata": self.metadata,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
@@ -271,11 +261,16 @@ class ExperimentRecord:
 
 
 def read_campaign_log(path: str | Path) -> list[ExperimentRecord]:
+    """Read a campaign log; a malformed line is a ValidationError naming it."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 records.append(ExperimentRecord.from_json(line))
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise ValidationError(f"{path}:{line_no}: bad campaign record: {exc!r}") from None
     return records
 
 
@@ -289,7 +284,6 @@ def probe_trainer(trainer: Trainer) -> None:
 
 def run_campaign(
     matrix: ScoreMatrix,
-    docs: Sequence[Document],
     plan: SelectionPlan,
     trainer: Trainer,
     n: int = 256,
@@ -337,7 +331,7 @@ def run_campaign(
     def run_one(index: int, experiment_id: str) -> ExperimentRecord:
         w = weight_vectors[index]
         manifest_path = manifest_dir / f"{experiment_id}.txt"
-        result = select_top_k(matrix, docs, w, plan)
+        result = select_top_k(matrix, w, plan)
         result.write_manifest(manifest_path)
         request = TrainerRequest(
             experiment_id=experiment_id,

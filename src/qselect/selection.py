@@ -4,20 +4,22 @@ Selection fills each domain's token quota (budget x proportion)
 independently, taking documents in descending aggregate score. The
 document that crosses a quota is included, so per-domain overshoot is at
 most one document. Ties break by document id, so results are
-reproducible across runs and thread counts.
+reproducible across runs and thread counts. It runs on the score
+matrix's columns alone: one stable sort of the aggregate scores over the
+rows in id order, then per domain a token cumsum and a searchsorted for
+the quota.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document
 from .errors import ValidationError
 from .matrix import ScoreMatrix
 from .registry import DEFAULT_DOMAIN_WEIGHTS, REFERENCE_WEIGHT_PCT
@@ -178,10 +180,7 @@ def aggregate_scores(matrix: ScoreMatrix, w: WeightVector) -> np.ndarray:
 
 
 def select_top_k(
-    matrix: ScoreMatrix,
-    docs: Iterable[Document],
-    w: WeightVector,
-    plan: SelectionPlan,
+    matrix: ScoreMatrix, w: WeightVector, plan: SelectionPlan
 ) -> SelectionResult:
     """Select the top-scoring documents per domain under the plan's quotas.
 
@@ -192,33 +191,27 @@ def select_top_k(
     the plan contribute nothing to any quota.
     """
     scores = aggregate_scores(matrix, w)
-    pools: dict[str, list[tuple[str, float, int]]] = {d: [] for d in plan.domain_targets}
-    for doc in docs:
-        row = matrix.row_index(doc.id)
-        pool = pools.get(doc.domain)
-        if pool is not None:
-            pool.append((doc.id, float(scores[row]), doc.token_estimate))
+    ranked = matrix.id_order[np.argsort(-scores[matrix.id_order], kind="stable")]
+    ranked_domains = matrix.domains[ranked]
 
-    selected: list[str] = []
+    taken: list[np.ndarray] = []
     domain_tokens: dict[str, int] = {}
     thresholds: dict[str, float | None] = {}
     shortfalls: list[DomainShortfall] = []
     for domain, proportion in plan.domain_targets.items():
         target = plan.token_budget * proportion
-        tokens = 0
-        threshold: float | None = None
-        for doc_id, score, doc_tokens in sorted(
-            pools[domain], key=lambda item: (-item[1], item[0])
-        ):
-            if tokens >= target:
-                break
-            selected.append(doc_id)
-            tokens += doc_tokens
-            threshold = score
+        rows = ranked[ranked_domains == domain]
+        row_tokens = matrix.tokens[rows]
+        cumulative = np.cumsum(row_tokens)
+        # A row is taken while the tokens before it are still short of target.
+        k = int(np.searchsorted(cumulative - row_tokens, target, "left"))
+        taken.append(rows[:k])
+        tokens = int(cumulative[k - 1]) if k else 0
         domain_tokens[domain] = tokens
-        thresholds[domain] = threshold
+        thresholds[domain] = float(scores[rows[k - 1]]) if k else None
         if tokens < target:
             shortfalls.append(DomainShortfall(domain, target, tokens))
+    selected = matrix.ids_at(np.concatenate(taken))
     total = sum(domain_tokens.values())
     achieved = {
         domain: (tokens / total if total else 0.0)

@@ -87,7 +87,9 @@ class TestCriterion2ReferenceWeights:
 
         names = list(w.names)
         values = rng.random(size=(10, 25))
-        matrix = ScoreMatrix(names, [f"d{i}" for i in range(10)], values, normalized=values)
+        matrix = ScoreMatrix(
+            names, [f"d{i}" for i in range(10)], ["C4"] * 10, [1] * 10, values, normalized=values
+        )
         got = aggregate_scores(matrix, w)
         aligned = w.aligned_to(names)
         dot_ok = all(
@@ -191,7 +193,15 @@ def random_pool(gen, n_docs, names):
         for i in range(n_docs)
     ]
     raw = gen.normal(size=(n_docs, len(names)))
-    return docs, rank_normalize(ScoreMatrix(list(names), [d.id for d in docs], raw))
+    return docs, rank_normalize(
+        ScoreMatrix(
+            list(names),
+            [d.id for d in docs],
+            [d.domain for d in docs],
+            [d.token_estimate for d in docs],
+            raw,
+        )
+    )
 
 
 def prefix_sort_reference(matrix, docs, w, plan):
@@ -223,14 +233,14 @@ class TestCriterion5Selection:
             w = WeightVector(tuple(names), gen.dirichlet(np.ones(3)))
             budget = max(1, int(0.3 * sum(d.token_estimate for d in docs)))
             plan = SelectionPlan(budget)
-            got = set(select_top_k(matrix, docs, w, plan).selected_ids)
+            got = set(select_top_k(matrix, w, plan).selected_ids)
             equiv_ok &= got == prefix_sort_reference(matrix, docs, w, plan)
 
         gen = np.random.default_rng(555)
         docs, matrix = random_pool(gen, 12_000, ["q"])
         total = sum(d.token_estimate for d in docs)
         plan = SelectionPlan(int(total * 0.3))
-        result = select_top_k(matrix, docs, WeightVector(("q",), np.array([1.0])), plan)
+        result = select_top_k(matrix, WeightVector(("q",), np.array([1.0])), plan)
         prop_ok = total > 1_000_000 and all(
             abs(result.achieved_proportions[d] - p) <= 0.005
             for d, p in plan.domain_targets.items()
@@ -238,8 +248,10 @@ class TestCriterion5Selection:
 
         transformed = matrix.raw.copy()
         transformed[:, 0] = np.exp(2.0 * transformed[:, 0]) - 3.0
-        matrix2 = rank_normalize(ScoreMatrix(["q"], matrix.doc_ids, transformed))
-        again = select_top_k(matrix2, docs, WeightVector(("q",), np.array([1.0])), plan)
+        matrix2 = rank_normalize(
+            ScoreMatrix(["q"], matrix.doc_ids, matrix.domains, matrix.tokens, transformed)
+        )
+        again = select_top_k(matrix2, WeightVector(("q",), np.array([1.0])), plan)
         invariance_ok = set(again.selected_ids) == set(result.selected_ids)
 
         ok = equiv_ok and prop_ok and invariance_ok
@@ -328,16 +340,16 @@ class TestCriterion7EndToEndSuperiority:
             plan = SelectionPlan(8000)
             trainer = SubsetOracleTrainer(quality, base=2.0, sigma=0.01, seed=seed)
             records = run_campaign(
-                matrix, docs, plan, trainer, n=48, seed=seed, out_dir=tmp_path / f"camp{seed}"
+                matrix, plan, trainer, n=48, seed=seed, out_dir=tmp_path / f"camp{seed}"
             )
             model = fit_regressor(records, RegressorHyper(seed=seed))
             outcome = search_optimal(model, seed=seed)
             noiseless = SubsetOracleTrainer(quality, base=2.0, sigma=0.0)
             loss_star = noiseless.loss_for_ids(
-                select_top_k(matrix, docs, outcome.w_star, plan).selected_ids
+                select_top_k(matrix, outcome.w_star, plan).selected_ids
             )
             loss_mean = noiseless.loss_for_ids(
-                select_top_k(matrix, docs, WeightVector.uniform(names), plan).selected_ids
+                select_top_k(matrix, WeightVector.uniform(names), plan).selected_ids
             )
             wins += loss_star < loss_mean
         ok = wins >= 19
@@ -354,7 +366,7 @@ class TestCriterion8Statistics:
             m = int(gen.integers(2, 6))
             raw = gen.integers(0, 7, size=(n, m)).astype(float)
             matrix = ScoreMatrix(
-                [f"c{j}" for j in range(m)], [f"d{i}" for i in range(n)], raw
+                [f"c{j}" for j in range(m)], [f"d{i}" for i in range(n)], ["C4"] * n, [1] * n, raw
             )
             rho, flagged = spearman_matrix(matrix)
             sym_ok &= np.allclose(rho, rho.T, equal_nan=True)

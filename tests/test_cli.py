@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qselect import cli
 from qselect.cli import main
 from qselect.registry import (
     DEFAULT_DOMAIN_WEIGHTS,
@@ -161,6 +162,24 @@ class TestAnnotate:
         for rec in annotated:
             # all 25 scores, in canonical column order
             assert list(rec["scores"]) == expected
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    def test_non_finite_rating_rejected(self, tmp_path, capsys, literal):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+        (tmp_path / "ratings.jsonl").write_text(
+            '{"doc_id": "d0000", "rater": "Fluency", "value": 3.0}\n'
+            f'{{"doc_id": "d0001", "rater": "Fluency", "value": {literal}}}\n'
+        )
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": True, "ratings": {"files": ["ratings.jsonl"], "min_coverage": 0.0}},
+        )
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert "ratings.jsonl:2" in err["message"]
+        assert not (tmp_path / "out" / "annotated.jsonl").exists()
 
     def test_coverage_threshold_enforced(self, tmp_path, capsys):
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=20)
@@ -324,6 +343,24 @@ class TestCampaignAndFit:
         run_cli("campaign", "--config", str(config))
         assert run_cli("fit", "--config", str(config)) == 1
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"experiment_id": "exp-0001", "weights": {"ch0": 1.0}, "lo',
+            '{"experiment_id": "exp-0001", "weights": {"ch0": 1.0}, "loss": 1.0}',
+        ],
+        ids=["torn-last-line", "missing-status"],
+    )
+    def test_fit_malformed_log_line_fails(self, tmp_path, capsys, bad_line):
+        good = {"experiment_id": "exp-0000", "weights": {"ch0": 1.0}, "loss": 1.0, "status": "ok"}
+        log = tmp_path / "campaign.jsonl"
+        log.write_text(json.dumps(good) + "\n" + bad_line)
+        config = write_config(tmp_path / "cfg.json")
+        assert run_cli("fit", "--config", str(config), "--log", str(log)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"{log}:2" in err["message"]
+
     def test_fit_missing_log_fails(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path)
         assert run_cli("fit", "--config", str(config)) == 1
@@ -360,6 +397,16 @@ class TestErrorSurface:
         modules = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "qselect.matrix" in modules
         assert not {m for m in modules if m.split(".")[0] == "scipy"}
+
+    def test_unexpected_exception_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def crash(cfg, args):
+            raise RuntimeError("handler crashed")
+
+        monkeypatch.setattr(cli, "cmd_synth", crash)
+        config = write_config(tmp_path / "cfg.json")
+        assert run_cli("synth", "--config", str(config)) == 2
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "RuntimeError", "message": "handler crashed"}
 
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

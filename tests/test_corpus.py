@@ -71,6 +71,24 @@ class TestReadCorpus:
         assert [d.id for d in docs] == ["d4"]
         assert len(report.errors) == 4
 
+    def test_non_finite_scores_rejected(self, tmp_path):
+        f = tmp_path / "c.jsonl"
+        write_lines(
+            f,
+            [
+                '{"id":"d1","text":"ok","domain":"C4","scores":{"s":1.5}}',
+                '{"id":"d2","text":"ok","domain":"C4","scores":{"s":NaN}}',
+                '{"id":"d3","text":"ok","domain":"C4","scores":{"s":Infinity}}',
+                '{"id":"d4","text":"ok","domain":"C4","scores":{"s":-Infinity}}',
+                '{"id":"d5","text":"ok","domain":"C4","scores":{"s":1e400}}',
+                '{"id":"d6","text":"ok","domain":"C4","scores":{"s":1%s}}' % ("0" * 400),
+            ],
+        )
+        docs, report = load_corpus(f)
+        assert [d.id for d in docs] == ["d1"]
+        assert [e.line_no for e in report.errors] == [2, 3, 4, 5, 6]
+        assert all("not finite" in e.reason for e in report.errors[:4])
+
     def test_duplicate_id_hard_error(self, tmp_path):
         f = tmp_path / "c.jsonl"
         write_lines(

@@ -22,7 +22,7 @@ def matrix_from(columns: dict[str, list[float]]) -> ScoreMatrix:
     names = list(columns)
     n = len(next(iter(columns.values())))
     raw = np.column_stack([np.asarray(columns[c], dtype=float) for c in names])
-    return ScoreMatrix(names, [f"d{i}" for i in range(n)], raw)
+    return ScoreMatrix(names, [f"d{i}" for i in range(n)], ["C4"] * n, [1] * n, raw)
 
 
 class TestRankNormalize:
@@ -50,7 +50,9 @@ class TestRankNormalize:
         col[10:20] = col[0]  # inject ties
         once = rank_normalize(matrix_from({"s": col.tolist()}))
         twice = rank_normalize(
-            ScoreMatrix(once.score_names, once.doc_ids, once.normalized)
+            ScoreMatrix(
+                once.score_names, once.doc_ids, once.domains, once.tokens, once.normalized
+            )
         )
         assert np.array_equal(once.normalized, twice.normalized)
 
@@ -78,7 +80,7 @@ class TestRankNormalize:
             rank_normalize(m)
 
     def test_empty_matrix_rejected(self):
-        m = ScoreMatrix(["s"], [], np.zeros((0, 1)))
+        m = ScoreMatrix(["s"], [], [], [], np.zeros((0, 1)))
         with pytest.raises(MatrixError):
             rank_normalize(m)
 
@@ -207,4 +209,21 @@ class TestSpearman:
 class TestMatrixIO:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(MatrixError):
-            ScoreMatrix(["s"], ["d0", "d0"], np.zeros((2, 1)))
+            ScoreMatrix(["s"], ["d0", "d0"], ["C4", "C4"], [1, 1], np.zeros((2, 1)))
+
+    def test_row_columns_must_match_ids(self):
+        with pytest.raises(MatrixError, match="one entry per doc id"):
+            ScoreMatrix(["s"], ["d0", "d1"], ["C4"], [1, 1], np.zeros((2, 1)))
+        with pytest.raises(MatrixError, match="one entry per doc id"):
+            ScoreMatrix(["s"], ["d0", "d1"], ["C4", "C4"], [1], np.zeros((2, 1)))
+
+    def test_domains_and_tokens_carried_through(self):
+        docs = [
+            make_doc("b", "two words", "Books", {"s": 2.0}),
+            make_doc("a", "one", "C4", {"s": 1.0}),
+        ]
+        matrix = rank_normalize(ScoreMatrix.from_documents(docs, ["s"]))
+        assert matrix.doc_ids == ["b", "a"]
+        assert matrix.domains.tolist() == ["Books", "C4"]
+        assert matrix.tokens.tolist() == [2, 1]
+        assert matrix.id_order.tolist() == [1, 0]

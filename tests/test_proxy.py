@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-from qselect.corpus import Document
 from qselect.errors import CampaignError, TrainerError, ValidationError
 from qselect.matrix import ScoreMatrix, rank_normalize
 from qselect.proxy import (
@@ -113,21 +112,22 @@ class TestOracleLoss:
 
 def single_domain_fixture(n_docs=40, seed=0):
     rng = np.random.default_rng(seed)
-    docs = [Document(f"d{i:03d}", "", "C4", int(rng.integers(5, 30))) for i in range(n_docs)]
+    ids = [f"d{i:03d}" for i in range(n_docs)]
+    tokens = [int(rng.integers(5, 30)) for _ in range(n_docs)]
     raw = rng.normal(size=(n_docs, 3))
-    matrix = rank_normalize(ScoreMatrix(["a", "b", "c"], [d.id for d in docs], raw))
+    matrix = rank_normalize(ScoreMatrix(["a", "b", "c"], ids, ["C4"] * n_docs, tokens, raw))
     plan = SelectionPlan(100, {"C4": 1.0})
-    return docs, matrix, plan
+    return matrix, plan
 
 
 class TestRunCampaign:
     def test_smoke_with_oracle(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
         trainer = OracleTrainer(
             OracleSpec(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
         )
         records = run_campaign(
-            matrix, docs, plan, trainer, n=4, seed=1, out_dir=tmp_path
+            matrix, plan, trainer, n=4, seed=1, out_dir=tmp_path
         )
         assert len(records) == 4
         assert all(r.status == "ok" and math.isfinite(r.loss) for r in records)
@@ -136,7 +136,7 @@ class TestRunCampaign:
         assert [r.experiment_id for r in logged] == [f"exp-{i:04d}" for i in range(4)]
 
     def test_resume_runs_only_missing(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
         calls = []
 
         def trainer(request: TrainerRequest) -> float:
@@ -146,37 +146,37 @@ class TestRunCampaign:
             return 1.0
 
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(matrix, docs, plan, trainer, n=4, seed=1, out_dir=tmp_path)
+            run_campaign(matrix, plan, trainer, n=4, seed=1, out_dir=tmp_path)
         assert len(read_campaign_log(tmp_path / "campaign.jsonl")) == 2
 
         calls.clear()
         records = run_campaign(
-            matrix, docs, plan, lambda req: (calls.append(req.experiment_id), 1.0)[1],
+            matrix, plan, lambda req: (calls.append(req.experiment_id), 1.0)[1],
             n=4, seed=1, out_dir=tmp_path,
         )
         assert len(calls) == 2  # exactly the two missing experiments
         assert len(records) == 4
 
     def test_resume_reproduces_same_weights(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
         trainer = OracleTrainer(
             OracleSpec(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
         )
-        full = run_campaign(matrix, docs, plan, trainer, n=4, seed=9, out_dir=tmp_path / "one")
+        full = run_campaign(matrix, plan, trainer, n=4, seed=9, out_dir=tmp_path / "one")
         (tmp_path / "two").mkdir()
-        partial = run_campaign(matrix, docs, plan, trainer, n=2, seed=9, out_dir=tmp_path / "two")
-        resumed = run_campaign(matrix, docs, plan, trainer, n=4, seed=9, out_dir=tmp_path / "two")
+        partial = run_campaign(matrix, plan, trainer, n=2, seed=9, out_dir=tmp_path / "two")
+        resumed = run_campaign(matrix, plan, trainer, n=4, seed=9, out_dir=tmp_path / "two")
         assert [r.weights for r in resumed] == [r.weights for r in full]
         assert [r.loss for r in resumed] == [r.loss for r in full]
 
     def test_failures_recorded_and_abort_threshold(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
 
         def flaky(request: TrainerRequest) -> float:
             raise TrainerError("gpu fell over")
 
         with pytest.raises(CampaignError, match="failures"):
-            run_campaign(matrix, docs, plan, flaky, n=10, seed=1, out_dir=tmp_path)
+            run_campaign(matrix, plan, flaky, n=10, seed=1, out_dir=tmp_path)
         log = read_campaign_log(tmp_path / "campaign.jsonl")
         assert all(r.status == "failed" for r in log)
         assert 0 < len(log) <= 3  # aborts once failures exceed 20% of 10
@@ -184,7 +184,7 @@ class TestRunCampaign:
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_exception_cancels_queued_experiments(self, tmp_path, threads, error):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
         calls = []
 
         def trainer(request: TrainerRequest) -> float:
@@ -196,31 +196,31 @@ class TestRunCampaign:
 
         with pytest.raises(error):
             run_campaign(
-                matrix, docs, plan, trainer, n=40, seed=1, out_dir=tmp_path, threads=threads
+                matrix, plan, trainer, n=40, seed=1, out_dir=tmp_path, threads=threads
             )
         assert len(calls) <= 2 * threads
         assert read_campaign_log(tmp_path / "campaign.jsonl") == []
 
     def test_single_failure_continues(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
 
         def mostly_ok(request: TrainerRequest) -> float:
             if request.experiment_id == "exp-0001":
                 raise TrainerError("one bad run")
             return 3.0
 
-        records = run_campaign(matrix, docs, plan, mostly_ok, n=10, seed=1, out_dir=tmp_path)
+        records = run_campaign(matrix, plan, mostly_ok, n=10, seed=1, out_dir=tmp_path)
         by_status = {s: sum(1 for r in records if r.status == s) for s in ("ok", "failed")}
         assert by_status == {"ok": 9, "failed": 1}
 
     def test_threaded_matches_sequential(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
+        matrix, plan = single_domain_fixture()
         trainer = OracleTrainer(
             OracleSpec(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.05, seed=3)
         )
-        seq = run_campaign(matrix, docs, plan, trainer, n=8, seed=2, out_dir=tmp_path / "seq")
+        seq = run_campaign(matrix, plan, trainer, n=8, seed=2, out_dir=tmp_path / "seq")
         par = run_campaign(
-            matrix, docs, plan, trainer, n=8, seed=2, out_dir=tmp_path / "par", threads=4
+            matrix, plan, trainer, n=8, seed=2, out_dir=tmp_path / "par", threads=4
         )
         assert [r.loss for r in seq] == [r.loss for r in par]
         assert (tmp_path / "seq" / "campaign.jsonl").read_bytes() == (
@@ -228,10 +228,10 @@ class TestRunCampaign:
         ).read_bytes()
 
     def test_subset_oracle_trainer_reads_manifest(self, tmp_path):
-        docs, matrix, plan = single_domain_fixture()
-        quality = {d.id: float(i) for i, d in enumerate(docs)}
+        matrix, plan = single_domain_fixture()
+        quality = {doc_id: float(i) for i, doc_id in enumerate(matrix.doc_ids)}
         trainer = SubsetOracleTrainer(quality, base=5.0)
-        records = run_campaign(matrix, docs, plan, trainer, n=3, seed=4, out_dir=tmp_path)
+        records = run_campaign(matrix, plan, trainer, n=3, seed=4, out_dir=tmp_path)
         for record in records:
             ids = (tmp_path / record.manifest).read_text().split()
             assert record.loss == pytest.approx(

@@ -17,49 +17,79 @@ from qselect.selection import (
 from oracles import ref_dot
 
 
-def build_pool(rng, n_docs, names, domains=None, token_range=(20, 200), mix=None):
+def matrix_of(docs, names, raw):
+    """Rank-normalized matrix whose rows are ``docs`` with scores ``raw``."""
+    return rank_normalize(
+        ScoreMatrix(
+            list(names),
+            [d.id for d in docs],
+            [d.domain for d in docs],
+            [d.token_estimate for d in docs],
+            np.asarray(raw, dtype=float),
+        )
+    )
+
+
+def build_pool(
+    rng, n_docs, names, domains=None, token_range=(20, 200), mix=None, integer_scores=False
+):
     """Random scored docs + normalized matrix over the given score names.
 
     Domains are drawn from ``mix`` when given (so each domain pool is
     roughly proportional to its selection target), else uniformly.
+    ``integer_scores`` draws raw scores from {0, 1, 2, 3}, so ties are common.
     """
     domains = domains or list(DEFAULT_DOMAIN_WEIGHTS)
     probs = None
     if mix is not None:
         probs = np.array([mix[d] for d in domains])
         probs = probs / probs.sum()
-    docs = []
-    raw = rng.normal(size=(n_docs, len(names)))
+    if integer_scores:
+        raw = rng.integers(0, 4, size=(n_docs, len(names)))
+    else:
+        raw = rng.normal(size=(n_docs, len(names)))
     tags = rng.choice(domains, size=n_docs, p=probs)
-    for i in range(n_docs):
-        docs.append(
-            Document(f"d{i:05d}", "", str(tags[i]), int(rng.integers(*token_range)))
-        )
-    matrix = ScoreMatrix(list(names), [d.id for d in docs], raw)
-    return docs, rank_normalize(matrix)
+    docs = [
+        Document(f"d{i:05d}", "", str(tags[i]), int(rng.integers(*token_range)))
+        for i in range(n_docs)
+    ]
+    return docs, matrix_of(docs, names, raw)
 
 
 def brute_force_select(matrix, docs, w, plan):
     """Reference: full per-domain sort, walk the prefix until the quota.
 
-    Written independently of the package implementation.
+    Written independently of the package implementation. Returns the
+    ordered ids, per-domain tokens, thresholds and shortfalls.
     """
     scores = matrix.normalized @ np.array(
         [w.as_mapping()[n] for n in matrix.score_names]
     )
-    by_id = {doc_id: scores[i] for i, doc_id in enumerate(matrix.doc_ids)}
-    chosen = []
+    by_id = {doc_id: float(scores[i]) for i, doc_id in enumerate(matrix.doc_ids)}
+    chosen, domain_tokens, thresholds, shortfalls = [], {}, {}, []
     for domain, prop in plan.domain_targets.items():
         target = plan.token_budget * prop
         pool = [d for d in docs if d.domain == domain]
         pool.sort(key=lambda d: (-by_id[d.id], d.id))
-        used = 0.0
+        used = 0
+        threshold = None
         for d in pool:
             if used >= target:
                 break
             chosen.append(d.id)
             used += d.token_estimate
-    return set(chosen)
+            threshold = by_id[d.id]
+        domain_tokens[domain] = used
+        thresholds[domain] = threshold
+        if used < target:
+            shortfalls.append((domain, target, used))
+    return chosen, domain_tokens, thresholds, shortfalls
+
+
+def outcome(result):
+    """A SelectionResult in the shape brute_force_select returns."""
+    shortfalls = [(s.domain, s.target_tokens, s.achieved_tokens) for s in result.shortfalls]
+    return result.selected_ids, result.domain_tokens, result.thresholds, shortfalls
 
 
 class TestWeightVector:
@@ -88,8 +118,10 @@ class TestWeightVector:
 
 def normalized_matrix(names, rows):
     values = np.asarray(rows, dtype=float)
-    ids = [f"d{i}" for i in range(len(values))]
-    return ScoreMatrix(names, ids, values, normalized=values)
+    n = len(values)
+    return ScoreMatrix(
+        names, [f"d{i}" for i in range(n)], ["C4"] * n, [1] * n, values, normalized=values
+    )
 
 
 class TestAggregate:
@@ -108,8 +140,7 @@ class TestAggregate:
         w = reference_weights()
         names = list(w.names)
         values = rng.random(size=(10, len(names)))
-        matrix = ScoreMatrix(names, [f"d{i}" for i in range(10)], values)
-        matrix = ScoreMatrix(names, matrix.doc_ids, matrix.raw, normalized=values)
+        matrix = normalized_matrix(names, values)
         got = aggregate_scores(matrix, w)
         aligned = w.aligned_to(names)
         for i in range(10):
@@ -119,62 +150,51 @@ class TestAggregate:
     def test_range_under_simplex_weights(self, rng):
         names = [f"s{j}" for j in range(5)]
         w = WeightVector(tuple(names), rng.dirichlet(np.ones(5)))
-        normalized = rng.random(size=(50, 5))
-        matrix = ScoreMatrix(names, [f"d{i}" for i in range(50)], normalized, normalized)
+        matrix = normalized_matrix(names, rng.random(size=(50, 5)))
         agg = aggregate_scores(matrix, w)
         assert (agg >= -1e-12).all() and (agg <= 1 + 1e-12).all()
 
 
+S = WeightVector(("s",), np.array([1.0]))
+
+
 class TestSelectTopK:
     def test_forced_ordering(self):
-        names = ["s"]
         docs = [
             Document("a", "", "C4", 5),
             Document("b", "", "C4", 5),
             Document("c", "", "C4", 5),
         ]
-        raw = np.array([[0.9], [0.5], [0.1]])
-        matrix = ScoreMatrix(names, ["a", "b", "c"], raw)
-        matrix = rank_normalize(matrix)
-        plan = SelectionPlan(10, {"C4": 1.0})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        matrix = matrix_of(docs, ["s"], [[0.9], [0.5], [0.1]])
+        result = select_top_k(matrix, S, SelectionPlan(10, {"C4": 1.0}))
         assert result.selected_ids == ["a", "b"]
         assert result.total_tokens == 10
         assert not result.shortfalls
 
     def test_crossing_doc_included(self):
         docs = [Document("a", "", "C4", 7), Document("b", "", "C4", 7)]
-        matrix = rank_normalize(
-            ScoreMatrix(["s"], ["a", "b"], np.array([[1.0], [0.0]]))
-        )
-        plan = SelectionPlan(10, {"C4": 1.0})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        matrix = matrix_of(docs, ["s"], [[1.0], [0.0]])
+        result = select_top_k(matrix, S, SelectionPlan(10, {"C4": 1.0}))
         # second doc crosses the 10-token target and is included
         assert result.selected_ids == ["a", "b"]
         assert result.total_tokens == 14
 
     def test_tie_break_lexicographic(self):
         docs = [Document("z1", "", "C4", 5), Document("a1", "", "C4", 5)]
-        matrix = rank_normalize(
-            ScoreMatrix(["s"], ["z1", "a1"], np.array([[0.5], [0.5]]))
-        )
-        plan = SelectionPlan(5, {"C4": 1.0})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        matrix = matrix_of(docs, ["s"], [[0.5], [0.5]])
+        result = select_top_k(matrix, S, SelectionPlan(5, {"C4": 1.0}))
         assert result.selected_ids == ["a1"]
 
     def test_shortfall_reported(self):
-        docs = [Document("a", "", "C4", 5)]
-        matrix = rank_normalize(ScoreMatrix(["s"], ["a"], np.array([[1.0]])))
-        plan = SelectionPlan(100, {"C4": 1.0})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        matrix = matrix_of([Document("a", "", "C4", 5)], ["s"], [[1.0]])
+        result = select_top_k(matrix, S, SelectionPlan(100, {"C4": 1.0}))
         assert len(result.shortfalls) == 1
         assert result.shortfalls[0].achieved_tokens == 5
 
     def test_empty_plan_domain_is_a_shortfall(self):
-        docs = [Document("a", "", "C4", 5)]
-        matrix = rank_normalize(ScoreMatrix(["s"], ["a"], np.array([[1.0]])))
+        matrix = matrix_of([Document("a", "", "C4", 5)], ["s"], [[1.0]])
         plan = SelectionPlan(10, {"C4": 0.5, "Books": 0.5})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        result = select_top_k(matrix, S, plan)
         assert result.selected_ids == ["a"]
         assert result.domain_tokens["Books"] == 0
         assert result.thresholds["Books"] is None
@@ -183,9 +203,9 @@ class TestSelectTopK:
 
     def test_zero_proportion_domain_selects_nothing(self):
         docs = [Document("a", "", "C4", 5), Document("b", "", "Books", 5)]
-        matrix = rank_normalize(ScoreMatrix(["s"], ["a", "b"], np.array([[0.0], [1.0]])))
+        matrix = matrix_of(docs, ["s"], [[0.0], [1.0]])
         plan = SelectionPlan(5, {"C4": 1.0, "Books": 0.0})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        result = select_top_k(matrix, S, plan)
         assert result.selected_ids == ["a"]
         assert result.domain_tokens["Books"] == 0
         assert result.thresholds["Books"] is None
@@ -197,82 +217,96 @@ class TestSelectTopK:
         ids = ["a", "b", "c", "d", "e"]
         tokens = [0, 0, 6, 0, 6]
         docs = [Document(i, "", "C4", t) for i, t in zip(ids, tokens)]
-        raw = np.array([[5.0], [4.0], [3.0], [2.0], [1.0]])
-        matrix = rank_normalize(ScoreMatrix(["s"], ids, raw))
-        w = WeightVector(("s",), np.array([1.0]))
-        result = select_top_k(matrix, docs, w, SelectionPlan(6, {"C4": 1.0}))
+        raw = [[5.0], [4.0], [3.0], [2.0], [1.0]]
+        plan = SelectionPlan(6, {"C4": 1.0})
+        result = select_top_k(matrix_of(docs, ["s"], raw), S, plan)
         assert result.selected_ids == ["a", "b", "c"]
         assert result.total_tokens == 6
         assert not result.shortfalls
-        starved = select_top_k(matrix, docs[:2], w, SelectionPlan(6, {"C4": 1.0}))
+        starved = select_top_k(matrix_of(docs[:2], ["s"], raw[:2]), S, plan)
         assert starved.selected_ids == ["a", "b"]
         assert starved.shortfalls[0].achieved_tokens == 0
 
     def test_domains_outside_the_plan_ignored(self):
         docs = [Document("a", "", "C4", 5), Document("b", "", "Elsewhere", 5)]
-        matrix = rank_normalize(ScoreMatrix(["s"], ["a", "b"], np.array([[0.0], [1.0]])))
-        plan = SelectionPlan(10, {"C4": 1.0})
-        result = select_top_k(matrix, docs, WeightVector(("s",), np.array([1.0])), plan)
+        matrix = matrix_of(docs, ["s"], [[0.0], [1.0]])
+        result = select_top_k(matrix, S, SelectionPlan(10, {"C4": 1.0}))
         assert result.selected_ids == ["a"]
         assert set(result.domain_tokens) == {"C4"}
 
     def test_matches_brute_force_on_100_seeded_pools(self):
+        # Odd trials draw tie-heavy integer scores. Every pool has 0-token
+        # documents, ids out of row order, a domain outside the plan, and a
+        # plan domain with proportion 0.
         names = [f"s{j}" for j in range(4)]
+        plan_domains = list(DEFAULT_DOMAIN_WEIGHTS)
         for trial in range(100):
             rng = np.random.default_rng(5000 + trial)
             n = int(rng.integers(50, 2000)) if trial < 98 else 10_000
-            docs, matrix = build_pool(rng, n, names)
+            tags = rng.choice(plan_domains + ["Elsewhere"], size=n)
+            tokens = rng.integers(20, 200, size=n)
+            tokens[rng.random(n) < 0.1] = 0
+            ids = rng.permutation(n)
+            docs = [Document(f"d{ids[i]:05d}", "", str(tags[i]), int(tokens[i])) for i in range(n)]
+            if trial % 2:
+                raw = rng.integers(0, 4, size=(n, len(names)))
+            else:
+                raw = rng.normal(size=(n, len(names)))
+            matrix = matrix_of(docs, names, raw)
             w = WeightVector(tuple(names), rng.dirichlet(np.ones(4)))
-            budget = max(1, int(rng.integers(1, 60) / 100 * sum(d.token_estimate for d in docs)))
-            plan = SelectionPlan(budget)
-            got = select_top_k(matrix, docs, w, plan)
-            assert set(got.selected_ids) == brute_force_select(matrix, docs, w, plan)
+            targets = dict(DEFAULT_DOMAIN_WEIGHTS)
+            targets[plan_domains[trial % len(plan_domains)]] = 0.0
+            total = sum(targets.values())
+            targets = {d: p / total for d, p in targets.items()}
+            budget = max(1, int(rng.integers(1, 60) / 100 * int(tokens.sum())))
+            plan = SelectionPlan(budget, targets)
+            got = select_top_k(matrix, w, plan)
+            assert outcome(got) == brute_force_select(matrix, docs, w, plan)
 
     def test_rank_invariance_under_monotone_transform(self, rng):
         names = ["u", "v", "w"]
         docs, matrix = build_pool(rng, 300, names)
         transformed = matrix.raw.copy()
         transformed[:, 1] = np.exp(2.0 * transformed[:, 1]) + 10
-        matrix2 = rank_normalize(ScoreMatrix(names, matrix.doc_ids, transformed))
+        matrix2 = matrix_of(docs, names, transformed)
         w = WeightVector(tuple(names), rng.dirichlet(np.ones(3)))
         plan = SelectionPlan(3000)
-        a = select_top_k(matrix, docs, w, plan)
-        b = select_top_k(matrix2, docs, w, plan)
+        a = select_top_k(matrix, w, plan)
+        b = select_top_k(matrix2, w, plan)
         assert set(a.selected_ids) == set(b.selected_ids)
 
     def test_monotonicity_of_membership(self, rng):
-        names = ["s"]
-        docs, matrix = build_pool(rng, 120, names, domains=["C4"])
-        w = WeightVector(("s",), np.array([1.0]))
+        docs, matrix = build_pool(rng, 120, ["s"], domains=["C4"])
         plan = SelectionPlan(1500, {"C4": 1.0})
-        base = select_top_k(matrix, docs, w, plan)
+        base = select_top_k(matrix, S, plan)
         inside = base.selected_ids[len(base.selected_ids) // 2]
         raw2 = matrix.raw.copy()
-        row = matrix.row_index(inside)
+        row = matrix.doc_ids.index(inside)
         raw2[row, 0] = raw2[:, 0].max() + 1.0
-        boosted = rank_normalize(ScoreMatrix(names, matrix.doc_ids, raw2))
-        again = select_top_k(boosted, docs, w, plan)
+        again = select_top_k(matrix_of(docs, ["s"], raw2), S, plan)
         assert inside in again.selected_ids
 
     def test_determinism(self, rng):
+        # Permuting the rows (ids, domains, tokens and scores together)
+        # changes nothing: ties break by id, not by row position.
         names = ["a", "b"]
-        docs, matrix = build_pool(rng, 400, names)
+        docs, matrix = build_pool(rng, 400, names, integer_scores=True)
         w = WeightVector.uniform(names)
         plan = SelectionPlan(5000)
-        r1 = select_top_k(matrix, docs, w, plan)
-        r2 = select_top_k(matrix, list(reversed(docs)), w, plan)
-        assert r1.selected_ids == r2.selected_ids
-        assert r1.domain_tokens == r2.domain_tokens
+        perm = rng.permutation(len(docs))
+        permuted = matrix_of([docs[i] for i in perm], names, matrix.raw[perm])
+        r1 = select_top_k(matrix, w, plan)
+        r2 = select_top_k(permuted, w, plan)
+        assert outcome(r1) == outcome(r2)
 
     def test_achieved_proportions_on_large_pool(self, rng):
-        names = ["q"]
         docs, matrix = build_pool(
-            rng, 12_000, names, token_range=(60, 110), mix=DEFAULT_DOMAIN_WEIGHTS
+            rng, 12_000, ["q"], token_range=(60, 110), mix=DEFAULT_DOMAIN_WEIGHTS
         )
         total = sum(d.token_estimate for d in docs)
         assert total > 1_000_000
         plan = SelectionPlan(300_000)
-        result = select_top_k(matrix, docs, WeightVector(("q",), np.array([1.0])), plan)
+        result = select_top_k(matrix, WeightVector(("q",), np.array([1.0])), plan)
         assert not result.shortfalls
         for domain, p in plan.domain_targets.items():
             assert abs(result.achieved_proportions[domain] - p) <= 0.005
@@ -281,10 +315,8 @@ class TestSelectTopK:
 class TestManifest:
     def test_round_trip(self, tmp_path, rng):
         names = ["s"]
-        docs, matrix = build_pool(rng, 60, names)
-        result = select_top_k(
-            matrix, docs, WeightVector(("s",), np.array([1.0])), SelectionPlan(800)
-        )
+        _, matrix = build_pool(rng, 60, names)
+        result = select_top_k(matrix, S, SelectionPlan(800))
         path = tmp_path / "manifest.txt"
         result.write_manifest(path)
         assert read_manifest(path) == result.selected_ids
