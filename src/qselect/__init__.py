@@ -76,7 +76,6 @@ from .selection import (
     SelectionResult,
     WeightVector,
     aggregate_scores,
-    read_manifest,
     reference_weights,
     select_top_k,
 )

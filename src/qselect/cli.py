@@ -55,9 +55,9 @@ def _annotated_names(cfg: RunConfig) -> list[str]:
     return names
 
 
-def _read_annotations(paths: list[str]):
+def _read_annotations(paths: list[Path]):
     for path in paths:
-        if not Path(path).exists():
+        if not path.exists():
             raise ValidationError(f"ratings file {path} does not exist")
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -79,7 +79,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .signals import compute_signals
 
     corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
-    docs, report = load_corpus(corpus_path, cfg.schema)
+    docs, report = load_corpus(corpus_path, cfg.corpus)
     for err in report.errors:
         logger.warning("line %d rejected: %s", err.line_no, err.reason)
     if report.errors:
@@ -104,9 +104,9 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         imp = cfg.scores.importance
         source_model = fit_bag_model(docs, imp.bucket_count, cfg.seed, imp.smoothing)
         for target, target_path in imp.targets.items():
-            if not Path(target_path).exists():
+            if not target_path.exists():
                 raise ValidationError(f"importance target corpus {target_path} missing")
-            target_docs, _ = load_corpus(target_path, cfg.schema)
+            target_docs, _ = load_corpus(target_path, cfg.corpus)
             target_model = fit_bag_model(target_docs, imp.bucket_count, cfg.seed, imp.smoothing)
             matrix.raw[:, names.index(f"{target}_importance")] = [
                 importance_score(doc, target_model, source_model) for doc in docs
@@ -140,7 +140,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _load_scored_matrix(cfg: RunConfig, corpus_path: Path) -> ScoreMatrix:
-    docs, report = load_corpus(corpus_path, cfg.schema)
+    docs, report = load_corpus(corpus_path, cfg.corpus)
     if report.errors:
         logger.warning("corpus read: %s", report.summary())
     if not docs:
@@ -176,7 +176,7 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
     plan = cfg.require_plan()
     matrix = _load_scored_matrix(cfg, corpus_path)
-    trainer = cfg.build_trainer()
+    trainer = cfg.require_trainer()
     records = run_campaign(
         matrix,
         plan,

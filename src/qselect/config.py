@@ -1,52 +1,67 @@
 """Run configuration: one JSON file drives every CLI command.
 
-Top-level keys (all optional unless a command needs them):
+Keys; ``?`` marks an optional key (a command that needs a section says so):
 
-  seed          int, root seed for all randomness (default 0)
-  output_dir    where outputs land (default "out")
-  corpus        {path, domains?, token_estimator?}
-  scores        {signals?: bool,
-                 importance?: {targets: {books: path, ...}, bucket_count?,
-                               smoothing?},
-                 ratings?: {files: [path, ...], min_coverage?}}
-  plan          {token_budget, domain_targets?}
-  campaign      {n?, trainer: {type: "oracle"|"command", ...}, valset?,
-                 threads?, proxy?: {hidden_dim, layers, heads, kv_heads,
-                 token_budget}}
-  optimizer     {trees?, depth?, learning_rate?, subsample?,
-                 min_samples_leaf?, candidates?, top_k?, concentration?,
-                 normalization?, grid?}
-  synthesis     {doc_count, domain_mix?, channels?: {name: {loading,
-                 noise, offset, scale}}, latent_name?, token_mean?,
-                 token_sigma?}
+  seed?        int, root seed for all randomness (default 0)
+  output_dir?  where outputs land (default "out")
+  corpus?      {path?, domains?: [str], token_estimator?: "whitespace"|"char_ratio"}
+  scores?      {signals?: bool, importance?: {targets: {name: path}, bucket_count?,
+                smoothing?}, ratings?: {files: [path], min_coverage?}}
+  plan?        {token_budget, domain_targets?: {domain: share}}
+  campaign?    {n?, trainer?, valset?, threads?,
+                proxy?: {hidden_dim?, layers?, heads?, kv_heads?, token_budget?}}
+    trainer    {type: "oracle", w_star: {score: weight}, base?, sigma?}
+               or {type: "command", argv: [str], timeout?: seconds > 0}
+  optimizer?   {trees?, depth?, learning_rate?, subsample?, min_samples_leaf?, candidates?,
+                top_k?, concentration?, normalization?: "rank"|"zscore", grid?}
+  synthesis?   {doc_count, domain_mix?, latent_name?, token_mean?, token_sigma?,
+                channels?: {name: {loading?, noise?, offset?, scale?}}}
+
+Each section is built from its dataclass, whose fields give the keys, their
+types and their defaults. An unknown key, a missing required key or a value
+of the wrong type is a ValidationError naming the key's dotted path, e.g.
+``optimizer.trees``. An integer is accepted where a number is expected; a
+boolean is neither. Relative paths resolve against the config file's
+directory. The oracle trainer and the regressor use the root seed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
-from .corpus import CorpusSchema, ScoreChannel, SynthesisSpec
+from .corpus import CorpusSchema, SynthesisSpec
 from .errors import ValidationError
 from .gbt import RegressorHyper
 from .importance import DEFAULT_BUCKET_COUNT
-from .proxy import CommandTrainer, OracleTrainer, OracleSpec, ProxyConfig, Trainer
-from .registry import DEFAULT_DOMAIN_WEIGHTS
+from .proxy import CommandTrainer, OracleSpec, OracleTrainer, ProxyConfig, Trainer
 from .selection import SelectionPlan, WeightVector
 
 
 @dataclass
 class ImportanceConfig:
-    targets: dict[str, str]  # target name -> corpus path
+    targets: dict[str, Path]  # target name -> corpus path
     bucket_count: int = DEFAULT_BUCKET_COUNT
     smoothing: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not self.targets:
+            raise ValidationError("targets must name at least one target corpus")
 
 
 @dataclass
 class RatingsConfig:
-    files: list[str]
+    files: list[Path]
     min_coverage: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.files:
+            raise ValidationError("files must list at least one ratings file")
 
 
 @dataclass
@@ -59,7 +74,7 @@ class ScoresConfig:
 @dataclass
 class CampaignConfig:
     n: int = 256
-    trainer: dict = field(default_factory=dict)
+    trainer: Trainer | None = None
     valset: str = ""
     threads: int = 1
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
@@ -71,7 +86,7 @@ class OptimizerConfig:
     candidates: int = 100_000
     top_k: int = 100
     concentration: float = 1.0
-    normalization: str = "rank"
+    normalization: Literal["rank", "zscore"] = "rank"
     grid: int = 41
 
 
@@ -80,7 +95,7 @@ class RunConfig:
     seed: int = 0
     output_dir: Path = Path("out")
     corpus_path: Path | None = None
-    schema: CorpusSchema = field(default_factory=CorpusSchema)
+    corpus: CorpusSchema = field(default_factory=CorpusSchema)
     scores: ScoresConfig = field(default_factory=ScoresConfig)
     plan: SelectionPlan | None = None
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
@@ -99,136 +114,121 @@ class RunConfig:
             raise ValidationError("config has no plan section")
         return self.plan
 
-    def build_trainer(self) -> Trainer:
-        spec = self.campaign.trainer
-        kind = spec.get("type")
-        if kind == "oracle":
-            w_star = spec.get("w_star")
-            if not isinstance(w_star, dict) or not w_star:
-                raise ValidationError("oracle trainer needs a w_star mapping")
-            return OracleTrainer(
-                OracleSpec(
-                    w_star=WeightVector.from_mapping(w_star, normalize=True),
-                    base=float(spec.get("base", 1.0)),
-                    sigma=float(spec.get("sigma", 0.0)),
-                    seed=int(spec.get("seed", self.seed)),
-                )
-            )
-        if kind == "command":
-            argv = spec.get("argv")
-            if not isinstance(argv, list) or not argv:
-                raise ValidationError("command trainer needs a non-empty argv list")
-            timeout = spec.get("timeout")
-            return CommandTrainer(argv, timeout=float(timeout) if timeout else None)
-        raise ValidationError(f"unknown trainer type {kind!r}")
+    def require_trainer(self) -> Trainer:
+        if self.campaign.trainer is None:
+            raise ValidationError("config has no campaign.trainer")
+        return self.campaign.trainer
 
 
-def _expect(obj: dict, context: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ValidationError(f"config section {context!r} must be an object")
-    return obj
+# optimizer keys that set the regressor's hyperparameters -> RegressorHyper fields
+_HYPER_KEYS = {"trees": "n_trees", "depth": "max_depth", "learning_rate": "learning_rate",
+               "subsample": "subsample", "min_samples_leaf": "min_samples_leaf"}
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number",
+             str: "a string", Path: "a path string"}
+
+
+def _join(path: str, key: object) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _object(value: object, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{path}: expected an object, got {value!r}")
+    return value
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """Call ``build``, prefixing its ValidationError with ``path``."""
+    try:
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def _value(hint, value: object, path: str, base_dir: Path):
+    """Check one JSON value against a type hint and convert it."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:  # X | None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return None if value is None else _value(inner, value, path, base_dir)
+    if hint is WeightVector:
+        mapping = _value(dict[str, float], value, path, base_dir)
+        return _checked(path, WeightVector.from_mapping, mapping, normalize=True)
+    if is_dataclass(hint):
+        return _build(hint, value, path, base_dir)
+    if origin is Literal:
+        if value not in args:
+            raise ValidationError(f"{path}: expected one of {list(args)}, got {value!r}")
+        return value
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise ValidationError(f"{path}: expected a list, got {value!r}")
+        items = [_value(args[0], v, f"{path}[{i}]", base_dir) for i, v in enumerate(value)]
+        return items if origin is list else tuple(items)
+    if origin in (dict, Mapping):
+        items = _object(value, path).items()
+        return {k: _value(args[1], v, _join(path, k), base_dir) for k, v in items}
+    if hint in (int, float):
+        ok = isinstance(value, int if hint is int else (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, bool if hint is bool else str)
+    if not ok or (isinstance(value, float) and not math.isfinite(value)):
+        raise ValidationError(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
+    return base_dir / value if hint is Path else value
+
+
+def _build(cls, obj: object, path: str, base_dir: Path, keys: dict | None = None, **fixed):
+    """Build dataclass ``cls`` from the JSON object at ``path``.
+
+    The allowed keys are ``cls``'s fields, or the JSON names in ``keys``
+    (JSON key -> field name); fields in ``fixed`` are set by the caller
+    and are not keys. Absent keys take the field's default.
+    """
+    obj = _object(obj, path)
+    by_name = {f.name: f for f in fields(cls)}
+    keys = keys or {name: name for name in by_name if name not in fixed}
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ValidationError(f"{_join(path, unknown[0])}: unknown key")
+    hints = get_type_hints(cls)
+    kwargs = dict(fixed)
+    for key, name in keys.items():
+        if key in obj:
+            kwargs[name] = _value(hints[name], obj[key], _join(path, key), base_dir)
+        elif by_name[name].default is MISSING and by_name[name].default_factory is MISSING:
+            raise ValidationError(f"{_join(path, key)}: required key is missing")
+    return _checked(path, cls, **kwargs)
+
+
+def _build_trainer(spec: object, seed: int, base_dir: Path) -> Trainer:
+    spec = dict(_object(spec, "campaign.trainer"))
+    kind = spec.pop("type", None)
+    if kind == "oracle":
+        return OracleTrainer(_build(OracleSpec, spec, "campaign.trainer", base_dir, seed=seed))
+    if kind == "command":
+        return _build(CommandTrainer, spec, "campaign.trainer", base_dir)
+    raise ValidationError(f"campaign.trainer.type: expected 'oracle' or 'command', got {kind!r}")
 
 
 def parse_config(raw: dict, base_dir: Path) -> RunConfig:
-    cfg = RunConfig()
-    cfg.seed = int(raw.get("seed", 0))
-    cfg.output_dir = base_dir / raw.get("output_dir", "out")
-
-    if "corpus" in raw:
-        section = _expect(raw["corpus"], "corpus")
-        if "path" in section:
-            cfg.corpus_path = base_dir / section["path"]
-        cfg.schema = CorpusSchema(
-            domains=tuple(section.get("domains", CorpusSchema().domains)),
-            token_estimator=section.get("token_estimator", "whitespace"),
-        )
-
-    if "scores" in raw:
-        section = _expect(raw["scores"], "scores")
-        scores = ScoresConfig(signals=bool(section.get("signals", True)))
-        if "importance" in section:
-            imp = _expect(section["importance"], "scores.importance")
-            targets = imp.get("targets")
-            if not isinstance(targets, dict) or not targets:
-                raise ValidationError("scores.importance needs a targets mapping")
-            scores.importance = ImportanceConfig(
-                targets={k: str(base_dir / v) for k, v in targets.items()},
-                bucket_count=int(imp.get("bucket_count", DEFAULT_BUCKET_COUNT)),
-                smoothing=float(imp.get("smoothing", 1.0)),
-            )
-        if "ratings" in section:
-            rat = _expect(section["ratings"], "scores.ratings")
-            files = rat.get("files")
-            if not isinstance(files, list) or not files:
-                raise ValidationError("scores.ratings needs a files list")
-            scores.ratings = RatingsConfig(
-                files=[str(base_dir / f) for f in files],
-                min_coverage=float(rat.get("min_coverage", 0.0)),
-            )
-        cfg.scores = scores
-
-    if "plan" in raw:
-        section = _expect(raw["plan"], "plan")
-        if "token_budget" not in section:
-            raise ValidationError("plan needs a token_budget")
-        cfg.plan = SelectionPlan(
-            token_budget=int(section["token_budget"]),
-            domain_targets=dict(
-                section.get("domain_targets", DEFAULT_DOMAIN_WEIGHTS)
-            ),
-        )
-
-    if "campaign" in raw:
-        section = _expect(raw["campaign"], "campaign")
-        proxy = section.get("proxy", {})
-        cfg.campaign = CampaignConfig(
-            n=int(section.get("n", 256)),
-            trainer=_expect(section.get("trainer", {}), "campaign.trainer"),
-            valset=str(section.get("valset", "")),
-            threads=int(section.get("threads", 1)),
-            proxy=ProxyConfig(**_expect(proxy, "campaign.proxy")) if proxy else ProxyConfig(),
-        )
-
-    if "optimizer" in raw:
-        section = _expect(raw["optimizer"], "optimizer")
-        default = RegressorHyper()
-        cfg.optimizer = OptimizerConfig(
-            hyper=RegressorHyper(
-                n_trees=int(section.get("trees", default.n_trees)),
-                max_depth=int(section.get("depth", default.max_depth)),
-                learning_rate=float(section.get("learning_rate", default.learning_rate)),
-                subsample=float(section.get("subsample", default.subsample)),
-                min_samples_leaf=int(
-                    section.get("min_samples_leaf", default.min_samples_leaf)
-                ),
-                seed=int(section.get("seed", cfg.seed)),
-            ),
-            candidates=int(section.get("candidates", 100_000)),
-            top_k=int(section.get("top_k", 100)),
-            concentration=float(section.get("concentration", 1.0)),
-            normalization=section.get("normalization", "rank"),
-            grid=int(section.get("grid", 41)),
-        )
-    else:
-        cfg.optimizer.hyper = RegressorHyper(seed=cfg.seed)
-
-    if "synthesis" in raw:
-        section = _expect(raw["synthesis"], "synthesis")
-        if "doc_count" not in section:
-            raise ValidationError("synthesis needs a doc_count")
-        channels = {
-            name: ScoreChannel(**_expect(ch, f"synthesis.channels.{name}"))
-            for name, ch in _expect(section.get("channels", {}), "synthesis.channels").items()
-        }
-        cfg.synthesis = SynthesisSpec(
-            doc_count=int(section["doc_count"]),
-            domain_mix=dict(section.get("domain_mix", DEFAULT_DOMAIN_WEIGHTS)),
-            channels=channels,
-            latent_name=section.get("latent_name"),
-            token_mean=float(section.get("token_mean", 80.0)),
-            token_sigma=float(section.get("token_sigma", 0.4)),
-        )
-    return cfg
+    """Build a RunConfig from parsed JSON; relative paths resolve against ``base_dir``."""
+    top = dict(_object(raw, "config"))
+    seed = _value(int, top.pop("seed", RunConfig.seed), "seed", base_dir)
+    corpus = dict(_object(top.pop("corpus", {}), "corpus"))
+    corpus_path = _value(Path | None, corpus.pop("path", None), "corpus.path", base_dir)
+    optimizer = dict(_object(top.pop("optimizer", {}), "optimizer"))
+    hyper_section = {key: optimizer.pop(key) for key in _HYPER_KEYS if key in optimizer}
+    campaign = dict(_object(top.pop("campaign", {}), "campaign"))
+    spec = campaign.pop("trainer", None)
+    trainer = None if spec is None else _build_trainer(spec, seed, base_dir)
+    hyper = _build(RegressorHyper, hyper_section, "optimizer", base_dir, _HYPER_KEYS, seed=seed)
+    top.setdefault("output_dir", str(RunConfig.output_dir))
+    return _build(
+        RunConfig, top, "", base_dir, seed=seed, corpus_path=corpus_path,
+        corpus=_build(CorpusSchema, corpus, "corpus", base_dir),
+        campaign=_build(CampaignConfig, campaign, "campaign", base_dir, trainer=trainer),
+        optimizer=_build(OptimizerConfig, optimizer, "optimizer", base_dir, hyper=hyper),
+    )
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -240,6 +240,4 @@ def load_config(path: str | Path) -> RunConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be a JSON object")
     return parse_config(raw, path.parent)

@@ -220,12 +220,10 @@ def pca_landscape(
         pc2 = np.linspace(projections[:, 1].min(), projections[:, 1].max(), grid)
     else:
         pc2 = np.array([0.0])
-    aligned = [model.score_names.index(n) for n in names]
-    points: list[tuple[float, float, float]] = []
-    for a in pc1:
-        ws = mean[None, :] + a * components[0][None, :] + pc2[:, None] * components[1][None, :]
-        W = np.empty_like(ws)
-        W[:, aligned] = ws
-        losses = model.predict_rows(W)
-        points.extend((float(a), float(b), float(l)) for b, l in zip(pc2, losses))
+    a, b = (axis.reshape(-1, 1) for axis in np.meshgrid(pc1, pc2, indexing="ij"))
+    ws = mean[None, :] + a * components[0][None, :] + b * components[1][None, :]
+    W = np.empty_like(ws)
+    W[:, [model.score_names.index(n) for n in names]] = ws
+    losses = model.predict_rows(W)
+    points = list(zip(a.ravel().tolist(), b.ravel().tolist(), losses.tolist()))
     return Landscape(components, explained, projections, points)

@@ -62,15 +62,6 @@ class ProxyConfig:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"ProxyConfig.{name} must be positive")
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "layers": self.layers,
-            "heads": self.heads,
-            "kv_heads": self.kv_heads,
-            "token_budget": self.token_budget,
-        }
-
 
 def sample_simplex(m: int, n: int, seed: int, concentration: float = 1.0) -> np.ndarray:
     """Draw n points from the Dirichlet over the m-simplex, (n, m) array."""
@@ -185,18 +176,23 @@ class SubsetOracleTrainer:
         return self.loss_for_ids(ids)
 
 
+@dataclass(frozen=True)
 class CommandTrainer:
     """External trainer process.
 
     Invoked as ``<argv...> --manifest M --config C --valset V`` and must
-    print a JSON object with a numeric ``loss`` key on stdout.
+    print a JSON object with a numeric ``loss`` key on stdout. ``timeout``
+    is in seconds; None waits for the process however long it runs.
     """
 
-    def __init__(self, argv: Sequence[str], timeout: float | None = None) -> None:
-        if not argv:
+    argv: list[str]
+    timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.argv:
             raise ValidationError("empty trainer command")
-        self.argv = list(argv)
-        self.timeout = timeout
+        if self.timeout is not None and self.timeout <= 0:
+            raise ValidationError(f"timeout must be positive, got {self.timeout!r}")
 
     def probe(self) -> None:
         exe = self.argv[0]
@@ -204,8 +200,9 @@ class CommandTrainer:
             raise TrainerError(f"trainer executable {exe!r} not found")
 
     def __call__(self, request: TrainerRequest) -> float:
-        config_json = json.dumps(request.proxy_config.as_dict(), sort_keys=True)
-        argv = self.argv + [
+        config_json = json.dumps(asdict(request.proxy_config), sort_keys=True)
+        argv = [
+            *self.argv,
             "--manifest",
             str(request.manifest_path),
             "--config",

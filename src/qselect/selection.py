@@ -218,8 +218,3 @@ def select_top_k(
         for domain, tokens in domain_tokens.items()
     }
     return SelectionResult(selected, domain_tokens, achieved, thresholds, shortfalls)
-
-
-def read_manifest(path: str | Path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]

@@ -259,3 +259,22 @@ def ref_dot(values, weights):
     for v, w in zip(values, weights):
         acc += Fraction(v) * Fraction(w)
     return float(acc)
+
+
+def ref_landscape_points(mean, components, projections, predict_rows, grid):
+    """The PCA landscape one point at a time: pc1 outer, pc2 inner.
+
+    ``mean`` and ``components`` are numpy rows, so each weight row is
+    ``mean + a * components[0] + b * components[1]`` evaluated in that order,
+    as the package does for the whole lattice at once.
+    """
+    import numpy as np
+
+    pc1 = np.linspace(projections[:, 0].min(), projections[:, 0].max(), grid)
+    pc2 = np.linspace(projections[:, 1].min(), projections[:, 1].max(), grid)
+    points = []
+    for a in pc1:
+        for b in pc2:
+            w = mean + a * components[0] + b * components[1]
+            points.append((float(a), float(b), float(predict_rows(w[None, :])[0])))
+    return points

@@ -16,6 +16,8 @@ from qselect.optimizer import (
 from qselect.proxy import ExperimentRecord, OracleSpec, oracle_loss, sample_weights
 from qselect.selection import WeightVector, reference_weights
 
+from oracles import ref_landscape_points
+
 
 def quadratic_records(names, w_star_values, n=256, seed=0, sigma=0.0, base=1.0):
     w_star = WeightVector(tuple(names), np.asarray(w_star_values))
@@ -250,6 +252,18 @@ class TestPcaLandscape:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "pc1,pc2,predicted_loss"
         assert len(lines) == 82
+
+    def test_lattice_matches_point_by_point_reference(self):
+        names = [f"s{j}" for j in range(5)]
+        rng = np.random.default_rng(9)
+        records, _ = quadratic_records(names, rng.dirichlet(np.ones(5)), n=48)
+        model = fit_regressor(records, RegressorHyper(n_trees=20))
+        land = pca_landscape(records, model, grid=6)
+        mean = np.array([[r.weights[n] for n in names] for r in records]).mean(axis=0)
+        expected = ref_landscape_points(
+            mean, land.components, land.projections, model.predict_rows, grid=6
+        )
+        assert land.grid_points == expected
 
     def test_rank_deficient_falls_back_to_1d(self, caplog):
         names = ["a", "b", "c"]

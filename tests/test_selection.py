@@ -9,7 +9,6 @@ from qselect.selection import (
     SelectionPlan,
     WeightVector,
     aggregate_scores,
-    read_manifest,
     reference_weights,
     select_top_k,
 )
@@ -319,7 +318,7 @@ class TestManifest:
         result = select_top_k(matrix, S, SelectionPlan(800))
         path = tmp_path / "manifest.txt"
         result.write_manifest(path)
-        assert read_manifest(path) == result.selected_ids
+        assert path.read_text(encoding="utf-8").splitlines() == result.selected_ids
         report_path = tmp_path / "report.json"
         result.write_report(report_path, seed=42)
         import json
