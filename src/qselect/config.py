@@ -18,11 +18,11 @@ Keys; ``?`` marks an optional key (a command that needs a section says so):
                 channels?: {name: {loading?, noise?, offset?, scale?}}}
 
 Each section is built from its dataclass, whose fields give the keys, their
-types and their defaults. An unknown key, a missing required key or a value
-of the wrong type is a ValidationError naming the key's dotted path, e.g.
-``optimizer.trees``. An integer is accepted where a number is expected; a
-boolean is neither. Relative paths resolve against the config file's
-directory. The oracle trainer and the regressor use the root seed.
+types and their defaults. An unknown key, a missing required key, a value
+of the wrong type or one out of range is a ValidationError naming the key's
+dotted path, e.g. ``optimizer.trees``. An integer is accepted where a number
+is expected; a boolean is neither. Relative paths resolve against the config
+file's directory. The oracle trainer and the regressor use the root seed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .corpus import CorpusSchema, SynthesisSpec
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .gbt import RegressorHyper
 from .importance import DEFAULT_BUCKET_COUNT
 from .proxy import CommandTrainer, OracleSpec, OracleTrainer, ProxyConfig, Trainer
@@ -51,7 +51,7 @@ class ImportanceConfig:
 
     def __post_init__(self) -> None:
         if not self.targets:
-            raise ValidationError("targets must name at least one target corpus")
+            raise FieldError("targets", "must name at least one target corpus")
 
 
 @dataclass
@@ -61,7 +61,7 @@ class RatingsConfig:
 
     def __post_init__(self) -> None:
         if not self.files:
-            raise ValidationError("files must list at least one ratings file")
+            raise FieldError("files", "must list at least one ratings file")
 
 
 @dataclass
@@ -197,7 +197,13 @@ def _build(cls, obj: object, path: str, base_dir: Path, keys: dict | None = None
             kwargs[name] = _value(hints[name], obj[key], _join(path, key), base_dir)
         elif by_name[name].default is MISSING and by_name[name].default_factory is MISSING:
             raise ValidationError(f"{_join(path, key)}: required key is missing")
-    return _checked(path, cls, **kwargs)
+    try:
+        return cls(**kwargs)
+    except FieldError as exc:  # a range check names its field; report its JSON key
+        key = next((key for key, name in keys.items() if name == exc.field), exc.field)
+        raise ValidationError(f"{_join(path, key)}: {exc.problem}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _build_trainer(spec: object, seed: int, base_dir: Path) -> Trainer:

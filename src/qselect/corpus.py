@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusError, ValidationError
+from .errors import CorpusError, FieldError, ValidationError
 from .registry import DEFAULT_DOMAINS, DEFAULT_DOMAIN_WEIGHTS
 
 # Estimated tokens per character for the character-ratio estimator: the
@@ -67,11 +67,11 @@ class CorpusSchema:
 
     def __post_init__(self) -> None:
         if not self.domains:
-            raise ValidationError("schema requires at least one domain tag")
+            raise FieldError("domains", "must name at least one domain tag")
         if self.token_estimator not in TOKEN_ESTIMATORS:
-            raise ValidationError(
-                f"unknown token estimator {self.token_estimator!r}; "
-                f"expected one of {sorted(TOKEN_ESTIMATORS)}"
+            raise FieldError(
+                "token_estimator",
+                f"must be one of {sorted(TOKEN_ESTIMATORS)}, got {self.token_estimator!r}",
             )
 
     def estimate_tokens(self, text: str) -> int:
@@ -252,9 +252,9 @@ class SynthesisSpec:
 
     def __post_init__(self) -> None:
         if self.doc_count < 0:
-            raise ValidationError("doc_count must be nonnegative")
+            raise FieldError("doc_count", "must be nonnegative")
         if self.token_mean <= 0:
-            raise ValidationError("token_mean must be positive")
+            raise FieldError("token_mean", "must be positive")
         _check_proportions(self.domain_mix)
 
 

@@ -9,6 +9,18 @@ class ValidationError(QselectError):
     """Bad input: malformed config, invalid weights, out-of-range values."""
 
 
+class FieldError(ValidationError):
+    """One field of a settings object holds a value outside its range.
+
+    The config loader reports it under the field's JSON key.
+    """
+
+    def __init__(self, field: str, problem: str) -> None:
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 class CorpusError(QselectError):
     """Corpus-level contract violation, e.g. duplicate document ids."""
 

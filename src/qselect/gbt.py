@@ -4,7 +4,17 @@ Squared-error boosting: start from the target mean, then repeatedly fit a
 depth-limited regression tree to the current residuals on a random
 subsample and add it with shrinkage. Trees split greedily on the
 axis-aligned threshold that maximizes the reduction in sum of squared
-errors. Everything is deterministic given the seed and the input order.
+errors: the exact greedy search, not a histogram one. Everything is
+deterministic given the seed and the input order.
+
+Split search sorts each feature's rows once per tree (a stable argsort, one
+row of an (m, n) index array per feature). A node scores every split of
+every feature in one 2-D pass of running sums, and its children keep the
+parent's sorted rows that fall on their side, which is the order a fresh
+stable sort would give. Prediction walks every row the same number of
+steps, the tree's depth, in fixed chunks of rows: a leaf loops to itself,
+so a row that reaches a shallow leaf stays on it. The ensemble adds its
+trees in tree order.
 """
 
 from __future__ import annotations
@@ -13,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 
 _MIN_GAIN = 1e-12
+_PREDICT_CHUNK = 8192  # rows per fixed-depth walk; keeps the walk's arrays in cache
 
 
 @dataclass(frozen=True)
@@ -31,21 +42,26 @@ class RegressorHyper:
 
     def __post_init__(self) -> None:
         if self.n_trees < 0:
-            raise ValidationError("n_trees must be nonnegative")
+            raise FieldError("n_trees", "must be nonnegative")
         if self.max_depth < 1:
-            raise ValidationError("max_depth must be at least 1")
+            raise FieldError("max_depth", "must be at least 1")
         if not 0 < self.learning_rate <= 1:
-            raise ValidationError("learning_rate must be in (0, 1]")
+            raise FieldError("learning_rate", "must be in (0, 1]")
         if not 0 < self.subsample <= 1:
-            raise ValidationError("subsample must be in (0, 1]")
+            raise FieldError("subsample", "must be in (0, 1]")
         if self.min_samples_leaf < 1:
-            raise ValidationError("min_samples_leaf must be at least 1")
+            raise FieldError("min_samples_leaf", "must be at least 1")
 
 
 class RegressionTree:
-    """One fitted tree, stored as flat arrays for vectorized prediction."""
+    """One fitted tree, stored as flat arrays for vectorized prediction.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+    A leaf loops to itself: feature 0, threshold +inf, and both children the
+    leaf. Every row can then walk exactly ``depth`` steps, the depth of the
+    deepest leaf, and stop on its leaf wherever that lies.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "value", "depth")
 
     def __init__(
         self,
@@ -54,106 +70,122 @@ class RegressionTree:
         left: np.ndarray,
         right: np.ndarray,
         value: np.ndarray,
+        depth: int,
     ) -> None:
-        self.feature = feature  # -1 marks a leaf
+        self.feature = feature
         self.threshold = threshold
         self.left = left
         self.right = right
         self.value = value
+        self.depth = depth
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            sub_nodes = node[idx]
-            x = X[idx, feat[idx]]
-            go_left = x <= self.threshold[sub_nodes]
-            node[idx] = np.where(go_left, self.left[sub_nodes], self.right[sub_nodes])
-        return self.value[node]
+        X = np.ascontiguousarray(X)
+        n, m = X.shape
+        flat = X.ravel()
+        # children[2 * node + (x <= threshold)]: the right child, then the left
+        children = np.stack([self.right, self.left], axis=1).ravel()
+        out = np.empty(n)
+        for start in range(0, n, _PREDICT_CHUNK):
+            stop = min(start + _PREDICT_CHUNK, n)
+            row_base = np.arange(start * m, stop * m, m)
+            node = np.zeros(stop - start, dtype=np.intp)
+            for _ in range(self.depth):
+                x = flat.take(row_base + self.feature.take(node))
+                node = children.take(2 * node + (x <= self.threshold.take(node)))
+            out[start:stop] = self.value.take(node)
+        return out
 
 
 def _best_split(
-    X: np.ndarray, y: np.ndarray, min_leaf: int
-) -> tuple[int, float, np.ndarray] | None:
-    """Find the (feature, threshold) split maximizing SSE reduction.
+    y_sorted: np.ndarray, x_sorted: np.ndarray, total_sum: float, total_sq: float, min_leaf: int
+) -> tuple[int, int] | None:
+    """Find the (feature, position) split maximizing SSE reduction.
 
-    Routing rule is x <= threshold goes left, with the threshold placed on
-    the last left-hand value so training and prediction partition points
-    identically. Returns None when no split clears the minimum gain.
+    ``y_sorted`` and ``x_sorted`` hold the node's targets and values with
+    each feature's rows in stable sorted order, one feature per row. A split
+    after position i sends that feature's first i + 1 rows left; the
+    threshold is the last left-hand value, so the routing rule x <= threshold
+    partitions training and prediction points alike. The first feature with
+    the greatest gain wins. Returns None when no split clears the minimum
+    gain.
     """
-    n = y.size
-    total_sum = y.sum()
-    total_sq = float(y @ y)
+    n = y_sorted.shape[1]
     total_sse = total_sq - total_sum * total_sum / n
-
-    best_gain = _MIN_GAIN
-    best: tuple[int, float, np.ndarray] | None = None
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        xo = X[order, j]
-        yo = y[order]
-        csum = np.cumsum(yo)
-        csq = np.cumsum(yo * yo)
-        # Split after position i: left = order[:i+1], right = order[i+1:].
-        left_n = np.arange(1, n)
-        valid = (xo[:-1] < xo[1:]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_sse = csq[:-1] - csum[:-1] ** 2 / left_n
-        right_sum = total_sum - csum[:-1]
-        right_sse = (total_sq - csq[:-1]) - right_sum**2 / (n - left_n)
-        gain = np.where(valid, total_sse - left_sse - right_sse, -np.inf)
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain:
-            best_gain = float(gain[i])
-            best = (j, float(xo[i]), order[: i + 1])
-    return best
+    csum = np.cumsum(y_sorted, axis=1)[:, :-1]
+    csq = np.cumsum(y_sorted * y_sorted, axis=1)[:, :-1]
+    left_n = np.arange(1, n)
+    valid = (x_sorted[:, :-1] < x_sorted[:, 1:]) & (
+        (left_n >= min_leaf) & (n - left_n >= min_leaf)
+    )
+    left_sse = csq - csum**2 / left_n
+    right_sum = total_sum - csum
+    right_sse = (total_sq - csq) - right_sum**2 / (n - left_n)
+    gain = np.where(valid, total_sse - left_sse - right_sse, -np.inf)
+    position = np.argmax(gain, axis=1)
+    best = gain[np.arange(gain.shape[0]), position]
+    clears = best > _MIN_GAIN
+    if not clears.any():
+        return None
+    j = int(np.argmax(np.where(clears, best, -np.inf)))
+    return j, int(position[j])
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> RegressionTree:
+    """Grow one tree greedily on all rows of ``X``.
+
+    Each feature's rows are stable-sorted once. A node keeps its rows in
+    ascending order (for its sums and value) and, per feature, in that
+    sorted order; a child takes the parent's sorted rows that fall on its
+    side, which equals a stable sort of the child's rows.
+    """
+    n = y.size
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
+    depth_reached = 0
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        node = new_node()
-        y_node = y[idx]
-        value[node] = float(y_node.mean())
-        if depth >= max_depth or idx.size < 2 * min_leaf or np.ptp(y_node) == 0.0:
+    def grow(rows: np.ndarray, order: np.ndarray, x_sorted: np.ndarray, depth: int) -> int:
+        nonlocal depth_reached
+        node = len(feature)
+        y_node = y[rows]
+        feature.append(0)
+        threshold.append(np.inf)
+        left.append(node)
+        right.append(node)
+        value.append(float(y_node.mean()))
+        depth_reached = max(depth_reached, depth)
+        if depth >= max_depth or rows.size < 2 * min_leaf or np.ptp(y_node) == 0.0:
             return node
-        split = _best_split(X[idx], y_node, min_leaf)
+        split = _best_split(y[order], x_sorted, y_node.sum(), float(y_node @ y_node), min_leaf)
         if split is None:
             return node
-        j, thr, left_local = split
-        mask = np.zeros(idx.size, dtype=bool)
-        mask[left_local] = True
+        j, i = split
+        goes_left = np.zeros(n, dtype=bool)
+        goes_left[order[j, : i + 1]] = True
         feature[node] = j
-        threshold[node] = thr
-        left[node] = grow(idx[mask], depth + 1)
-        right[node] = grow(idx[~mask], depth + 1)
+        threshold[node] = float(x_sorted[j, i])
+        for side, child in ((left, goes_left), (right, ~goes_left)):
+            keep = child[order]
+            side[node] = grow(
+                rows[child[rows]],
+                order[keep].reshape(order.shape[0], -1),
+                x_sorted[keep].reshape(order.shape[0], -1),
+                depth + 1,
+            )
         return node
 
-    grow(np.arange(X.shape[0]), 0)
+    order = np.argsort(X.T, axis=1, kind="stable")
+    grow(np.arange(n), order, np.take_along_axis(X.T, order, axis=1), 0)
     return RegressionTree(
-        np.asarray(feature, dtype=np.int64),
+        np.asarray(feature, dtype=np.intp),
         np.asarray(threshold),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
+        np.asarray(left, dtype=np.intp),
+        np.asarray(right, dtype=np.intp),
         np.asarray(value),
+        depth_reached,
     )
 
 
@@ -170,7 +202,7 @@ class GradientBoostedRegressor:
         return len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         out = np.full(X.shape[0], self.base)
         for tree in self.trees:
             out += self.learning_rate * tree.predict(X)

@@ -12,6 +12,7 @@ during testing.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import shutil
 import subprocess
@@ -23,9 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CampaignError, TrainerError, ValidationError
+from .errors import CampaignError, FieldError, TrainerError, ValidationError
 from .matrix import ScoreMatrix
 from .selection import SelectionPlan, WeightVector, select_top_k
+
+logger = logging.getLogger(__name__)
 
 
 def flops_train(params_nominal: float, tokens: float) -> float:
@@ -60,7 +63,7 @@ class ProxyConfig:
     def __post_init__(self) -> None:
         for name in ("hidden_dim", "layers", "heads", "kv_heads", "token_budget"):
             if getattr(self, name) <= 0:
-                raise ValidationError(f"ProxyConfig.{name} must be positive")
+                raise FieldError(name, "must be positive")
 
 
 def sample_simplex(m: int, n: int, seed: int, concentration: float = 1.0) -> np.ndarray:
@@ -98,7 +101,7 @@ class OracleSpec:
 
     def __post_init__(self) -> None:
         if self.sigma < 0:
-            raise ValidationError("sigma must be nonnegative")
+            raise FieldError("sigma", "must be nonnegative")
 
 
 def oracle_loss(w: WeightVector, oracle: OracleSpec) -> float:
@@ -190,9 +193,9 @@ class CommandTrainer:
 
     def __post_init__(self) -> None:
         if not self.argv:
-            raise ValidationError("empty trainer command")
+            raise FieldError("argv", "must not be empty")
         if self.timeout is not None and self.timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {self.timeout!r}")
+            raise FieldError("timeout", f"must be positive, got {self.timeout!r}")
 
     def probe(self) -> None:
         exe = self.argv[0]
@@ -259,15 +262,48 @@ class ExperimentRecord:
 
 def read_campaign_log(path: str | Path) -> list[ExperimentRecord]:
     """Read a campaign log; a malformed line is a ValidationError naming it."""
+    return _parse_log(Path(path).read_bytes(), path)
+
+
+def _parse_log(data: bytes, path: str | Path) -> list[ExperimentRecord]:
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(ExperimentRecord.from_json(line))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}:{line_no}: bad campaign record: {exc!r}") from None
+    for line_no, line in enumerate(data.splitlines(), start=1):
+        try:
+            text = line.decode("utf-8")
+            if text.strip():
+                records.append(ExperimentRecord.from_json(text))
+        except (ValueError, KeyError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise ValidationError(f"{path}:{line_no}: bad campaign record: {exc!r}") from None
+    return records
+
+
+def _read_log_to_resume(path: Path, planned: dict[str, WeightVector]) -> list[ExperimentRecord]:
+    """Read the log that a resumed campaign appends to.
+
+    Every logged record must be a ``planned`` experiment id with its planned
+    weights, or the log belongs to another campaign. A record and its
+    newline are written in one call, so a last line with no newline is a
+    write the run did not finish: it is cut, and its experiment runs again.
+    Nothing is cut unless every other line checks out.
+    """
+    data = path.read_bytes()
+    complete = data.rfind(b"\n") + 1
+    records = _parse_log(data[:complete], path)
+    for record in records:
+        w = planned.get(record.experiment_id)
+        if w is None or record.weights != w.as_mapping():
+            raise ValidationError(
+                f"{path}: {record.experiment_id} is not an experiment of this campaign "
+                "(its seed, n and score names); resume with the settings and corpus "
+                "that started the log"
+            )
+    if complete < len(data):
+        logger.warning(
+            "%s:%d: cutting a torn last line (%d bytes); its experiment runs again",
+            path, data.count(b"\n") + 1, len(data) - complete,
+        )
+        with open(path, "r+b") as fh:
+            fh.truncate(complete)
     return records
 
 
@@ -296,8 +332,9 @@ def run_campaign(
 
     Weight vectors are derived from the root seed alone, so a resumed
     campaign reproduces the missing experiments exactly; experiment ids
-    already present in the log are skipped. Trainer failures are recorded
-    and the campaign continues, but aborts once failures exceed
+    already present in the log are skipped, once each is checked to be one
+    of this campaign's, and a torn last line is cut. Trainer failures are
+    recorded and the campaign continues, but aborts once failures exceed
     ``max_failure_rate`` of n. Records are appended to the log in
     experiment order regardless of worker count. On any exception (the
     budget's CampaignError, or anything but a TrainerError from the
@@ -313,12 +350,12 @@ def run_campaign(
     manifest_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "campaign.jsonl"
 
+    weight_vectors = sample_weights(matrix.score_names, n, seed)
     existing: dict[str, ExperimentRecord] = {}
     if log_path.exists():
-        for record in read_campaign_log(log_path):
+        planned = {f"exp-{i:04d}": w for i, w in enumerate(weight_vectors)}
+        for record in _read_log_to_resume(log_path, planned):
             existing[record.experiment_id] = record
-
-    weight_vectors = sample_weights(matrix.score_names, n, seed)
     pending = [
         (i, f"exp-{i:04d}")
         for i in range(n)

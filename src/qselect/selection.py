@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FieldError, ValidationError
 from .matrix import ScoreMatrix
 from .registry import DEFAULT_DOMAIN_WEIGHTS, REFERENCE_WEIGHT_PCT
 
@@ -102,9 +102,9 @@ class SelectionPlan:
 
     def __post_init__(self) -> None:
         if self.token_budget <= 0:
-            raise ValidationError("token_budget must be positive")
+            raise FieldError("token_budget", "must be positive")
         if not self.domain_targets:
-            raise ValidationError("empty domain_targets")
+            raise FieldError("domain_targets", "must not be empty")
         for name, p in self.domain_targets.items():
             if p < 0:
                 raise ValidationError(f"negative proportion for domain {name!r}")

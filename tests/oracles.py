@@ -278,3 +278,118 @@ def ref_landscape_points(mean, components, projections, predict_rows, grid):
             w = mean + a * components[0] + b * components[1]
             points.append((float(a), float(b), float(predict_rows(w[None, :])[0])))
     return points
+
+
+# --- Gradient-boosted trees: the per-feature search and active-mask predict ---
+#
+# These are the split search, tree growth and prediction that ``qselect.gbt``
+# used before it presorted each tree's rows and walked a fixed depth. The
+# package must build the same trees and give the same predictions bit for bit.
+
+_REF_MIN_GAIN = 1e-12
+
+
+class RefTree:
+    """A tree as flat arrays, with ``feature`` -1 marking a leaf."""
+
+    def __init__(self, feature, threshold, left, right, value):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
+
+
+def ref_tree_predict(tree, X):
+    import numpy as np
+
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        active = feat >= 0
+        if not active.any():
+            break
+        idx = np.nonzero(active)[0]
+        sub_nodes = node[idx]
+        x = X[idx, feat[idx]]
+        go_left = x <= tree.threshold[sub_nodes]
+        node[idx] = np.where(go_left, tree.left[sub_nodes], tree.right[sub_nodes])
+    return tree.value[node]
+
+
+def ref_best_split(X, y, min_leaf):
+    """Find the (feature, threshold) split maximizing SSE reduction, one feature at a time."""
+    import numpy as np
+
+    n = y.size
+    total_sum = y.sum()
+    total_sq = float(y @ y)
+    total_sse = total_sq - total_sum * total_sum / n
+
+    best_gain = _REF_MIN_GAIN
+    best = None
+    for j in range(X.shape[1]):
+        order = np.argsort(X[:, j], kind="stable")
+        xo = X[order, j]
+        yo = y[order]
+        csum = np.cumsum(yo)
+        csq = np.cumsum(yo * yo)
+        # Split after position i: left = order[:i+1], right = order[i+1:].
+        left_n = np.arange(1, n)
+        valid = (xo[:-1] < xo[1:]) & (left_n >= min_leaf) & (n - left_n >= min_leaf)
+        if not valid.any():
+            continue
+        left_sse = csq[:-1] - csum[:-1] ** 2 / left_n
+        right_sum = total_sum - csum[:-1]
+        right_sse = (total_sq - csq[:-1]) - right_sum**2 / (n - left_n)
+        gain = np.where(valid, total_sse - left_sse - right_sse, -np.inf)
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain:
+            best_gain = float(gain[i])
+            best = (j, float(xo[i]), order[: i + 1])
+    return best
+
+
+def ref_grow_tree(X, y, max_depth, min_leaf):
+    import numpy as np
+
+    feature = []
+    threshold = []
+    left = []
+    right = []
+    value = []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        return len(feature) - 1
+
+    def grow(idx, depth):
+        node = new_node()
+        y_node = y[idx]
+        value[node] = float(y_node.mean())
+        if depth >= max_depth or idx.size < 2 * min_leaf or np.ptp(y_node) == 0.0:
+            return node
+        split = ref_best_split(X[idx], y_node, min_leaf)
+        if split is None:
+            return node
+        j, thr, left_local = split
+        mask = np.zeros(idx.size, dtype=bool)
+        mask[left_local] = True
+        feature[node] = j
+        threshold[node] = thr
+        left[node] = grow(idx[mask], depth + 1)
+        right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(X.shape[0]), 0)
+    return RefTree(
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(value),
+    )

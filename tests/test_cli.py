@@ -338,6 +338,52 @@ class TestCampaignAndFit:
         run_cli("campaign", "--config", str(config))
         assert (tmp_path / "out" / "campaign.jsonl").read_bytes() == log
 
+    def test_campaign_resume_cuts_torn_last_line(self, tmp_path, capsys, caplog):
+        config = self.oracle_config(tmp_path, n=8)
+        out = tmp_path / "out"
+        assert run_cli("campaign", "--config", str(config)) == 0
+        log = (out / "campaign.jsonl").read_bytes()
+        manifests = {p.name: p.read_bytes() for p in (out / "manifests").iterdir()}
+        lines = log.splitlines(keepends=True)
+        # a run stopped while writing the fourth record: no newline after it
+        (out / "campaign.jsonl").write_bytes(b"".join(lines[:3]) + lines[3][:40])
+        for name in ("exp-0004.txt", "exp-0005.txt", "exp-0006.txt", "exp-0007.txt"):
+            (out / "manifests" / name).unlink()
+        assert run_cli("campaign", "--config", str(config)) == 0
+        assert "campaign.jsonl:4: cutting a torn last line" in caplog.text
+        assert (out / "campaign.jsonl").read_bytes() == log
+        assert {p.name: p.read_bytes() for p in (out / "manifests").iterdir()} == manifests
+
+    @pytest.mark.parametrize("tail", [b"", b'{"experiment_id": "exp-0'], ids=["whole", "torn"])
+    def test_campaign_bad_middle_line_fails_untouched(self, tmp_path, capsys, tail):
+        config = self.oracle_config(tmp_path, n=8)
+        out = tmp_path / "out"
+        run_cli("campaign", "--config", str(config))
+        lines = (out / "campaign.jsonl").read_bytes().splitlines(keepends=True)
+        broken = lines[0] + lines[1][:30] + b"\n" + b"".join(lines[2:]) + tail
+        (out / "campaign.jsonl").write_bytes(broken)
+        capsys.readouterr()
+        assert run_cli("campaign", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"{out / 'campaign.jsonl'}:2:" in err["message"]
+        assert (out / "campaign.jsonl").read_bytes() == broken
+
+    def test_campaign_resume_with_other_seed_fails(self, tmp_path, capsys):
+        config = self.oracle_config(tmp_path, n=3)
+        assert run_cli("campaign", "--config", str(config)) == 0
+        log = (tmp_path / "out" / "campaign.jsonl").read_bytes()
+        raw = json.loads(config.read_text())
+        raw["seed"] = 2
+        raw["campaign"]["n"] = 8
+        config.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert run_cli("campaign", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert "exp-0000 is not an experiment of this campaign" in err["message"]
+        assert (tmp_path / "out" / "campaign.jsonl").read_bytes() == log
+
     def test_fit_with_too_few_records_fails(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path, n=8)
         run_cli("campaign", "--config", str(config))

@@ -54,6 +54,8 @@ MISTAKES = {
     ),
     "section-not-object": ({"plan": [100]}, "plan"),
     "range-check-of-section": ({"optimizer": {"learning_rate": 2.0}}, "optimizer"),
+    "range-check-of-renamed-key": ({"optimizer": {"trees": -1}}, "optimizer.trees"),
+    "range-check-of-nested-key": ({"campaign": {"proxy": {"layers": 0}}}, "campaign.proxy.layers"),
 }
 
 
@@ -84,7 +86,7 @@ def test_cli_error_object_for_string_seed(tmp_path, capsys):
 @pytest.mark.parametrize("timeout", [0, -1, -0.5])
 def test_non_positive_trainer_timeout_rejected(tmp_path, timeout):
     raw = {"campaign": {"trainer": {"type": "command", "argv": ["python3"], "timeout": timeout}}}
-    with pytest.raises(ValidationError, match=r"campaign\.trainer: timeout must be positive"):
+    with pytest.raises(ValidationError, match=r"campaign\.trainer\.timeout: must be positive"):
         parse_config(raw, tmp_path)
 
 

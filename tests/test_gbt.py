@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from oracles import RefTree, ref_grow_tree, ref_tree_predict
 
 from qselect.errors import ValidationError
-from qselect.gbt import RegressorHyper, fit_gradient_boosted
+from qselect.gbt import (
+    _PREDICT_CHUNK,
+    GradientBoostedRegressor,
+    RegressionTree,
+    RegressorHyper,
+    _grow_tree,
+    fit_gradient_boosted,
+)
 
 
 def quadratic_data(m=5, n=256, seed=0):
@@ -76,22 +84,141 @@ class TestFit:
             assert len(tree.feature) <= 7
 
     def test_prediction_vector_matches_scalar_walk(self):
-        # vectorized routing agrees with a straightforward nodewise walk
+        # vectorized routing agrees exactly with a straightforward nodewise walk
         X, y = quadratic_data(m=4, n=120, seed=9)
         model = fit_gradient_boosted(X, y, RegressorHyper(n_trees=20))
         queries = np.random.default_rng(2).dirichlet(np.ones(4), size=50)
+        assert np.array_equal(model.predict(queries), scalar_walk(model, queries))
 
-        def walk(tree, x):
-            node = 0
-            while tree.feature[node] >= 0:
-                if x[tree.feature[node]] <= tree.threshold[node]:
-                    node = tree.left[node]
-                else:
-                    node = tree.right[node]
-            return tree.value[node]
-
-        want = np.full(50, model.base)
-        for tree in model.trees:
-            want += model.learning_rate * np.array([walk(tree, q) for q in queries])
+    def test_lopsided_tree_matches_scalar_walk(self):
+        # leaves at depths 1, 2, 3 and 3: rows that reach the shallow leaves
+        # keep walking on their self-loops while others descend
+        inf = np.inf
+        tree = RegressionTree(
+            feature=np.array([0, 0, 1, 0, 0, 0, 0]),
+            threshold=np.array([0.5, inf, 0.2, inf, 0.8, inf, inf]),
+            left=np.array([1, 1, 3, 3, 5, 5, 6]),
+            right=np.array([2, 1, 4, 3, 6, 5, 6]),
+            value=np.array([0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 4.0]),
+            depth=3,
+        )
+        model = GradientBoostedRegressor(0.25, [tree], 0.5)
+        queries = np.random.default_rng(4).random((200, 2))
+        queries[:4] = [[0.5, 0.0], [0.6, 0.2], [0.8, 0.9], [0.81, 0.9]]  # on the thresholds
         got = model.predict(queries)
-        assert np.allclose(got, want, atol=1e-12)
+        assert np.array_equal(got, scalar_walk(model, queries))
+        assert list(got[:4]) == [0.75, 1.25, 1.75, 2.25]
+
+    def test_zero_tree_model_predicts_base(self):
+        model = GradientBoostedRegressor(2.5, [], 0.05)
+        assert np.array_equal(model.predict(np.ones((3, 2))), np.full(3, 2.5))
+
+
+def scalar_walk(model, queries):
+    """Sum the trees in tree order, routing each query node by node."""
+
+    def walk(tree, x):
+        node = 0
+        while tree.left[node] != node:
+            if x[tree.feature[node]] <= tree.threshold[node]:
+                node = tree.left[node]
+            else:
+                node = tree.right[node]
+        return tree.value[node]
+
+    want = np.full(len(queries), model.base)
+    for tree in model.trees:
+        want += model.learning_rate * np.array([walk(tree, q) for q in queries])
+    return want
+
+
+def self_looping(ref):
+    """The oracle's tree with each leaf as the package stores it: looping to itself."""
+    leaf = ref.feature < 0
+    nodes = np.arange(ref.feature.size)
+    return (
+        np.where(leaf, 0, ref.feature),
+        np.where(leaf, np.inf, ref.threshold),
+        np.where(leaf, nodes, ref.left),
+        np.where(leaf, nodes, ref.right),
+        ref.value,
+    )
+
+
+def as_ref_tree(tree):
+    """The package's tree in the oracle's encoding: -1 marks a leaf."""
+    leaf = tree.left == np.arange(tree.left.size)
+    return RefTree(
+        np.where(leaf, -1, tree.feature),
+        np.where(leaf, 0.0, tree.threshold),
+        np.where(leaf, -1, tree.left),
+        np.where(leaf, -1, tree.right),
+        tree.value,
+    )
+
+
+def random_tree_input(trial):
+    """Rows, targets and settings for one trial; the kind of rows cycles with the trial."""
+    rng = np.random.default_rng(1000 + trial)
+    n = int(rng.integers(1, 90))
+    m = int(rng.integers(1, 7))
+    kind = trial % 4
+    if kind == 0:  # tie-heavy integer-valued columns
+        X = rng.integers(0, 4, size=(n, m)).astype(float)
+    elif kind == 1:  # constant columns among continuous ones
+        X = rng.random((n, m))
+        X[:, rng.random(m) < 0.5] = 3.0
+    elif kind == 2:  # every row three times
+        X = np.repeat(rng.random((n // 3 + 1, m)), 3, axis=0)[:n]
+    else:
+        X = rng.normal(size=(n, m))
+    y = rng.integers(0, 3, size=n).astype(float) if trial % 3 == 0 else rng.normal(size=n)
+    return X, y, int(rng.integers(1, 7)), int(rng.choice([1, 3, 7]))
+
+
+def rows_per_node(ref, X):
+    """How many rows of ``X`` reach each node of the oracle's tree."""
+    counts = np.zeros(ref.feature.size, dtype=int)
+    for x in X:
+        node = 0
+        counts[node] += 1
+        while ref.feature[node] >= 0:
+            go_left = x[ref.feature[node]] <= ref.threshold[node]
+            node = ref.left[node] if go_left else ref.right[node]
+            counts[node] += 1
+    return counts
+
+
+class TestMatchesReference:
+    def test_trees_match_node_for_node(self):
+        names = ("feature", "threshold", "left", "right", "value")
+        settings = set()
+        small_nodes = 0
+        for trial in range(240):
+            X, y, max_depth, min_leaf = random_tree_input(trial)
+            got = _grow_tree(X, y, max_depth, min_leaf)
+            ref = ref_grow_tree(X, y, max_depth, min_leaf)
+            for name, want in zip(names, self_looping(ref)):
+                assert np.array_equal(getattr(got, name), want), (trial, name)
+            depth = np.zeros(ref.feature.size, dtype=int)
+            for node in np.flatnonzero(ref.feature >= 0):  # parents precede their children
+                depth[ref.left[node]] = depth[ref.right[node]] = depth[node] + 1
+            assert got.depth == depth.max(), trial
+            queries = np.vstack([X, np.random.default_rng(trial).normal(size=(40, X.shape[1]))])
+            assert np.array_equal(got.predict(queries), ref_tree_predict(ref, queries)), trial
+            settings.add((max_depth, min_leaf))
+            small_nodes += int((rows_per_node(ref, X) < 2 * min_leaf).sum())
+        assert settings == {(d, k) for d in range(1, 7) for k in (1, 3, 7)}
+        assert small_nodes > 0
+
+    @pytest.mark.parametrize("rows", [1, _PREDICT_CHUNK, 2 * _PREDICT_CHUNK + 37])
+    def test_ensemble_predictions_match_reference(self, rows):
+        X, y = quadratic_data(m=6, n=200, seed=5)
+        y = np.round(y, 2)  # ties in the targets
+        hyper = RegressorHyper(n_trees=30, max_depth=5, min_samples_leaf=3)
+        model = fit_gradient_boosted(X, y, hyper)
+        queries = np.random.default_rng(rows).dirichlet(np.ones(6), size=rows)
+        want = np.full(rows, model.base)
+        for tree in model.trees:
+            want += model.learning_rate * ref_tree_predict(as_ref_tree(tree), queries)
+        assert np.array_equal(model.predict(queries), want)
