@@ -20,7 +20,8 @@ from . import __version__
 from .config import RunConfig, load_config
 from .corpus import load_corpus, synthesize_corpus, write_corpus
 from .errors import ValidationError
-from .importance import fit_bag_model, importance_score
+from .importance import fit_bag_model, hash_corpus, importance_scores
+from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
     RatingAnnotation,
     ScoreMatrix,
@@ -73,17 +74,29 @@ def _read_annotations(paths: list[Path]):
                     raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
 
 
+def _load_logged(path: Path, cfg: RunConfig):
+    """Load a corpus, logging each rejected line with its path and number."""
+    docs, report = load_corpus(path, cfg.corpus)
+    for err in report.errors:
+        logger.warning("%s:%d rejected: %s", path, err.line_no, err.reason)
+    if report.errors:
+        logger.warning("corpus read %s: %s", path, report.summary())
+    return docs
+
+
 def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Compute signals and importance scores, merge ratings, write the
     annotated corpus."""
     from .signals import compute_signals
 
+    imp = cfg.scores.importance
+    if imp is not None:
+        for target_path in imp.targets.values():
+            if not target_path.exists():
+                raise ValidationError(f"importance target corpus {target_path} missing")
+
     corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
-    docs, report = load_corpus(corpus_path, cfg.corpus)
-    for err in report.errors:
-        logger.warning("line %d rejected: %s", err.line_no, err.reason)
-    if report.errors:
-        logger.warning("corpus read: %s", report.summary())
+    docs = _load_logged(corpus_path, cfg)
 
     rating_names: list[str] = []
     annotations = []
@@ -100,17 +113,17 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
             signals = compute_signals(doc.text)
             matrix.raw[i, signal_cols] = [signals[name] for name in SIGNAL_NAMES]
 
-    if cfg.scores.importance is not None:
-        imp = cfg.scores.importance
-        source_model = fit_bag_model(docs, imp.bucket_count, cfg.seed, imp.smoothing)
+    if imp is not None:
+        # The source corpus is hashed once; every target scores it with one gather.
+        source = hash_corpus(docs, imp.bucket_count, cfg.seed)
+        source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
         for target, target_path in imp.targets.items():
-            if not target_path.exists():
-                raise ValidationError(f"importance target corpus {target_path} missing")
-            target_docs, _ = load_corpus(target_path, cfg.corpus)
-            target_model = fit_bag_model(target_docs, imp.bucket_count, cfg.seed, imp.smoothing)
-            matrix.raw[:, names.index(f"{target}_importance")] = [
-                importance_score(doc, target_model, source_model) for doc in docs
-            ]
+            target_model = fit_bag_model(
+                _load_logged(target_path, cfg), imp.bucket_count, cfg.seed, imp.smoothing
+            )
+            matrix.raw[:, names.index(f"{target}_importance")] = importance_scores(
+                source, target_model, source_model
+            )
 
     if matrix is not None and annotations:
         ingest = ingest_ratings(matrix, annotations)

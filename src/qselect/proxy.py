@@ -16,6 +16,7 @@ import logging
 import math
 import shutil
 import subprocess
+import sys
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -233,6 +234,15 @@ class CommandTrainer:
         return loss
 
 
+def _is_finite_number(value: object) -> bool:
+    """A JSON number that a float holds: not a bool, NaN, infinite or too large."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 @dataclass
 class ExperimentRecord:
     """One (weight vector, validation loss) observation."""
@@ -250,11 +260,19 @@ class ExperimentRecord:
     @classmethod
     def from_json(cls, line: str) -> "ExperimentRecord":
         obj = json.loads(line)
+        loss, status, weights = obj["loss"], obj["status"], obj["weights"]
+        if not (_is_finite_number(loss) or (loss is None and status == "failed")):
+            raise ValueError(f"loss {loss!r} is not a finite number or null for a failed record")
+        if not isinstance(weights, dict):
+            raise ValueError(f"weights {weights!r} is not an object")
+        for name, value in weights.items():
+            if not _is_finite_number(value):
+                raise ValueError(f"weight {name!r} = {value!r} is not a finite number")
         return cls(
             experiment_id=obj["experiment_id"],
-            weights=obj["weights"],
-            loss=obj["loss"],
-            status=obj["status"],
+            weights=weights,
+            loss=loss,
+            status=status,
             manifest=obj.get("manifest", ""),
             metadata=obj.get("metadata", {}),
         )

@@ -13,6 +13,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from operator import itemgetter, mul
 
 from .registry import SIGNAL_NAMES
 
@@ -30,7 +31,10 @@ def normalize_words(text: str) -> list[str]:
 def word_signals(text: str) -> dict[str, float]:
     """Word-stream signals: non-alphabetic fraction, mean length, uniqueness,
     unigram entropy (natural log), and word count."""
-    words = normalize_words(text)
+    return _word_signals(normalize_words(text))
+
+
+def _word_signals(words: list[str]) -> dict[str, float]:
     n = len(words)
     if n == 0:
         return {
@@ -40,13 +44,13 @@ def word_signals(text: str) -> dict[str, float]:
             "doc_unigram_entropy": 0.0,
             "doc_word_count": 0.0,
         }
-    no_alph = sum(1 for w in words if not any(c.isalpha() for c in w))
-    total_chars = sum(len(w) for w in words)
     counts = Counter(words)
-    entropy = -math.fsum((c / n) * math.log(c / n) for c in counts.values())
+    no_alph = sum(c for w, c in counts.items() if not any(map(str.isalpha, w)))
+    probs = [c / n for c in counts.values()]
+    entropy = -math.fsum(map(mul, probs, map(math.log, probs)))
     return {
         "doc_frac_no_alph_words": no_alph / n,
-        "doc_mean_word_length": total_chars / n,
+        "doc_mean_word_length": sum(map(len, words)) / n,
         "doc_frac_unique_words": len(counts) / n,
         "doc_unigram_entropy": entropy,
         "doc_word_count": float(n),
@@ -56,7 +60,7 @@ def word_signals(text: str) -> dict[str, float]:
 def _line_ratio(line: str, predicate) -> float:
     if not line:
         return 0.0
-    return sum(1 for c in line if predicate(c)) / len(line)
+    return sum(map(predicate, line)) / len(line)
 
 
 def line_signals(text: str) -> dict[str, float]:
@@ -99,30 +103,23 @@ def sentence_count(text: str) -> int:
 def _top_ngram_fraction(words: list[str], n: int) -> float:
     if len(words) < n:
         return 0.0
-    total_chars = sum(len(w) for w in words)
-    if total_chars == 0:
-        return 0.0
-    counts: dict[tuple[str, ...], int] = {}
-    for i in range(len(words) - n + 1):
-        gram = tuple(words[i : i + n])
-        counts[gram] = counts.get(gram, 0) + 1
-    # Ties resolve to the first-seen gram (dict preserves insertion order);
-    # only its character length matters for the fraction.
-    best_gram, best_count = None, 0
-    for gram, count in counts.items():
-        if count > best_count:
-            best_gram, best_count = gram, count
-    assert best_gram is not None
-    gram_chars = sum(len(w) for w in best_gram)
+    counts = Counter(zip(*(words[i:] for i in range(n))))
+    # Ties resolve to the first-seen gram: Counter keeps insertion order
+    # and max returns the first maximum. Only its length matters.
+    best_gram, best_count = max(counts.items(), key=itemgetter(1))
     # Overlapping occurrences can claim more characters than the document
-    # has; clamp so the signal stays a fraction.
-    return min(1.0, best_count * gram_chars / total_chars)
+    # has; clamp so the signal stays a fraction. Words are non-empty, so
+    # the total is positive.
+    return min(1.0, best_count * sum(map(len, best_gram)) / sum(map(len, words)))
 
 
 def ngram_repetition(text: str) -> dict[str, float]:
     """Fraction of document characters claimed by the most frequent word
     2-gram and 3-gram (non-whitespace characters, overlap counted)."""
-    words = normalize_words(text)
+    return _ngram_repetition(normalize_words(text))
+
+
+def _ngram_repetition(words: list[str]) -> dict[str, float]:
     return {
         "doc_frac_chars_top_2gram": _top_ngram_fraction(words, 2),
         "doc_frac_chars_top_3gram": _top_ngram_fraction(words, 3),
@@ -131,8 +128,9 @@ def ngram_repetition(text: str) -> dict[str, float]:
 
 def compute_signals(text: str) -> dict[str, float]:
     """All 11 signals, keyed by their canonical names."""
-    out = word_signals(text)
+    words = normalize_words(text)
+    out = _word_signals(words)
     out.update(line_signals(text))
     out["doc_num_sentences"] = float(sentence_count(text))
-    out.update(ngram_repetition(text))
+    out.update(_ngram_repetition(words))
     return {name: out[name] for name in SIGNAL_NAMES}

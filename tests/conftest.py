@@ -65,3 +65,40 @@ def mixed_language_fixture(n_docs=200, seed=7):
         else:
             texts.append("")
     return texts
+
+
+# Word pools for annotation-kernel corpora: case and NFC variants of one
+# word (composed, decomposed, upper), non-ASCII letters, non-ASCII digits
+# and numerics, punctuation-only and mixed tokens.
+KERNEL_WORDS = [
+    "a", "b", "c", "the", "The", "THE", "caf\u00e9", "cafe\u0301", "CAFE\u0301",
+    "Stra\u00dfe", "STRASSE", "\u0130stanbul", "\u03a3\u039f\u03a6\u038a\u0391",
+    "\u03c3\u03bf\u03c6\u03af\u03b1", "\u65e5\u672c\u8a9e", "\u0646\u0635", "\u0663\u0664",
+    "\u00b2", "\u00bd", "\u216b", "42", "3.14", "...", "!?", "x1", "don't", "\U0001f600",
+]
+KERNEL_BLANKS = [" ", "  ", "\t", "\n", " \n ", "\u3000", "\u00a0"]
+
+
+def kernel_text(rng, max_words=30):
+    """One text for the annotation kernels: empty, blank, one word, or a run
+    of words that repeats a short phrase, so n-gram counts tie."""
+    kind = int(rng.integers(0, 6))
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return "".join(KERNEL_BLANKS[int(i)] for i in rng.integers(0, len(KERNEL_BLANKS), 3))
+    if kind == 2:
+        return KERNEL_WORDS[int(rng.integers(0, len(KERNEL_WORDS)))]
+    vocab = [KERNEL_WORDS[int(i)] for i in rng.integers(0, len(KERNEL_WORDS), 6)]
+    words = [vocab[int(i)] for i in rng.integers(0, len(vocab), int(rng.integers(2, max_words)))]
+    if kind == 3:
+        words = words[:3] * int(rng.integers(2, 4)) + words[3:6] * int(rng.integers(2, 4))
+    seps = KERNEL_BLANKS if kind == 4 else [" "]
+    return "".join(w + seps[int(rng.integers(0, len(seps)))] for w in words)
+
+
+def kernel_corpus(seed, n_docs=None):
+    """A seeded corpus for the annotation-kernel oracle tests."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 25)) if n_docs is None else n_docs
+    return [kernel_text(rng) for _ in range(n)]

@@ -10,7 +10,15 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
+from collections import Counter
 from fractions import Fraction
+from hashlib import blake2b
+
+import numpy as np
+
+from qselect.corpus import Document
+from qselect.errors import ValidationError
+from qselect.importance import HashedBagModel
 
 
 def ref_words(text):
@@ -203,6 +211,136 @@ def ref_unhashed_log_ratio(text, p_texts, q_texts, smoothing, vocab_size):
         q_prob = (q_counts.get(g, 0) + smoothing) / q_denom
         score += math.log(p_prob) - math.log(q_prob)
     return score
+
+
+# --- Annotation kernels: per-feature hashing and per-word signal loops ---
+#
+# These are the bag-model fit, importance score and word, line and n-gram
+# signals that ``qselect.importance`` and ``qselect.signals`` used before
+# each corpus was hashed in one pass and the signals counted with C-level
+# builtins. The package must give the same counts and the same float bits.
+
+
+def ref_hash_bucket(feature, seed, bucket_count):
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    digest = blake2b(feature.encode("utf-8"), digest_size=8, key=key).digest()
+    return int.from_bytes(digest, "little") % bucket_count
+
+
+def ref_features(text):
+    words = ref_words(text)
+    feats = list(words)
+    feats.extend(words[i] + "\x1f" + words[i + 1] for i in range(len(words) - 1))
+    return feats
+
+
+def ref_fit_bag_model(docs, bucket_count, seed, smoothing=1.0):
+    """Bag model counted one feature at a time (an empty corpus raises)."""
+    model = HashedBagModel(bucket_count=bucket_count, seed=seed, smoothing=smoothing)
+    bucket_cache = {}
+    n_docs = 0
+    for doc in docs:
+        n_docs += 1
+        text = doc.text if isinstance(doc, Document) else doc
+        for feat in ref_features(text):
+            bucket = bucket_cache.get(feat)
+            if bucket is None:
+                bucket = ref_hash_bucket(feat, seed, bucket_count)
+                if len(bucket_cache) < 1_000_000:
+                    bucket_cache[feat] = bucket
+            model.counts[bucket] += 1
+    if n_docs == 0:
+        raise ValidationError("cannot fit a bag model on an empty corpus")
+    return model
+
+
+def ref_importance_score(doc, p, q):
+    text = doc.text if isinstance(doc, Document) else doc
+    feats = ref_features(text)
+    if not feats:
+        return 0.0
+    buckets = np.fromiter(
+        (ref_hash_bucket(f, p.seed, p.bucket_count) for f in feats),
+        dtype=np.int64,
+        count=len(feats),
+    )
+    delta = p.log_probs()[buckets] - q.log_probs()[buckets]
+    return float(delta.sum())
+
+
+def ref_word_signals(text):
+    words = ref_words(text)
+    n = len(words)
+    if n == 0:
+        return {
+            "doc_frac_no_alph_words": 0.0,
+            "doc_mean_word_length": 0.0,
+            "doc_frac_unique_words": 0.0,
+            "doc_unigram_entropy": 0.0,
+            "doc_word_count": 0.0,
+        }
+    no_alph = sum(1 for w in words if not any(c.isalpha() for c in w))
+    total_chars = sum(len(w) for w in words)
+    counts = Counter(words)
+    entropy = -math.fsum((c / n) * math.log(c / n) for c in counts.values())
+    return {
+        "doc_frac_no_alph_words": no_alph / n,
+        "doc_mean_word_length": total_chars / n,
+        "doc_frac_unique_words": len(counts) / n,
+        "doc_unigram_entropy": entropy,
+        "doc_word_count": float(n),
+    }
+
+
+def _ref_line_ratio(line, predicate):
+    if not line:
+        return 0.0
+    return sum(1 for c in line if predicate(c)) / len(line)
+
+
+def ref_line_signals(text):
+    lines = text.split("\n") if text else []
+    if not lines:
+        return {
+            "lines_ending_with_terminal_punctution_mark": 0.0,
+            "lines_numerical_chars_fraction": 0.0,
+            "lines_uppercase_letter_fraction": 0.0,
+        }
+    n = len(lines)
+    terminal = sum(1 for line in lines if line.endswith((".", "!", "?", '"'))) / n
+    numerical = (
+        math.fsum(
+            _ref_line_ratio(unicodedata.normalize("NFC", line).lower(), str.isdigit)
+            for line in lines
+        )
+        / n
+    )
+    uppercase = math.fsum(_ref_line_ratio(line, str.isupper) for line in lines) / n
+    return {
+        "lines_ending_with_terminal_punctution_mark": terminal,
+        "lines_numerical_chars_fraction": numerical,
+        "lines_uppercase_letter_fraction": uppercase,
+    }
+
+
+def ref_top_ngram_fraction_of_words(words, n):
+    """Top n-gram character fraction of a word list, by a dict tally."""
+    if len(words) < n:
+        return 0.0
+    total_chars = sum(len(w) for w in words)
+    if total_chars == 0:
+        return 0.0
+    counts = {}
+    for i in range(len(words) - n + 1):
+        gram = tuple(words[i : i + n])
+        counts[gram] = counts.get(gram, 0) + 1
+    best_gram, best_count = None, 0
+    for gram, count in counts.items():
+        if count > best_count:
+            best_gram, best_count = gram, count
+    assert best_gram is not None
+    gram_chars = sum(len(w) for w in best_gram)
+    return min(1.0, best_count * gram_chars / total_chars)
 
 
 def ref_rank_unit(column):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qselect import cli
+from qselect import signals as signals_module
 from qselect.cli import main
 from qselect.registry import (
     DEFAULT_DOMAIN_WEIGHTS,
@@ -16,6 +17,8 @@ from qselect.registry import (
     REFERENCE_WEIGHT_PCT,
     SIGNAL_NAMES,
 )
+
+from oracles import ref_fit_bag_model, ref_importance_score
 
 
 def run_cli(*argv):
@@ -200,6 +203,74 @@ class TestAnnotate:
         first = (tmp_path / "out" / "annotated.jsonl").read_bytes()
         run_cli("annotate", "--config", str(config))
         assert (tmp_path / "out" / "annotated.jsonl").read_bytes() == first
+
+
+    def test_importance_columns_match_reference(self, tmp_path, capsys):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=80)
+        write_corpus_fixture(tmp_path / "books.jsonl", n=15, seed=3)
+        write_corpus_fixture(tmp_path / "wiki.jsonl", n=9, seed=4)
+        config = write_config(
+            tmp_path / "cfg.json",
+            seed=2**63 + 11,
+            corpus={"path": "corpus.jsonl"},
+            scores={
+                "signals": False,
+                "importance": {
+                    "targets": {"books": "books.jsonl", "wikipedia": "wiki.jsonl"},
+                    "bucket_count": 61,
+                    "smoothing": 0.5,
+                },
+            },
+        )
+        assert run_cli("annotate", "--config", str(config)) == 0
+
+        def texts(name):
+            lines = (tmp_path / name).read_text().splitlines()
+            return [json.loads(line)["text"] for line in lines]
+
+        q = ref_fit_bag_model(texts("corpus.jsonl"), 61, 2**63 + 11, 0.5)
+        annotated = (tmp_path / "out" / "annotated.jsonl").read_text().splitlines()
+        for target, path in (("books", "books.jsonl"), ("wikipedia", "wiki.jsonl")):
+            p = ref_fit_bag_model(texts(path), 61, 2**63 + 11, 0.5)
+            for line in annotated:
+                rec = json.loads(line)
+                want = ref_importance_score(rec["text"], p, q)
+                assert repr(rec["scores"][f"{target}_importance"]) == repr(want)
+
+    def test_missing_target_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=20)
+        write_corpus_fixture(tmp_path / "books.jsonl", n=5)
+        computed = []
+        monkeypatch.setattr(signals_module, "compute_signals", computed.append)
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={
+                "signals": True,
+                "importance": {"targets": {"books": "books.jsonl", "wikipedia": "ghost.jsonl"}},
+                "ratings": {"files": ["no-ratings.jsonl"]},
+            },
+        )
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert "ghost.jsonl missing" in err["message"]
+        assert computed == []
+        assert not (tmp_path / "out" / "annotated.jsonl").exists()
+
+    def test_target_rejected_line_is_logged(self, tmp_path, capsys, caplog):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=20)
+        target = write_corpus_fixture(tmp_path / "books.jsonl", n=5)
+        lines = target.read_text().splitlines(keepends=True)
+        target.write_text(lines[0] + '{"id": "bad"}\n' + "".join(lines[1:]))
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": False, "importance": {"targets": {"books": "books.jsonl"}}},
+        )
+        assert run_cli("annotate", "--config", str(config)) == 0
+        assert f"{target}:2 rejected" in caplog.text
+        assert f"corpus read {target}: 5 records read, 1 rejected" in caplog.text
 
 
 def synth_config(tmp_path, n_docs=900, budget=6000, seed=1, extra=None):
@@ -406,6 +477,64 @@ class TestCampaignAndFit:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ValidationError"
         assert f"{log}:2" in err["message"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("loss", "NaN"),
+            ("loss", "Infinity"),
+            ("loss", '"abc"'),
+            ("loss", "true"),
+            ("loss", "1" + "0" * 400),
+            ("loss", "null"),
+            ("weights", '{"ch0": "0.5"}'),
+            ("weights", '{"ch0": NaN}'),
+            ("weights", "[1.0]"),
+        ],
+        ids=["nan", "infinity", "string", "bool", "huge-int", "null-on-ok", "string-weight",
+             "nan-weight", "weights-list"],
+    )
+    def test_fit_bad_log_value_fails(self, tmp_path, capsys, field, value):
+        good = {"experiment_id": "exp-0000", "weights": {"ch0": 1.0}, "loss": 1.0, "status": "ok"}
+        bad = json.dumps({**good, "experiment_id": "exp-0001", field: "@"}).replace('"@"', value)
+        log = tmp_path / "campaign.jsonl"
+        log.write_text(json.dumps(good) + "\n" + bad + "\n")
+        config = write_config(tmp_path / "cfg.json")
+        assert run_cli("fit", "--config", str(config), "--log", str(log)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"{log}:2" in err["message"]
+
+    def test_failed_record_may_have_null_loss(self):
+        from qselect.proxy import ExperimentRecord
+
+        line = '{"experiment_id": "e", "weights": {"a": 1}, "loss": null, "status": "failed"}'
+        assert ExperimentRecord.from_json(line).loss is None
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("loss", "NaN"), ("loss", "Infinity"), ("loss", '"abc"'), ("weight", '"0.5"')],
+        ids=["nan", "infinity", "string-loss", "string-weight"],
+    )
+    def test_campaign_resume_bad_log_value_fails(self, tmp_path, capsys, field, value):
+        config = self.oracle_config(tmp_path, n=4)
+        out = tmp_path / "out"
+        assert run_cli("campaign", "--config", str(config)) == 0
+        lines = (out / "campaign.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        if field == "loss":
+            record["loss"] = "@"
+        else:
+            record["weights"][next(iter(record["weights"]))] = "@"
+        lines[1] = json.dumps(record).replace('"@"', value) + "\n"
+        broken = "".join(lines)
+        (out / "campaign.jsonl").write_text(broken)
+        capsys.readouterr()
+        assert run_cli("campaign", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"{out / 'campaign.jsonl'}:2:" in err["message"]
+        assert (out / "campaign.jsonl").read_text() == broken
 
     def test_fit_missing_log_fails(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path)

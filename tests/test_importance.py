@@ -2,10 +2,22 @@ import numpy as np
 import pytest
 
 from qselect.errors import ValidationError
-from qselect.importance import features, fit_bag_model, importance_score
+from qselect.importance import (
+    features,
+    fit_bag_model,
+    hash_corpus,
+    importance_score,
+    importance_scores,
+)
 
-from conftest import make_doc
-from oracles import ref_unhashed_log_ratio
+from conftest import kernel_corpus, make_doc
+from oracles import (
+    ref_features,
+    ref_fit_bag_model,
+    ref_hash_bucket,
+    ref_importance_score,
+    ref_unhashed_log_ratio,
+)
 
 # Vocabulary of <=100 words used for collision-free equivalence checks.
 VOCAB = [f"w{i:02d}" for i in range(100)]
@@ -53,8 +65,23 @@ class TestFitBagModel:
         assert not np.array_equal(m1.counts, m3.counts)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="cannot fit a bag model on an empty corpus"):
             fit_bag_model([], bucket_count=64)
+        with pytest.raises(ValidationError, match="cannot fit a bag model on an empty corpus"):
+            fit_bag_model(hash_corpus([], 64, 0), bucket_count=64)
+
+    def test_zero_feature_corpus_fits_all_zero_model(self):
+        model = fit_bag_model(["", " \n\t ", "\u3000"], bucket_count=16, seed=2)
+        assert np.array_equal(model.counts, np.zeros(16, dtype=np.int64))
+        assert model.counts.dtype == np.int64
+        assert np.array_equal(model.log_probs(), np.full(16, np.log(1 / 16)))
+
+    def test_hashed_corpus_must_match_model(self):
+        hashed = hash_corpus(["a b"], 64, 1)
+        with pytest.raises(ValidationError, match="bucket_count mismatch"):
+            fit_bag_model(hashed, bucket_count=128, seed=1)
+        with pytest.raises(ValidationError, match="hash seed mismatch"):
+            fit_bag_model(hashed, bucket_count=64, seed=2)
 
     def test_tiny_bucket_count_rejected(self):
         with pytest.raises(ValidationError):
@@ -75,7 +102,10 @@ class TestImportanceScore:
     def test_empty_doc_scores_zero(self):
         p = fit_bag_model(["a b"], bucket_count=128, seed=1)
         q = fit_bag_model(["c d"], bucket_count=128, seed=1)
-        assert importance_score("", p, q) == 0.0
+        assert repr(importance_score("", p, q)) == "0.0"
+        scores = importance_scores(hash_corpus(["", "a", " \n "], 128, 1), p, q)
+        assert [repr(x) for x in scores[::2]] == ["0.0", "0.0"]
+        assert scores[1] != 0.0
 
     def test_mismatched_models_rejected(self):
         p = fit_bag_model(["a"], bucket_count=128, seed=1)
@@ -126,3 +156,85 @@ class TestImportanceScore:
         base = importance_score("beta", p, q)
         extended = importance_score("beta alpha", p, q)
         assert extended > base
+
+
+class TestHashCorpus:
+    @pytest.mark.parametrize("seed", [2**63, 2**63 + 12345, 2**64 - 1, 2**64 + 7, -1])
+    def test_buckets_below_bucket_count_for_wide_seeds(self, seed):
+        texts = kernel_corpus(3, n_docs=40)
+        for bucket_count in (2, 61, 65_536):
+            hashed = hash_corpus(texts, bucket_count, seed)
+            assert hashed.buckets.min() >= 0 and hashed.buckets.max() < bucket_count
+            want = [ref_hash_bucket(f, seed, bucket_count) for t in texts for f in ref_features(t)]
+            assert hashed.buckets.tolist() == want
+        # only the low 64 bits of the seed key the hash
+        assert np.array_equal(
+            hash_corpus(texts, 997, seed).buckets,
+            hash_corpus(texts, 997, seed & 0xFFFFFFFFFFFFFFFF).buckets,
+        )
+
+    def test_bucket_count_beyond_c_int_rejected(self):
+        assert hash_corpus(["a b"], 1 << 31, 0).buckets.max() < 1 << 31
+        with pytest.raises(ValidationError, match="at most 2"):
+            hash_corpus(["a b"], (1 << 31) + 1, 0)
+
+    def test_lengths_count_each_texts_features(self):
+        texts = ["", "a", "a b c", "  ", "A a"]
+        hashed = hash_corpus(texts, 64, 0)
+        assert list(hashed.lengths) == [len(features(t)) for t in texts] == [0, 1, 5, 0, 3]
+        assert len(hashed.buckets) == 9
+        assert list(hashed.spans()) == [(0, 0), (0, 1), (1, 6), (6, 6), (6, 9)]
+
+
+def _wide_seed(rng):
+    """A hash seed from the whole 64-bit range and beyond."""
+    return int(rng.integers(0, 2**62)) << int(rng.integers(0, 4))
+
+
+class TestMatchesReference:
+    """Counts and scores equal the per-feature code's bit for bit."""
+
+    def test_counts_match_reference_on_120_corpora(self):
+        for corpus_seed in range(120):
+            rng = np.random.default_rng(corpus_seed)
+            texts = kernel_corpus(corpus_seed)
+            bucket_count = 2 + corpus_seed % 63 if corpus_seed % 10 else 65_536
+            seed = _wide_seed(rng)
+            docs = texts
+            if corpus_seed % 2:
+                docs = [make_doc(f"d{i}", t) for i, t in enumerate(texts)]
+            want = ref_fit_bag_model(docs, bucket_count, seed).counts
+            got = fit_bag_model(docs, bucket_count, seed)
+            assert np.array_equal(got.counts, want), corpus_seed
+            assert got.counts.dtype == want.dtype
+            hashed = fit_bag_model(hash_corpus(docs, bucket_count, seed), bucket_count, seed)
+            assert np.array_equal(hashed.counts, want), corpus_seed
+
+    def test_scores_match_reference_on_120_corpora(self):
+        for corpus_seed in range(120):
+            rng = np.random.default_rng(10_000 + corpus_seed)
+            bucket_count = 2 + corpus_seed % 63 if corpus_seed % 10 else 65_536
+            seed = _wide_seed(rng)
+            smoothing = (1.0, 0.5, 0.01)[corpus_seed % 3]
+            p_texts, q_texts = kernel_corpus(2 * corpus_seed), kernel_corpus(2 * corpus_seed + 1)
+            texts = kernel_corpus(500 + corpus_seed)
+            p = fit_bag_model(p_texts, bucket_count, seed, smoothing)
+            q = fit_bag_model(q_texts, bucket_count, seed, smoothing)
+            want = [repr(ref_importance_score(t, p, q)) for t in texts]
+            got = importance_scores(hash_corpus(texts, bucket_count, seed), p, q)
+            assert [repr(x) for x in got] == want, corpus_seed
+            assert [repr(importance_score(t, p, q)) for t in texts] == want, corpus_seed
+
+    def test_long_documents_match_reference(self):
+        # Documents past numpy's 8-wide unrolled and 128-wide pairwise
+        # blocks, at every offset in one flat bucket array.
+        rng = np.random.default_rng(5)
+        vocab = [f"w{i}" for i in range(300)]
+        texts = [
+            " ".join(vocab[int(j)] for j in rng.integers(0, 300, int(n)))
+            for n in rng.integers(0, 2000, 60)
+        ]
+        p = fit_bag_model(texts[:20], 4096, 9)
+        q = fit_bag_model(texts[20:40], 4096, 9)
+        got = importance_scores(hash_corpus(texts, 4096, 9), p, q)
+        assert [repr(x) for x in got] == [repr(ref_importance_score(t, p, q)) for t in texts]

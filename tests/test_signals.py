@@ -14,8 +14,14 @@ from qselect.signals import (
     word_signals,
 )
 
-from conftest import mixed_language_fixture, random_text
-from oracles import ref_all_signals
+from conftest import kernel_corpus, mixed_language_fixture, random_text
+from oracles import (
+    ref_all_signals,
+    ref_line_signals,
+    ref_top_ngram_fraction_of_words,
+    ref_word_signals,
+    ref_words,
+)
 
 FRACTION_SIGNALS = [
     "doc_frac_no_alph_words",
@@ -141,6 +147,45 @@ class TestOracleSuite:
                     )
             assert sig["doc_num_sentences"] >= 0
             assert sig == compute_signals(text)
+
+
+def _reference_signals(text):
+    words = ref_words(text)
+    want = ref_word_signals(text)
+    want.update(ref_line_signals(text))
+    want["doc_num_sentences"] = float(sentence_count(text))
+    want["doc_frac_chars_top_2gram"] = ref_top_ngram_fraction_of_words(words, 2)
+    want["doc_frac_chars_top_3gram"] = ref_top_ngram_fraction_of_words(words, 3)
+    return {name: want[name] for name in SIGNAL_NAMES}
+
+
+class TestMatchesReference:
+    """Signals equal the per-word loop code's, key order and float bits."""
+
+    def test_120_kernel_corpora(self):
+        for seed in range(120):
+            for text in kernel_corpus(seed):
+                assert repr(word_signals(text)) == repr(ref_word_signals(text)), text
+                assert repr(line_signals(text)) == repr(ref_line_signals(text)), text
+                words = ref_words(text)
+                assert repr(ngram_repetition(text)) == repr({
+                    "doc_frac_chars_top_2gram": ref_top_ngram_fraction_of_words(words, 2),
+                    "doc_frac_chars_top_3gram": ref_top_ngram_fraction_of_words(words, 3),
+                }), text
+                assert repr(compute_signals(text)) == repr(_reference_signals(text)), text
+
+    def test_random_and_mixed_language_texts(self):
+        rng = np.random.default_rng(3)
+        texts = mixed_language_fixture(200) + [random_text(rng, 400) for _ in range(500)]
+        for text in texts:
+            assert repr(compute_signals(text)) == repr(_reference_signals(text)), text
+
+    def test_tied_ngrams_resolve_to_first_seen(self):
+        # "aaa b" and "c d" both occur twice in 15 chars; the first seen wins
+        sig = ngram_repetition("aaa b x c d y aaa b z c d")
+        assert sig["doc_frac_chars_top_2gram"] == 2 * 4 / 15
+        sig = ngram_repetition("c d x aaa b y c d z aaa b")
+        assert sig["doc_frac_chars_top_2gram"] == 2 * 2 / 15
 
 
 class TestProperties:
