@@ -12,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import load_corpus, synthesize_corpus, write_corpus
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
@@ -66,12 +65,24 @@ def _read_annotations(paths: list[Path]):
                     continue
                 try:
                     obj = json.loads(line)
-                    value = float(obj["value"])
-                    if not math.isfinite(value):
-                        raise ValueError(f"non-finite value {value!r}")
-                    yield RatingAnnotation(obj["doc_id"], obj["rater"], value)
-                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    doc_id, rater, value = obj["doc_id"], obj["rater"], obj["value"]
+                    if not (isinstance(doc_id, str) and isinstance(rater, str)):
+                        raise ValueError(f"doc_id {doc_id!r} and rater {rater!r} must be strings")
+                    if not is_finite_number(value):
+                        raise ValueError(f"value {value!r} is not a finite number")
+                    yield RatingAnnotation(doc_id, rater, float(value))
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
+
+
+def _corpus_path(cfg: RunConfig, args: argparse.Namespace) -> Path:
+    """The ``--corpus`` path, else the config's ``corpus.path``; it must exist."""
+    path = Path(args.corpus) if args.corpus else cfg.corpus_path
+    if path is None:
+        raise ValidationError("config has no corpus.path")
+    if not path.exists():
+        raise ValidationError(f"corpus file {path} does not exist")
+    return path
 
 
 def _load_logged(path: Path, cfg: RunConfig):
@@ -95,8 +106,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
             if not target_path.exists():
                 raise ValidationError(f"importance target corpus {target_path} missing")
 
-    corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
-    docs = _load_logged(corpus_path, cfg)
+    docs = _load_logged(_corpus_path(cfg, args), cfg)
 
     rating_names: list[str] = []
     annotations = []
@@ -152,10 +162,9 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scored_matrix(cfg: RunConfig, corpus_path: Path) -> ScoreMatrix:
-    docs, report = load_corpus(corpus_path, cfg.corpus)
-    if report.errors:
-        logger.warning("corpus read: %s", report.summary())
+def _load_scored_matrix(cfg: RunConfig, args: argparse.Namespace) -> ScoreMatrix:
+    corpus_path = _corpus_path(cfg, args)
+    docs = _load_logged(corpus_path, cfg)
     if not docs:
         raise ValidationError(f"corpus {corpus_path} has no valid documents")
     names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
@@ -168,12 +177,11 @@ def _load_scored_matrix(cfg: RunConfig, corpus_path: Path) -> ScoreMatrix:
 
 def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Select a token-budgeted, domain-proportional subset under weights."""
-    corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
     plan = cfg.require_plan()
     if args.cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
-    matrix = _load_scored_matrix(cfg, corpus_path)
-    weights = read_weights(args.weights, normalize=True)
+    matrix = _load_scored_matrix(cfg, args)
+    weights = read_weights(args.weights)
     result = select_top_k(matrix, weights, plan)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = cfg.output_dir / "selection.txt"
@@ -186,9 +194,8 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run the proxy-experiment loop and append to the campaign log."""
-    corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
     plan = cfg.require_plan()
-    matrix = _load_scored_matrix(cfg, corpus_path)
+    matrix = _load_scored_matrix(cfg, args)
     trainer = cfg.require_trainer()
     records = run_campaign(
         matrix,
@@ -244,8 +251,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Export the Spearman correlation matrix of all scores as CSV."""
-    corpus_path = Path(args.corpus) if args.corpus else cfg.require_corpus()
-    matrix = _load_scored_matrix(cfg, corpus_path)
+    matrix = _load_scored_matrix(cfg, args)
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))

@@ -102,13 +102,6 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     synthesis: SynthesisSpec | None = None
 
-    def require_corpus(self) -> Path:
-        if self.corpus_path is None:
-            raise ValidationError("config has no corpus.path")
-        if not self.corpus_path.exists():
-            raise ValidationError(f"corpus file {self.corpus_path} does not exist")
-        return self.corpus_path
-
     def require_plan(self) -> SelectionPlan:
         if self.plan is None:
             raise ValidationError("config has no plan section")

@@ -1,4 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the JSON number check shared across the package."""
+
+import sys
+
+
+def is_finite_number(value: object) -> bool:
+    """A JSON number that a float holds: not a bool, NaN, infinite or too large."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 class QselectError(Exception):

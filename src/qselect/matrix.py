@@ -108,13 +108,11 @@ class ScoreMatrix:
         normalizing.
         """
         names = list(score_names)
-        raw = np.full((len(docs), len(names)), np.nan)
+        # One row store per document; a list of all rows first would raise peak memory.
+        raw = np.empty((len(docs), len(names)))
         for i, doc in enumerate(docs):
-            if doc.scores:
-                for j, name in enumerate(names):
-                    value = doc.scores.get(name)
-                    if value is not None:
-                        raw[i, j] = value
+            scores = doc.scores or {}
+            raw[i] = [scores.get(name, math.nan) for name in names]
         return cls(
             names,
             [doc.id for doc in docs],

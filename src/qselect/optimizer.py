@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite_number
 from .gbt import GradientBoostedRegressor, RegressorHyper, fit_gradient_boosted
 from .proxy import ExperimentRecord, sample_simplex
 from .selection import WeightVector
@@ -35,11 +35,7 @@ class RegressorModel:
 
     score_names: tuple[str, ...]
     booster: GradientBoostedRegressor
-    hyper: RegressorHyper
     in_sample_rmse: float
-
-    def predict_rows(self, W: np.ndarray) -> np.ndarray:
-        return self.booster.predict(W)
 
     def predict(self, w: WeightVector) -> float:
         row = w.aligned_to(self.score_names)
@@ -49,7 +45,7 @@ class RegressorModel:
 def _records_to_arrays(
     records: Sequence[ExperimentRecord], min_records: int = MIN_RECORDS
 ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    ok = [r for r in records if r.status == "ok" and r.loss is not None]
+    ok = [r for r in records if r.status == "ok"]
     if len(ok) < min_records:
         raise ValidationError(
             f"need at least {min_records} successful records, got {len(ok)}"
@@ -83,7 +79,7 @@ def fit_regressor(
         logger.warning("all %d losses are identical; fitting a constant model", y.size)
     booster = fit_gradient_boosted(X, y, hyper)
     rmse = float(np.sqrt(np.mean((booster.predict(X) - y) ** 2)))
-    return RegressorModel(names, booster, hyper, rmse)
+    return RegressorModel(names, booster, rmse)
 
 
 @dataclass
@@ -91,13 +87,7 @@ class SearchOutcome:
     """Result of the candidate sweep."""
 
     w_star: WeightVector
-    top_candidates: list[tuple[WeightVector, float]]
     predicted_loss_at_star: float
-
-    def __post_init__(self) -> None:
-        losses = [loss for _, loss in self.top_candidates]
-        if any(b < a for a, b in zip(losses, losses[1:])):
-            raise ValidationError("top candidates must be sorted by predicted loss")
 
 
 def search_optimal(
@@ -106,7 +96,6 @@ def search_optimal(
     top_k: int = DEFAULT_TOP_K,
     seed: int = 0,
     concentration: float = 1.0,
-    chunk_size: int = 200_000,
 ) -> SearchOutcome:
     """Sweep Dirichlet candidates through the model, average the best k.
 
@@ -119,17 +108,11 @@ def search_optimal(
         raise ValidationError("need n_candidates >= top_k >= 1")
     m = len(model.score_names)
     candidates = sample_simplex(m, n_candidates, seed, concentration)
-    preds = np.empty(n_candidates)
-    for start in range(0, n_candidates, chunk_size):
-        block = candidates[start : start + chunk_size]
-        preds[start : start + chunk_size] = model.predict_rows(block)
+    preds = model.booster.predict(candidates)
     best = np.argsort(preds, kind="stable")[:top_k]
     mean = candidates[best].mean(axis=0)
     w_star = WeightVector(model.score_names, mean / mean.sum())
-    top = [
-        (WeightVector(model.score_names, candidates[i]), float(preds[i])) for i in best
-    ]
-    return SearchOutcome(w_star, top, model.predict(w_star))
+    return SearchOutcome(w_star, model.predict(w_star))
 
 
 def rank_weights(w: WeightVector) -> list[dict]:
@@ -160,18 +143,25 @@ def write_weights(path: str | Path, w: WeightVector, seed: int | None = None) ->
         fh.write("\n")
 
 
-def read_weights(path: str | Path, normalize: bool = False) -> WeightVector:
-    """Load a weights file; accepts the report object or a bare list."""
+def read_weights(path: str | Path) -> WeightVector:
+    """Load a weights file, normalized to sum to 1.
+
+    Accepts the report object or a bare list; every weight must be a JSON
+    number.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
             rows = payload["weights"] if isinstance(payload, dict) else payload
-            mapping = {row["name"]: float(row["weight"]) for row in rows}
+            mapping = {row["name"]: row["weight"] for row in rows}
+            for name, value in mapping.items():
+                if not is_finite_number(value):
+                    raise ValueError(f"weight {name!r} = {value!r} is not a finite number")
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(
                 f"malformed weights file {path}: {type(exc).__name__}: {exc}"
             ) from exc
-    return WeightVector.from_mapping(mapping, normalize=normalize)
+    return WeightVector.from_mapping(mapping, normalize=True)
 
 
 @dataclass
@@ -224,6 +214,6 @@ def pca_landscape(
     ws = mean[None, :] + a * components[0][None, :] + b * components[1][None, :]
     W = np.empty_like(ws)
     W[:, [model.score_names.index(n) for n in names]] = ws
-    losses = model.predict_rows(W)
+    losses = model.booster.predict(W)
     points = list(zip(a.ravel().tolist(), b.ravel().tolist(), losses.tolist()))
     return Landscape(components, explained, projections, points)

@@ -16,7 +16,6 @@ import logging
 import math
 import shutil
 import subprocess
-import sys
 from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -25,11 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CampaignError, FieldError, TrainerError, ValidationError
+from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number
 from .matrix import ScoreMatrix
 from .selection import SelectionPlan, WeightVector, select_top_k
 
 logger = logging.getLogger(__name__)
+
+# A campaign aborts once more than this share of its n experiments fail.
+_MAX_FAILURE_RATE = 0.2
 
 
 def flops_train(params_nominal: float, tokens: float) -> float:
@@ -234,15 +236,6 @@ class CommandTrainer:
         return loss
 
 
-def _is_finite_number(value: object) -> bool:
-    """A JSON number that a float holds: not a bool, NaN, infinite or too large."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
-
-
 @dataclass
 class ExperimentRecord:
     """One (weight vector, validation loss) observation."""
@@ -261,12 +254,16 @@ class ExperimentRecord:
     def from_json(cls, line: str) -> "ExperimentRecord":
         obj = json.loads(line)
         loss, status, weights = obj["loss"], obj["status"], obj["weights"]
-        if not (_is_finite_number(loss) or (loss is None and status == "failed")):
-            raise ValueError(f"loss {loss!r} is not a finite number or null for a failed record")
+        ok = status == "ok" and is_finite_number(loss)
+        if not (ok or (status == "failed" and loss is None)):
+            raise ValueError(
+                f"status {status!r} with loss {loss!r}: need 'ok' with a finite number "
+                "or 'failed' with null"
+            )
         if not isinstance(weights, dict):
             raise ValueError(f"weights {weights!r} is not an object")
         for name, value in weights.items():
-            if not _is_finite_number(value):
+            if not is_finite_number(value):
                 raise ValueError(f"weight {name!r} = {value!r} is not a finite number")
         return cls(
             experiment_id=obj["experiment_id"],
@@ -344,7 +341,6 @@ def run_campaign(
     proxy_config: ProxyConfig | None = None,
     valset: str = "",
     threads: int = 1,
-    max_failure_rate: float = 0.2,
 ) -> list[ExperimentRecord]:
     """Run (or resume) a campaign of ``n`` proxy experiments.
 
@@ -353,7 +349,7 @@ def run_campaign(
     already present in the log are skipped, once each is checked to be one
     of this campaign's, and a torn last line is cut. Trainer failures are
     recorded and the campaign continues, but aborts once failures exceed
-    ``max_failure_rate`` of n. Records are appended to the log in
+    ``_MAX_FAILURE_RATE`` of n. Records are appended to the log in
     experiment order regardless of worker count. On any exception (the
     budget's CampaignError, or anything but a TrainerError from the
     trainer) queued experiments are cancelled, and those already running
@@ -418,7 +414,7 @@ def run_campaign(
         )
 
     failures = sum(1 for r in existing.values() if r.status == "failed")
-    failure_budget = max_failure_rate * n
+    failure_budget = _MAX_FAILURE_RATE * n
     new_records: list[ExperimentRecord] = []
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
         max_workers=max(1, threads)
@@ -435,7 +431,7 @@ def run_campaign(
                     if failures > failure_budget:
                         raise CampaignError(
                             f"{failures} trainer failures exceed "
-                            f"{max_failure_rate:.0%} of n={n}"
+                            f"{_MAX_FAILURE_RATE:.0%} of n={n}"
                         )
         except BaseException:
             # A resume reruns the experiments that were running unlogged.

@@ -166,7 +166,9 @@ class TestAnnotate:
             # all 25 scores, in canonical column order
             assert list(rec["scores"]) == expected
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, '"4"', "true"]
+    )
     def test_non_finite_rating_rejected(self, tmp_path, capsys, literal):
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
         (tmp_path / "ratings.jsonl").write_text(
@@ -183,6 +185,29 @@ class TestAnnotate:
         assert err["error"] == "ValidationError"
         assert "ratings.jsonl:2" in err["message"]
         assert not (tmp_path / "out" / "annotated.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"doc_id": 1, "rater": "Fluency", "value": 4',
+            '"doc_id": "d0001", "rater": null, "value": 4',
+        ],
+        ids=["int-doc-id", "null-rater"],
+    )
+    def test_rating_ids_must_be_strings(self, tmp_path, capsys, fields):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+        (tmp_path / "ratings.jsonl").write_text(
+            '{"doc_id": "d0000", "rater": "Fluency", "value": 3}\n' f"{{{fields}}}\n"
+        )
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": False, "ratings": {"files": ["ratings.jsonl"], "min_coverage": 0.0}},
+        )
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"{tmp_path / 'ratings.jsonl'}:2: bad annotation" in err["message"]
 
     def test_coverage_threshold_enforced(self, tmp_path, capsys):
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=20)
@@ -336,7 +361,13 @@ class TestSelect:
 
     @pytest.mark.parametrize(
         "content, cause",
-        [("{not json", "JSONDecodeError"), ('[{"weight": 1.0}]', "KeyError")],
+        [
+            ("{not json", "JSONDecodeError"),
+            ('[{"weight": 1.0}]', "KeyError"),
+            ('[{"name": "ch0", "weight": "1"}]', "'ch0' = '1' is not a finite number"),
+            ('[{"name": "ch0", "weight": true}]', "'ch0' = True is not a finite number"),
+            ('[{"name": "ch0", "weight": NaN}]', "'ch0' = nan is not a finite number"),
+        ],
     )
     def test_malformed_weights_file(self, tmp_path, capsys, content, cause):
         config = synth_config(tmp_path)
@@ -490,9 +521,12 @@ class TestCampaignAndFit:
             ("weights", '{"ch0": "0.5"}'),
             ("weights", '{"ch0": NaN}'),
             ("weights", "[1.0]"),
+            ("status", '"OK"'),
+            ("status", '"failed"'),
+            ("status", "null"),
         ],
         ids=["nan", "infinity", "string", "bool", "huge-int", "null-on-ok", "string-weight",
-             "nan-weight", "weights-list"],
+             "nan-weight", "weights-list", "upper-case-ok", "failed-with-loss", "null-status"],
     )
     def test_fit_bad_log_value_fails(self, tmp_path, capsys, field, value):
         good = {"experiment_id": "exp-0000", "weights": {"ch0": 1.0}, "loss": 1.0, "status": "ok"}
@@ -513,8 +547,14 @@ class TestCampaignAndFit:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("loss", "NaN"), ("loss", "Infinity"), ("loss", '"abc"'), ("weight", '"0.5"')],
-        ids=["nan", "infinity", "string-loss", "string-weight"],
+        [
+            ("loss", "NaN"),
+            ("loss", "Infinity"),
+            ("loss", '"abc"'),
+            ("weight", '"0.5"'),
+            ("status", '"OK"'),
+        ],
+        ids=["nan", "infinity", "string-loss", "string-weight", "upper-case-ok"],
     )
     def test_campaign_resume_bad_log_value_fails(self, tmp_path, capsys, field, value):
         config = self.oracle_config(tmp_path, n=4)
@@ -522,10 +562,10 @@ class TestCampaignAndFit:
         assert run_cli("campaign", "--config", str(config)) == 0
         lines = (out / "campaign.jsonl").read_text().splitlines(keepends=True)
         record = json.loads(lines[1])
-        if field == "loss":
-            record["loss"] = "@"
-        else:
+        if field == "weight":
             record["weights"][next(iter(record["weights"]))] = "@"
+        else:
+            record[field] = "@"
         lines[1] = json.dumps(record).replace('"@"', value) + "\n"
         broken = "".join(lines)
         (out / "campaign.jsonl").write_text(broken)
@@ -593,3 +633,36 @@ class TestErrorSurface:
     def test_missing_corpus(self, tmp_path, capsys):
         config = write_config(tmp_path / "cfg.json", corpus={"path": "ghost.jsonl"})
         assert run_cli("annotate", "--config", str(config)) == 1
+
+    @pytest.mark.parametrize("command", ["annotate", "select", "campaign", "correlate"])
+    def test_missing_corpus_is_validation_error(self, tmp_path, capsys, command):
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "ghost.jsonl"},
+            plan={"token_budget": 100},
+        )
+        weights = tmp_path / "weights.json"
+        weights.write_text('[{"name": "s", "weight": 1}]')
+        flags = ["--weights", str(weights)] if command == "select" else []
+        for path, extra in ((tmp_path / "ghost.jsonl", []),
+                            (tmp_path / "flag.jsonl", ["--corpus", str(tmp_path / "flag.jsonl")])):
+            assert run_cli(command, "--config", str(config), *flags, *extra) == 1
+            err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert err == {"error": "ValidationError",
+                           "message": f"corpus file {path} does not exist"}
+
+
+@pytest.mark.parametrize("command", ["select", "campaign", "correlate"])
+def test_downstream_rejected_line_is_logged(tmp_path, capsys, caplog, command):
+    trainer = {"type": "oracle", "w_star": {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2}}
+    config = synth_config(tmp_path, n_docs=60, budget=500,
+                          extra={"campaign": {"n": 2, "trainer": trainer}})
+    corpus = tmp_path / "synth.jsonl"
+    lines = corpus.read_text().splitlines(keepends=True)
+    corpus.write_text("".join(lines[:2]) + '{"id": "bad"}\n' + "".join(lines[2:]))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps([{"name": f"ch{j}", "weight": 1} for j in range(3)]))
+    flags = ["--weights", str(weights)] if command == "select" else []
+    assert run_cli(command, "--config", str(config), *flags) == 0
+    assert f"{corpus}:3 rejected: missing 'text'" in caplog.text
+    assert f"corpus read {corpus}: 60 records read, 1 rejected" in caplog.text

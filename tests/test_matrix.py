@@ -227,3 +227,17 @@ class TestMatrixIO:
         assert matrix.domains.tolist() == ["Books", "C4"]
         assert matrix.tokens.tolist() == [2, 1]
         assert matrix.id_order.tolist() == [1, 0]
+
+    def test_from_documents_leaves_missing_cells_nan(self):
+        docs = [
+            make_doc("a", "x", scores={"s": 1.0, "t": 2.5}),
+            make_doc("b", "x"),
+            make_doc("c", "x", scores={"t": -3.0}),
+        ]
+        raw = ScoreMatrix.from_documents(docs, ["t", "s", "u"]).raw
+        assert raw.dtype == np.float64
+        np.testing.assert_array_equal(
+            raw, [[2.5, 1.0, np.nan], [np.nan] * 3, [-3.0, np.nan, np.nan]]
+        )
+        assert ScoreMatrix.from_documents([], ["t", "s"]).raw.shape == (0, 2)
+        assert ScoreMatrix.from_documents(docs, []).raw.shape == (3, 0)
