@@ -27,8 +27,10 @@ from .matrix import (
     correlation_csv,
     impute_missing,
     ingest_ratings,
+    load_score_store,
     rank_normalize,
     spearman_matrix,
+    write_score_store,
 )
 from .optimizer import fit_regressor, pca_landscape, read_weights, search_optimal, write_weights
 from .proxy import (
@@ -158,19 +160,19 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
             for doc, row in zip(docs, matrix.raw.tolist())
         ]
     write_corpus(docs, out_path)
+    write_score_store(out_path, docs, cfg.corpus)
     print(json.dumps({"annotated": len(docs), "scores": names, "output": str(out_path)}))
     return 0
 
 
 def _load_scored_matrix(cfg: RunConfig, args: argparse.Namespace) -> ScoreMatrix:
+    """The normalized matrix of the corpus's score store; the JSONL is not parsed."""
     corpus_path = _corpus_path(cfg, args)
-    docs = _load_logged(corpus_path, cfg)
-    if not docs:
+    matrix = load_score_store(corpus_path, cfg.corpus)
+    if not matrix.n_docs:
         raise ValidationError(f"corpus {corpus_path} has no valid documents")
-    names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
-    if not names:
+    if not matrix.score_names:
         raise ValidationError("corpus documents carry no scores; run annotate first")
-    matrix = ScoreMatrix.from_documents(docs, names)
     impute_missing(matrix)
     return rank_normalize(matrix, cfg.optimizer.normalization)
 
@@ -286,12 +288,18 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
-    """Generate a deterministic synthetic corpus from the config recipe."""
+    """Generate a deterministic synthetic corpus and its score store from the
+    config recipe."""
     if cfg.synthesis is None:
         raise ValidationError("config has no synthesis section")
+    unknown = sorted(set(cfg.synthesis.domain_mix) - set(cfg.corpus.domains))
+    if unknown:
+        raise ValidationError(f"synthesis.domain_mix: domains {unknown} are not in corpus.domains")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
-    counts = synthesize_corpus(cfg.synthesis, cfg.seed, out_path)
+    counts, docs = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)
+    write_corpus(docs, out_path)
+    write_score_store(out_path, docs, cfg.corpus)
     print(json.dumps({"documents": sum(counts.values()), "per_domain": counts, "output": str(out_path)}))
     return 0
 

@@ -146,7 +146,7 @@ def _value(hint, value: object, path: str, base_dir: Path):
         return None if value is None else _value(inner, value, path, base_dir)
     if hint is WeightVector:
         mapping = _value(dict[str, float], value, path, base_dir)
-        return _checked(path, WeightVector.from_mapping, mapping, normalize=True)
+        return _checked(path, WeightVector.from_mapping, mapping)
     if is_dataclass(hint):
         return _build(hint, value, path, base_dir)
     if origin is Literal:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusError, FieldError, ValidationError
+from .errors import CorpusError, FieldError, ValidationError, is_finite_number
 from .registry import DEFAULT_DOMAINS, DEFAULT_DOMAIN_WEIGHTS
 
 # Estimated tokens per character for the character-ratio estimator: the
@@ -117,10 +117,8 @@ def _parse_record(obj: object, schema: CorpusSchema) -> Document:
         if not isinstance(scores, dict):
             raise ValueError("'scores' is not an object")
         for name, value in scores.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"score {name!r} is not a number")
-            if not math.isfinite(value):
-                raise ValueError(f"score {name!r} is not finite")
+            if not is_finite_number(value):
+                raise ValueError(f"score {name!r} = {value!r} is not a finite number")
         scores = {name: float(value) for name, value in scores.items()}
     return Document(doc_id, text, domain, schema.estimate_tokens(text), scores)
 
@@ -149,7 +147,7 @@ def read_corpus(
             try:
                 obj = json.loads(line)
                 doc = _parse_record(obj, schema)
-            except (json.JSONDecodeError, ValueError, OverflowError) as exc:
+            except (json.JSONDecodeError, ValueError) as exc:
                 if report is not None:
                     report.add(line_no, str(exc))
                 continue
@@ -300,14 +298,16 @@ def _synth_text(rng: np.random.Generator, n_words: int) -> str:
 
 
 def synthesize_corpus(
-    spec: SynthesisSpec, seed: int, path: str | Path
-) -> dict[str, int]:
-    """Generate a corpus file from ``spec``; bitwise deterministic per seed.
+    spec: SynthesisSpec, seed: int, schema: CorpusSchema | None = None
+) -> tuple[dict[str, int], list[Document]]:
+    """Generate a corpus from ``spec``; bitwise deterministic per seed.
 
     Domain counts follow largest-remainder apportionment of the declared
     mix (each within one document of the exact share); the domain sequence
-    is then shuffled so domains interleave. Returns per-domain counts.
+    is then shuffled so domains interleave. Token estimates follow
+    ``schema``. Returns the per-domain counts and the documents in order.
     """
+    schema = schema or CorpusSchema()
     rng = np.random.default_rng(seed)
     counts = apportion(spec.domain_mix, spec.doc_count)
     tags: list[str] = []
@@ -316,21 +316,19 @@ def synthesize_corpus(
     rng.shuffle(tags)
 
     channel_names = list(spec.channels)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, domain in enumerate(tags):
-            latent = float(rng.normal())
-            n_words = max(1, int(round(float(rng.lognormal(math.log(spec.token_mean), spec.token_sigma)))))
-            text = _synth_text(rng, n_words)
-            scores: dict[str, float] = {}
-            for name in channel_names:
-                ch = spec.channels[name]
-                eps = float(rng.normal())
-                scores[name] = ch.offset + ch.scale * (ch.loading * latent + ch.noise * eps)
-            if spec.latent_name is not None:
-                scores[spec.latent_name] = latent
-            record: dict[str, object] = {"id": f"doc-{i:06d}", "text": text, "domain": domain}
-            if scores:
-                record["scores"] = scores
-            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
-    return counts
+    docs: list[Document] = []
+    for i, domain in enumerate(tags):
+        latent = float(rng.normal())
+        n_words = max(1, int(round(float(rng.lognormal(math.log(spec.token_mean), spec.token_sigma)))))
+        text = _synth_text(rng, n_words)
+        scores: dict[str, float] = {}
+        for name in channel_names:
+            ch = spec.channels[name]
+            eps = float(rng.normal())
+            scores[name] = ch.offset + ch.scale * (ch.loading * latent + ch.noise * eps)
+        if spec.latent_name is not None:
+            scores[spec.latent_name] = latent
+        docs.append(
+            Document(f"doc-{i:06d}", text, domain, schema.estimate_tokens(text), scores or None)
+        )
+    return counts, docs

@@ -7,20 +7,27 @@ columns are rank-normalized to [0, 1] before weighting; a z-score mode
 exists for comparison. Model-based ratings may arrive with gaps and are
 imputed to the column median (flagged); signals and importance scores
 are computed locally and must be complete.
+
+The commands that write a scored corpus ``X.jsonl`` (annotate, synth) also
+write its score store ``X.scores.npz``: the raw matrix with its row and
+column labels, the corpus schema it was built under and the sha256 of the
+JSONL bytes. Downstream commands read only the store.
 """
 
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import CorpusSchema, Document
 from .errors import MatrixError, ValidationError
-from .registry import IMPORTANCE_NAMES, PRRC_NAMES, SIGNAL_NAMES
+from .registry import IMPORTANCE_NAMES, PRRC_NAMES, SIGNAL_NAMES, canonical_order
 
 # Columns that must be complete before normalization; everything else is
 # imputable (model-based ratings and ad hoc score channels).
@@ -120,6 +127,119 @@ class ScoreMatrix:
             [doc.token_estimate for doc in docs],
             raw,
         )
+
+
+def store_path(corpus_path: str | Path) -> Path:
+    """Where the score store of the corpus ``X.jsonl`` lives: ``X.scores.npz``."""
+    return Path(corpus_path).with_suffix(".scores.npz")
+
+
+def _file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+# Each stored array: its dtype (a kind letter for strings) and one letter
+# per axis; arrays sharing a letter must agree in that axis's length.
+_STORE_LAYOUT = {
+    "ids": ("U", "n"),
+    "domains": ("U", "n"),
+    "tokens": (np.int64, "n"),
+    "score_names": ("U", "m"),
+    "raw": (np.float64, "nm"),
+    "sha256": ("U", ""),
+    "token_estimator": ("U", ""),
+    "schema_domains": ("U", "d"),
+}
+
+
+def write_score_store(
+    corpus_path: str | Path, docs: Sequence[Document], schema: CorpusSchema
+) -> None:
+    """Write the score store of the corpus file ``corpus_path``, which holds ``docs``.
+
+    Its columns are the union of the documents' score names in canonical
+    order, with NaN where a document lacks a score: the raw matrix a
+    reader of the file under ``schema`` would build.
+    """
+    names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
+    matrix = ScoreMatrix.from_documents(docs, names)
+    for doc_id in matrix.doc_ids:
+        if doc_id.endswith("\0"):
+            raise ValidationError(f"doc id {doc_id!r} ends in NUL, which a score store cannot hold")
+    np.savez(
+        store_path(corpus_path),
+        ids=np.array(matrix.doc_ids, dtype=str),
+        domains=matrix.domains,
+        tokens=matrix.tokens,
+        score_names=np.array(names, dtype=str),
+        raw=matrix.raw,
+        sha256=np.array(_file_sha256(corpus_path)),
+        token_estimator=np.array(schema.token_estimator),
+        schema_domains=np.array(schema.domains, dtype=str),
+    )
+
+
+def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatrix:
+    """Read the raw matrix of the corpus file ``corpus_path`` from its score store.
+
+    The store must exist, be a well-formed npz of the layout above, mirror
+    the file's current bytes and have been built under ``schema``. NaN
+    cells are missing scores; infinite ones are refused.
+    """
+    import zipfile  # numpy imports it lazily as well
+
+    path = store_path(corpus_path)
+    if not path.exists():
+        raise ValidationError(f"score store {path} does not exist; run annotate first")
+    try:
+        store = np.load(path, allow_pickle=False)
+        if not isinstance(store, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with store:
+            arrays = {name: store[name] for name in _STORE_LAYOUT}
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"score store {path} is not readable: {exc}") from None
+    sizes: dict[str, int] = {}
+    for name, (dtype, axes) in _STORE_LAYOUT.items():
+        arr = arrays[name]
+        ok = arr.dtype.kind == "U" if dtype == "U" else arr.dtype == dtype
+        ok = ok and arr.ndim == len(axes)
+        ok = ok and all(sizes.setdefault(axis, size) == size for axis, size in zip(axes, arr.shape))
+        if not ok:
+            raise ValidationError(
+                f"score store {path}: array {name!r} has dtype {arr.dtype} and shape {arr.shape}"
+            )
+    if str(arrays["sha256"]) != _file_sha256(corpus_path):
+        raise ValidationError(
+            f"score store {path} does not match {corpus_path}, "
+            "which changed after the store was written; run annotate again"
+        )
+    # Only the set of domains decides which lines a reader keeps.
+    for key, built, wanted in (
+        ("token_estimator", str(arrays["token_estimator"]), schema.token_estimator),
+        ("domains", sorted(set(arrays["schema_domains"].tolist())), sorted(set(schema.domains))),
+    ):
+        if built != wanted:
+            raise ValidationError(
+                f"score store {path} was built under corpus.{key} {built!r}, "
+                f"this config has {wanted!r}; run annotate again"
+            )
+    raw = arrays["raw"]
+    infinite = np.isinf(raw).any(axis=0)
+    if infinite.any():
+        name = str(arrays["score_names"][int(np.argmax(infinite))])
+        raise ValidationError(f"score store {path}: column {name!r} holds an infinite score")
+    return ScoreMatrix(
+        arrays["score_names"].tolist(),
+        arrays["ids"].tolist(),
+        arrays["domains"],
+        arrays["tokens"],
+        raw,
+    )
 
 
 def ingest_ratings(

@@ -161,7 +161,7 @@ def read_weights(path: str | Path) -> WeightVector:
             raise ValidationError(
                 f"malformed weights file {path}: {type(exc).__name__}: {exc}"
             ) from exc
-    return WeightVector.from_mapping(mapping, normalize=True)
+    return WeightVector.from_mapping(mapping)
 
 
 @dataclass

@@ -51,19 +51,16 @@ class WeightVector:
             raise ValidationError(f"weights sum to {total!r}, expected 1 within {SIMPLEX_TOL}")
 
     @classmethod
-    def from_mapping(
-        cls, mapping: Mapping[str, float], normalize: bool = False
-    ) -> "WeightVector":
+    def from_mapping(cls, mapping: Mapping[str, float]) -> "WeightVector":
+        """Weights in ``mapping``'s order, scaled to sum to 1."""
         names = tuple(mapping)
         values = np.array([float(mapping[n]) for n in names])
-        if normalize:
-            if (values < 0).any():
-                raise ValidationError("cannot normalize weights with negative entries")
-            total = values.sum()
-            if total <= 0:
-                raise ValidationError("cannot normalize an all-zero weight vector")
-            values = values / total
-        return cls(names, values)
+        if (values < 0).any():
+            raise ValidationError("cannot normalize weights with negative entries")
+        total = values.sum()
+        if total <= 0:
+            raise ValidationError("cannot normalize an all-zero weight vector")
+        return cls(names, values / total)
 
     @classmethod
     def uniform(cls, names: Sequence[str]) -> "WeightVector":
@@ -88,7 +85,7 @@ class WeightVector:
 
 def reference_weights() -> WeightVector:
     """The published learned weights fixture, projected onto the simplex."""
-    return WeightVector.from_mapping(REFERENCE_WEIGHT_PCT, normalize=True)
+    return WeightVector.from_mapping(REFERENCE_WEIGHT_PCT)
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ from hashlib import blake2b
 
 import numpy as np
 
-from qselect.corpus import Document
+from qselect.corpus import Document, load_corpus
 from qselect.errors import ValidationError
 from qselect.importance import HashedBagModel
+from qselect.matrix import ScoreMatrix, impute_missing, rank_normalize
+from qselect.registry import canonical_order
 
 
 def ref_words(text):
@@ -531,3 +533,17 @@ def ref_grow_tree(X, y, max_depth, min_leaf):
         np.asarray(right, dtype=np.int64),
         np.asarray(value),
     )
+
+
+def ref_load_scored_matrix(path, schema, normalization):
+    """The JSONL load the score store replaced: parse every line, build the
+    raw matrix from the documents' scores maps, impute, normalize."""
+    docs, _ = load_corpus(path, schema)
+    if not docs:
+        raise ValidationError(f"corpus {path} has no valid documents")
+    names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
+    if not names:
+        raise ValidationError("corpus documents carry no scores; run annotate first")
+    matrix = ScoreMatrix.from_documents(docs, names)
+    impute_missing(matrix)
+    return rank_normalize(matrix, normalization)

@@ -17,7 +17,14 @@ import numpy as np
 import pytest
 
 from qselect.cli import main as cli_main
-from qselect.corpus import Document, ScoreChannel, SynthesisSpec, load_corpus, synthesize_corpus
+from qselect.corpus import (
+    Document,
+    ScoreChannel,
+    SynthesisSpec,
+    load_corpus,
+    synthesize_corpus,
+    write_corpus,
+)
 from qselect.gbt import RegressorHyper
 from qselect.importance import features, fit_bag_model, importance_score
 from qselect.matrix import ScoreMatrix, rank_normalize, spearman_matrix
@@ -329,7 +336,7 @@ class TestCriterion7EndToEndSuperiority:
                 doc_count=1200, channels=channels, latent_name="_latent", token_mean=30.0
             )
             path = tmp_path / f"c{seed}.jsonl"
-            synthesize_corpus(spec, seed, path)
+            write_corpus(synthesize_corpus(spec, seed)[1], path)
             docs, _ = load_corpus(path)
             quality = {d.id: d.scores["_latent"] for d in docs}
             docs = [
@@ -463,7 +470,9 @@ class TestCriterion9Reproducibility:
             out_dir = tmp_path / "out"
             for name in (
                 "synth.jsonl",
+                "synth.scores.npz",
                 "annotated.jsonl",
+                "annotated.scores.npz",
                 "selection.txt",
                 "selection.json",
                 "campaign.jsonl",

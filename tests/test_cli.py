@@ -654,15 +654,25 @@ class TestErrorSurface:
 
 @pytest.mark.parametrize("command", ["select", "campaign", "correlate"])
 def test_downstream_rejected_line_is_logged(tmp_path, capsys, caplog, command):
+    # An edited corpus no longer matches its score store; annotate logs the
+    # rejected line and writes the store the downstream command reads.
     trainer = {"type": "oracle", "w_star": {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2}}
     config = synth_config(tmp_path, n_docs=60, budget=500,
-                          extra={"campaign": {"n": 2, "trainer": trainer}})
+                          extra={"campaign": {"n": 2, "trainer": trainer},
+                                 "scores": {"signals": False}})
     corpus = tmp_path / "synth.jsonl"
     lines = corpus.read_text().splitlines(keepends=True)
     corpus.write_text("".join(lines[:2]) + '{"id": "bad"}\n' + "".join(lines[2:]))
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps([{"name": f"ch{j}", "weight": 1} for j in range(3)]))
     flags = ["--weights", str(weights)] if command == "select" else []
-    assert run_cli(command, "--config", str(config), *flags) == 0
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(config), *flags) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValidationError"
+    assert f"score store {tmp_path / 'synth.scores.npz'} does not match {corpus}" in err["message"]
+    assert run_cli("annotate", "--config", str(config)) == 0
     assert f"{corpus}:3 rejected: missing 'text'" in caplog.text
     assert f"corpus read {corpus}: 60 records read, 1 rejected" in caplog.text
+    annotated = tmp_path / "out" / "annotated.jsonl"
+    assert run_cli(command, "--config", str(config), *flags, "--corpus", str(annotated)) == 0

@@ -87,7 +87,7 @@ class TestReadCorpus:
         docs, report = load_corpus(f)
         assert [d.id for d in docs] == ["d1"]
         assert [e.line_no for e in report.errors] == [2, 3, 4, 5, 6]
-        assert all("not finite" in e.reason for e in report.errors[:4])
+        assert all("is not a finite number" in e.reason for e in report.errors)
 
     def test_duplicate_id_hard_error(self, tmp_path):
         f = tmp_path / "c.jsonl"
@@ -187,7 +187,8 @@ class TestApportion:
 class TestSynthesize:
     def test_domain_mix_within_one_doc(self, tmp_path):
         f = tmp_path / "synth.jsonl"
-        counts = synthesize_corpus(SynthesisSpec(doc_count=700), seed=3, path=f)
+        counts, synthesized = synthesize_corpus(SynthesisSpec(doc_count=700), seed=3)
+        write_corpus(synthesized, f)
         assert sum(counts.values()) == 700
         for name, p in DEFAULT_DOMAIN_WEIGHTS.items():
             assert abs(counts[name] - p * 700) <= 1.0
@@ -198,6 +199,7 @@ class TestSynthesize:
         for d in docs:
             observed[d.domain] = observed.get(d.domain, 0) + 1
         assert observed == counts
+        assert docs == synthesized
 
     def test_deterministic_bytes(self, tmp_path):
         spec = SynthesisSpec(
@@ -207,17 +209,17 @@ class TestSynthesize:
         )
         f1 = tmp_path / "a.jsonl"
         f2 = tmp_path / "b.jsonl"
-        synthesize_corpus(spec, seed=11, path=f1)
-        synthesize_corpus(spec, seed=11, path=f2)
+        write_corpus(synthesize_corpus(spec, seed=11)[1], f1)
+        write_corpus(synthesize_corpus(spec, seed=11)[1], f2)
         assert f1.read_bytes() == f2.read_bytes()
         f3 = tmp_path / "c.jsonl"
-        synthesize_corpus(spec, seed=12, path=f3)
+        write_corpus(synthesize_corpus(spec, seed=12)[1], f3)
         assert f1.read_bytes() != f3.read_bytes()
 
     def test_single_domain(self, tmp_path):
         f = tmp_path / "synth.jsonl"
         spec = SynthesisSpec(doc_count=40, domain_mix={"Books": 1.0})
-        synthesize_corpus(spec, seed=0, path=f)
+        write_corpus(synthesize_corpus(spec, seed=0)[1], f)
         docs, _ = load_corpus(f)
         assert all(d.domain == "Books" for d in docs)
 
@@ -238,7 +240,7 @@ class TestSynthesize:
                 "imp_b": ScoreChannel(loading=1.0, noise=0.1),
             },
         )
-        synthesize_corpus(spec, seed=5, path=f)
+        write_corpus(synthesize_corpus(spec, seed=5)[1], f)
         docs, _ = load_corpus(f)
         a = np.array([d.scores["imp_a"] for d in docs])
         b = np.array([d.scores["imp_b"] for d in docs])

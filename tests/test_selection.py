@@ -101,7 +101,7 @@ class TestWeightVector:
             WeightVector(("a", "b"), np.array([0.6, 0.6]))
 
     def test_normalize_from_mapping(self):
-        w = WeightVector.from_mapping({"a": 2.0, "b": 6.0}, normalize=True)
+        w = WeightVector.from_mapping({"a": 2.0, "b": 6.0})
         assert w.as_mapping() == {"a": 0.25, "b": 0.75}
 
     def test_uniform(self):
