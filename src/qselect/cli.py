@@ -89,12 +89,12 @@ def _corpus_path(cfg: RunConfig, args: argparse.Namespace) -> Path:
 
 def _load_logged(path: Path, cfg: RunConfig):
     """Load a corpus, logging each rejected line with its path and number."""
-    docs, report = load_corpus(path, cfg.corpus)
+    corpus, report = load_corpus(path, cfg.corpus)
     for err in report.errors:
         logger.warning("%s:%d rejected: %s", path, err.line_no, err.reason)
     if report.errors:
         logger.warning("corpus read %s: %s", path, report.summary())
-    return docs
+    return corpus
 
 
 def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -108,7 +108,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
             if not target_path.exists():
                 raise ValidationError(f"importance target corpus {target_path} missing")
 
-    docs = _load_logged(_corpus_path(cfg, args), cfg)
+    corpus = _load_logged(_corpus_path(cfg, args), cfg)
 
     rating_names: list[str] = []
     annotations = []
@@ -117,27 +117,28 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         rating_names = sorted({a.rater for a in annotations})
 
     names = canonical_order(_annotated_names(cfg) + rating_names)
-    matrix = ScoreMatrix.from_documents(docs, names) if names else None
+    matrix = ScoreMatrix.from_documents(corpus, names)
+    column = matrix.score_names.index
 
     if cfg.scores.signals:
-        signal_cols = [names.index(name) for name in SIGNAL_NAMES]
-        for i, doc in enumerate(docs):
+        signal_cols = [column(name) for name in SIGNAL_NAMES]
+        for i, doc in enumerate(corpus.docs):
             signals = compute_signals(doc.text)
             matrix.raw[i, signal_cols] = [signals[name] for name in SIGNAL_NAMES]
 
     if imp is not None:
-        # The source corpus is hashed once; every target scores it with one gather.
-        source = hash_corpus(docs, imp.bucket_count, cfg.seed)
+        # The source corpus is hashed once; every target scores it by gathering at its buckets.
+        source = hash_corpus(corpus.docs, imp.bucket_count, cfg.seed)
         source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
         for target, target_path in imp.targets.items():
             target_model = fit_bag_model(
-                _load_logged(target_path, cfg), imp.bucket_count, cfg.seed, imp.smoothing
+                _load_logged(target_path, cfg).docs, imp.bucket_count, cfg.seed, imp.smoothing
             )
-            matrix.raw[:, names.index(f"{target}_importance")] = importance_scores(
+            matrix.raw[:, column(f"{target}_importance")] = importance_scores(
                 source, target_model, source_model
             )
 
-    if matrix is not None and annotations:
+    if annotations:
         ingest = ingest_ratings(matrix, annotations)
         coverage = ingest.coverage(matrix.n_docs)
         for rater, cov in sorted(coverage.items()):
@@ -148,20 +149,15 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         low = {r: c for r, c in coverage.items() if c < min_cov}
         if low:
             raise ValidationError(f"rating coverage below {min_cov}: {low}")
-        imputed = impute_missing(matrix)
+        imputed = impute_missing(matrix, names)
         if imputed:
             logger.warning("imputed %d missing rating cells to column medians", len(imputed))
 
     out_path = cfg.output_dir / "annotated.jsonl"
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if matrix is not None:
-        docs = [
-            doc.with_scores({**(doc.scores or {}), **dict(zip(names, row))})
-            for doc, row in zip(docs, matrix.raw.tolist())
-        ]
-    write_corpus(docs, out_path)
-    write_score_store(out_path, docs, cfg.corpus)
-    print(json.dumps({"annotated": len(docs), "scores": names, "output": str(out_path)}))
+    write_corpus(corpus, out_path, matrix, names)
+    write_score_store(out_path, matrix, cfg.corpus)
+    print(json.dumps({"annotated": len(corpus), "scores": names, "output": str(out_path)}))
     return 0
 
 
@@ -196,6 +192,8 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run the proxy-experiment loop and append to the campaign log."""
+    if args.threads < 0:
+        raise ValidationError(f"--threads must be at least 1 (0 uses campaign.threads), got {args.threads}")
     plan = cfg.require_plan()
     matrix = _load_scored_matrix(cfg, args)
     trainer = cfg.require_trainer()
@@ -297,9 +295,10 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValidationError(f"synthesis.domain_mix: domains {unknown} are not in corpus.domains")
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     out_path = Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
-    counts, docs = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)
-    write_corpus(docs, out_path)
-    write_score_store(out_path, docs, cfg.corpus)
+    counts, corpus = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)
+    matrix = ScoreMatrix.from_documents(corpus)
+    write_corpus(corpus, out_path, matrix)
+    write_score_store(out_path, matrix, cfg.corpus)
     print(json.dumps({"documents": sum(counts.values()), "per_domain": counts, "output": str(out_path)}))
     return 0
 

@@ -79,6 +79,10 @@ class CampaignConfig:
     threads: int = 1
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
 
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise FieldError("threads", f"must be at least 1, got {self.threads}")
+
 
 @dataclass
 class OptimizerConfig:

@@ -13,14 +13,19 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Iterator, Mapping
+from array import array
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CorpusError, FieldError, ValidationError, is_finite_number
 from .registry import DEFAULT_DOMAINS, DEFAULT_DOMAIN_WEIGHTS
+
+if TYPE_CHECKING:
+    from .matrix import ScoreMatrix
 
 # Estimated tokens per character for the character-ratio estimator: the
 # corpus this engine targets averages 0.77 characters per token.
@@ -51,11 +56,32 @@ class Document:
     text: str
     domain: str
     token_estimate: int
-    scores: dict[str, float] | None = None
 
-    def with_scores(self, scores: Mapping[str, float]) -> "Document":
-        """Return a copy with ``scores`` replacing the current map."""
-        return Document(self.id, self.text, self.domain, self.token_estimate, dict(scores))
+
+@dataclass
+class Corpus:
+    """Documents in file order, with their records' scores kept flat.
+
+    ``score_keys[i]`` is document ``i``'s score names in its record's order
+    (``None`` without a ``scores`` object), one shared tuple per key order;
+    their values are the next ``len(score_keys[i])`` floats of ``score_values``.
+    """
+
+    docs: list[Document] = field(default_factory=list)
+    score_keys: list[tuple[str, ...] | None] = field(default_factory=list)
+    score_values: array = field(default_factory=lambda: array("d"))
+    _key_orders: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __len__(self) -> int:
+        return len(self.docs)
+
+    def append(self, doc: Document, scores: Mapping[str, float] | None) -> None:
+        """Add ``doc`` and its scores map (finite numbers), which is not kept."""
+        keys = None if scores is None else tuple(scores)
+        keys = self._key_orders.setdefault(keys, keys)
+        self.score_values.extend(scores.values() if scores else ())
+        self.docs.append(doc)
+        self.score_keys.append(keys)
 
 
 @dataclass(frozen=True)
@@ -100,7 +126,7 @@ class ReadReport:
         return f"{self.records_ok} records read, {len(self.errors)} rejected"
 
 
-def _parse_record(obj: object, schema: CorpusSchema) -> Document:
+def _parse_record(obj: object, schema: CorpusSchema) -> tuple[Document, dict | None]:
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     doc_id = obj.get("id")
@@ -119,16 +145,15 @@ def _parse_record(obj: object, schema: CorpusSchema) -> Document:
         for name, value in scores.items():
             if not is_finite_number(value):
                 raise ValueError(f"score {name!r} = {value!r} is not a finite number")
-        scores = {name: float(value) for name, value in scores.items()}
-    return Document(doc_id, text, domain, schema.estimate_tokens(text), scores)
+    return Document(doc_id, text, domain, schema.estimate_tokens(text)), scores
 
 
 def read_corpus(
     path: str | Path,
     schema: CorpusSchema | None = None,
     report: ReadReport | None = None,
-) -> Iterator[Document]:
-    """Stream Documents from a JSONL corpus file in file order.
+) -> Iterator[tuple[Document, dict | None]]:
+    """Stream (Document, scores object or None) pairs from a JSONL corpus file in file order.
 
     Malformed lines (bad JSON, missing id/text, unknown domain, a score
     that is not a finite number) are recorded in ``report`` with their
@@ -146,7 +171,7 @@ def read_corpus(
                 continue
             try:
                 obj = json.loads(line)
-                doc = _parse_record(obj, schema)
+                doc, scores = _parse_record(obj, schema)
             except (json.JSONDecodeError, ValueError) as exc:
                 if report is not None:
                     report.add(line_no, str(exc))
@@ -156,30 +181,39 @@ def read_corpus(
             seen_ids.add(doc.id)
             if report is not None:
                 report.records_ok += 1
-            yield doc
+            yield doc, scores
 
 
 def load_corpus(
     path: str | Path, schema: CorpusSchema | None = None
-) -> tuple[list[Document], ReadReport]:
-    """Read a whole corpus into memory, returning documents and the error report."""
+) -> tuple[Corpus, ReadReport]:
+    """Read a whole corpus into memory, returning it and the error report."""
     report = ReadReport()
-    docs = list(read_corpus(path, schema, report))
-    return docs, report
+    corpus = Corpus()
+    for doc, scores in read_corpus(path, schema, report):
+        corpus.append(doc, scores)
+    return corpus, report
 
 
-def write_corpus(docs: Iterable[Document], path: str | Path) -> int:
-    """Write documents as JSONL with keys in fixed order. Returns the count."""
-    count = 0
+def write_corpus(
+    corpus: Corpus, path: str | Path, matrix: ScoreMatrix, added: Sequence[str] = ()
+) -> int:
+    """Write the corpus as JSONL with keys in fixed order. Returns the count.
+
+    A record's scores are its own names in its own order, then the names
+    of ``added`` it lacks, valued from its row of ``matrix`` (the corpus's
+    raw matrix); a record with neither gets no ``scores`` key.
+    """
+    col = {name: j for j, name in enumerate(matrix.score_names)}
     with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
+        for doc, keys, row in zip(corpus.docs, corpus.score_keys, matrix.raw):
             record: dict[str, object] = {"id": doc.id, "text": doc.text, "domain": doc.domain}
-            if doc.scores is not None:
-                record["scores"] = doc.scores
+            if keys is not None or added:
+                values = row.tolist()
+                record["scores"] = {name: values[col[name]] for name in (*(keys or ()), *added)}
             fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
             fh.write("\n")
-            count += 1
-    return count
+    return len(corpus)
 
 
 def apportion(proportions: Mapping[str, float], total: int) -> dict[str, int]:
@@ -299,13 +333,13 @@ def _synth_text(rng: np.random.Generator, n_words: int) -> str:
 
 def synthesize_corpus(
     spec: SynthesisSpec, seed: int, schema: CorpusSchema | None = None
-) -> tuple[dict[str, int], list[Document]]:
+) -> tuple[dict[str, int], Corpus]:
     """Generate a corpus from ``spec``; bitwise deterministic per seed.
 
     Domain counts follow largest-remainder apportionment of the declared
     mix (each within one document of the exact share); the domain sequence
     is then shuffled so domains interleave. Token estimates follow
-    ``schema``. Returns the per-domain counts and the documents in order.
+    ``schema``. Returns the per-domain counts and the corpus.
     """
     schema = schema or CorpusSchema()
     rng = np.random.default_rng(seed)
@@ -316,7 +350,7 @@ def synthesize_corpus(
     rng.shuffle(tags)
 
     channel_names = list(spec.channels)
-    docs: list[Document] = []
+    corpus = Corpus()
     for i, domain in enumerate(tags):
         latent = float(rng.normal())
         n_words = max(1, int(round(float(rng.lognormal(math.log(spec.token_mean), spec.token_sigma)))))
@@ -328,7 +362,7 @@ def synthesize_corpus(
             scores[name] = ch.offset + ch.scale * (ch.loading * latent + ch.noise * eps)
         if spec.latent_name is not None:
             scores[spec.latent_name] = latent
-        docs.append(
-            Document(f"doc-{i:06d}", text, domain, schema.estimate_tokens(text), scores or None)
+        corpus.append(
+            Document(f"doc-{i:06d}", text, domain, schema.estimate_tokens(text)), scores or None
         )
-    return counts, docs
+    return counts, corpus

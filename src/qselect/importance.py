@@ -10,9 +10,9 @@ log-ratio finite.
 Each corpus is hashed in one pass (``hash_corpus``): every text's
 features become one flat int32 array of buckets plus a feature count
 per text, and each distinct feature is hashed once per pass. A model is
-the ``bincount`` of those buckets. Scoring gathers the per-bucket
-log-ratio ``log p - log q`` at every bucket of the corpus once per
-target, then sums each text's slice, in feature order.
+the ``bincount`` of those buckets. Scoring gathers ``log p`` and
+``log q`` at every bucket of the corpus once per target and subtracts
+them, then sums each text's slice, in feature order.
 """
 
 from __future__ import annotations
@@ -124,9 +124,6 @@ class HashedBagModel:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def bucket_of(self, feature: str) -> int:
-        return _BucketCache(self.bucket_count, self.seed)[feature]
-
     def log_probs(self) -> np.ndarray:
         """Smoothed per-bucket log probabilities (cached)."""
         if self._log_probs is None:
@@ -178,7 +175,7 @@ def importance_scores(
     """
     _check_compatible(p, q)
     _check_compatible(p, corpus)
-    delta = (p.log_probs() - q.log_probs())[corpus.buckets]
+    delta = p.log_probs()[corpus.buckets] - q.log_probs()[corpus.buckets]
     return [float(delta[start:end].sum()) for start, end in corpus.spans()]
 
 

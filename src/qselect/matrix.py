@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusSchema, Document
+from .corpus import Corpus, CorpusSchema
 from .errors import MatrixError, ValidationError
 from .registry import IMPORTANCE_NAMES, PRRC_NAMES, SIGNAL_NAMES, canonical_order
 
@@ -106,20 +106,20 @@ class ScoreMatrix:
         return self._ids[rows].tolist()
 
     @classmethod
-    def from_documents(
-        cls, docs: Sequence[Document], score_names: Sequence[str]
-    ) -> "ScoreMatrix":
-        """Build a raw matrix from documents' attached scores maps.
+    def from_documents(cls, corpus: Corpus, added: Sequence[str] = ()) -> "ScoreMatrix":
+        """Build the raw matrix of a parsed corpus.
 
-        Missing cells stay NaN; call ingest_ratings / impute_missing before
-        normalizing.
+        Its columns are the records' score names and ``added`` in canonical
+        order; a cell whose record lacks the name is NaN. Call
+        ingest_ratings / impute_missing before normalizing.
         """
-        names = list(score_names)
-        # One row store per document; a list of all rows first would raise peak memory.
-        raw = np.empty((len(docs), len(names)))
-        for i, doc in enumerate(docs):
-            scores = doc.scores or {}
-            raw[i] = [scores.get(name, math.nan) for name in names]
+        names = canonical_order(set(added).union(*filter(None, set(corpus.score_keys))))
+        col = {name: j for j, name in enumerate(names)}
+        rows = np.repeat(np.arange(len(corpus)), [len(keys or ()) for keys in corpus.score_keys])
+        cols = [col[name] for keys in corpus.score_keys if keys for name in keys]
+        raw = np.full((len(corpus), len(names)), np.nan)
+        raw[rows, np.asarray(cols, dtype=np.intp)] = corpus.score_values
+        docs = corpus.docs
         return cls(
             names,
             [doc.id for doc in docs],
@@ -156,27 +156,23 @@ _STORE_LAYOUT = {
 }
 
 
-def write_score_store(
-    corpus_path: str | Path, docs: Sequence[Document], schema: CorpusSchema
-) -> None:
-    """Write the score store of the corpus file ``corpus_path``, which holds ``docs``.
+def write_score_store(corpus_path: str | Path, matrix: ScoreMatrix, schema: CorpusSchema) -> None:
+    """Write the score store of the corpus file ``corpus_path``, written from ``matrix``.
 
-    Its columns are the union of the documents' score names in canonical
-    order, with NaN where a document lacks a score: the raw matrix a
-    reader of the file under ``schema`` would build.
+    The store holds the raw matrix a reader of the file under ``schema``
+    would build: a file with no lines carries no score names.
     """
-    names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
-    matrix = ScoreMatrix.from_documents(docs, names)
     for doc_id in matrix.doc_ids:
         if doc_id.endswith("\0"):
             raise ValidationError(f"doc id {doc_id!r} ends in NUL, which a score store cannot hold")
+    names = matrix.score_names if matrix.n_docs else []
     np.savez(
         store_path(corpus_path),
         ids=np.array(matrix.doc_ids, dtype=str),
         domains=matrix.domains,
         tokens=matrix.tokens,
         score_names=np.array(names, dtype=str),
-        raw=matrix.raw,
+        raw=matrix.raw[:, : len(names)],
         sha256=np.array(_file_sha256(corpus_path)),
         token_estimator=np.array(schema.token_estimator),
         schema_domains=np.array(schema.domains, dtype=str),
@@ -274,15 +270,16 @@ def ingest_ratings(
     return report
 
 
-def impute_missing(matrix: ScoreMatrix) -> list[tuple[str, str]]:
-    """Fill remaining gaps with column medians; return the cells filled.
+def impute_missing(matrix: ScoreMatrix, names: Sequence[str] | None = None) -> list[tuple[str, str]]:
+    """Fill remaining gaps in the columns ``names`` (default: all) with
+    column medians; return the cells filled.
 
     Signal and importance columns are computed locally and must already be
     complete; a gap there is an upstream bug, not missing data.
     """
     flagged: list[tuple[str, str]] = []
-    for j, name in enumerate(matrix.score_names):
-        col = matrix.raw[:, j]
+    for name in matrix.score_names if names is None else names:
+        col = matrix.raw[:, matrix.score_names.index(name)]
         missing = np.isnan(col)
         if not missing.any():
             continue

@@ -16,7 +16,7 @@ import logging
 import math
 import shutil
 import subprocess
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
@@ -142,44 +142,6 @@ class OracleTrainer:
 
     def __call__(self, request: TrainerRequest) -> float:
         return oracle_loss(request.weights, self.spec)
-
-
-class SubsetOracleTrainer:
-    """Trainer stand-in that scores the selected subset.
-
-    Loss is ``base - mean(true quality of selected docs)`` plus optional
-    seeded noise keyed on the manifest contents, so the full
-    weights -> selection -> loss path is exercised without any training.
-    """
-
-    def __init__(
-        self,
-        quality_by_id: Mapping[str, float],
-        base: float = 2.0,
-        sigma: float = 0.0,
-        seed: int = 0,
-    ) -> None:
-        self.quality_by_id = dict(quality_by_id)
-        self.base = base
-        self.sigma = sigma
-        self.seed = seed
-
-    def loss_for_ids(self, ids: Sequence[str]) -> float:
-        if not ids:
-            return self.base
-        mean_quality = math.fsum(self.quality_by_id[i] for i in ids) / len(ids)
-        loss = self.base - mean_quality
-        if self.sigma > 0:
-            digest = blake2b("\n".join(ids).encode("utf-8"), digest_size=16).digest()
-            words = [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8)]
-            rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, *words])
-            loss += float(rng.normal(0.0, self.sigma))
-        return loss
-
-    def __call__(self, request: TrainerRequest) -> float:
-        with open(request.manifest_path, encoding="utf-8") as fh:
-            ids = [line.strip() for line in fh if line.strip()]
-        return self.loss_for_ids(ids)
 
 
 @dataclass(frozen=True)
@@ -417,7 +379,7 @@ def run_campaign(
     failure_budget = _MAX_FAILURE_RATE * n
     new_records: list[ExperimentRecord] = []
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
-        max_workers=max(1, threads)
+        max_workers=threads
     ) as pool:
         futures = [pool.submit(run_one, i, eid) for i, eid in pending]
         try:

@@ -28,13 +28,9 @@ def normalize_words(text: str) -> list[str]:
     return unicodedata.normalize("NFC", text).lower().split()
 
 
-def word_signals(text: str) -> dict[str, float]:
+def _word_signals(words: list[str]) -> dict[str, float]:
     """Word-stream signals: non-alphabetic fraction, mean length, uniqueness,
     unigram entropy (natural log), and word count."""
-    return _word_signals(normalize_words(text))
-
-
-def _word_signals(words: list[str]) -> dict[str, float]:
     n = len(words)
     if n == 0:
         return {
@@ -113,13 +109,9 @@ def _top_ngram_fraction(words: list[str], n: int) -> float:
     return min(1.0, best_count * sum(map(len, best_gram)) / sum(map(len, words)))
 
 
-def ngram_repetition(text: str) -> dict[str, float]:
+def _ngram_repetition(words: list[str]) -> dict[str, float]:
     """Fraction of document characters claimed by the most frequent word
     2-gram and 3-gram (non-whitespace characters, overlap counted)."""
-    return _ngram_repetition(normalize_words(text))
-
-
-def _ngram_repetition(words: list[str]) -> dict[str, float]:
     return {
         "doc_frac_chars_top_2gram": _top_ngram_fraction(words, 2),
         "doc_frac_chars_top_3gram": _top_ngram_fraction(words, 3),

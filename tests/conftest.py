@@ -1,4 +1,7 @@
+import math
 import sys
+from collections.abc import Mapping, Sequence
+from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +9,79 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qselect.corpus import Document
+from qselect.corpus import Corpus, Document
+from qselect.importance import _BucketCache
+from qselect.matrix import ScoreMatrix
+from qselect.proxy import TrainerRequest
+from qselect.signals import _ngram_repetition, _word_signals, normalize_words
 
 
-def make_doc(doc_id, text, domain="C4", scores=None):
-    return Document(doc_id, text, domain, len(text.split()), scores)
+def make_doc(doc_id, text, domain="C4"):
+    return Document(doc_id, text, domain, len(text.split()))
+
+
+def matrix_of_docs(records, names):
+    """The raw matrix of ``(Document, scores map or None)`` records over the
+    columns ``names``, in that order, NaN where a record lacks a name."""
+    corpus = Corpus()
+    for doc, scores in records:
+        corpus.append(doc, scores)
+    full = ScoreMatrix.from_documents(corpus, names)
+    cols = [full.score_names.index(name) for name in names]
+    return ScoreMatrix(names, full.doc_ids, full.domains, full.tokens, full.raw[:, cols])
+
+
+def word_signals(text):
+    """Word-stream signals of one text."""
+    return _word_signals(normalize_words(text))
+
+
+def ngram_repetition(text):
+    """Top 2-gram and 3-gram character fractions of one text."""
+    return _ngram_repetition(normalize_words(text))
+
+
+def bucket_of(model, feature):
+    """The bucket ``model`` hashes ``feature`` to."""
+    return _BucketCache(model.bucket_count, model.seed)[feature]
+
+
+class SubsetOracleTrainer:
+    """Trainer stand-in that scores the selected subset.
+
+    Loss is ``base - mean(true quality of selected docs)`` plus optional
+    seeded noise keyed on the manifest contents, so the full
+    weights -> selection -> loss path is exercised without any training.
+    """
+
+    def __init__(
+        self,
+        quality_by_id: Mapping[str, float],
+        base: float = 2.0,
+        sigma: float = 0.0,
+        seed: int = 0,
+    ) -> None:
+        self.quality_by_id = dict(quality_by_id)
+        self.base = base
+        self.sigma = sigma
+        self.seed = seed
+
+    def loss_for_ids(self, ids: Sequence[str]) -> float:
+        if not ids:
+            return self.base
+        mean_quality = math.fsum(self.quality_by_id[i] for i in ids) / len(ids)
+        loss = self.base - mean_quality
+        if self.sigma > 0:
+            digest = blake2b("\n".join(ids).encode("utf-8"), digest_size=16).digest()
+            words = [int.from_bytes(digest[i : i + 8], "little") for i in (0, 8)]
+            rng = np.random.default_rng([self.seed & 0xFFFFFFFFFFFFFFFF, *words])
+            loss += float(rng.normal(0.0, self.sigma))
+        return loss
+
+    def __call__(self, request: TrainerRequest) -> float:
+        with open(request.manifest_path, encoding="utf-8") as fh:
+            ids = [line.strip() for line in fh if line.strip()]
+        return self.loss_for_ids(ids)
 
 
 @pytest.fixture

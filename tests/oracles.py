@@ -7,20 +7,30 @@ helpers), so they can serve as oracles.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
 
 import numpy as np
 
-from qselect.corpus import Document, load_corpus
-from qselect.errors import ValidationError
-from qselect.importance import HashedBagModel
-from qselect.matrix import ScoreMatrix, impute_missing, rank_normalize
-from qselect.registry import canonical_order
+from qselect.corpus import Document, _synth_text, apportion
+from qselect.errors import ValidationError, is_finite_number
+from qselect.importance import HashedBagModel, fit_bag_model, hash_corpus, importance_scores
+from qselect.matrix import (
+    ScoreMatrix,
+    _file_sha256,
+    impute_missing,
+    ingest_ratings,
+    rank_normalize,
+    store_path,
+)
+from qselect.registry import SIGNAL_NAMES, canonical_order
+from qselect.signals import compute_signals
 
 
 def ref_words(text):
@@ -535,15 +545,192 @@ def ref_grow_tree(X, y, max_depth, min_leaf):
     )
 
 
+# The per-document score-dict path that annotate and synth took before
+# scores were parsed flat into one matrix: each record a Document with a
+# scores dict, a merged copy of every document, and a second matrix built
+# from those copies for the store. Its parsing, scoring and writing steps
+# are kept verbatim as the byte-level spec; logging and the coverage
+# threshold are left out.
+
+
+@dataclass(frozen=True)
+class RefDocument:
+    id: str
+    text: str
+    domain: str
+    token_estimate: int
+    scores: dict[str, float] | None = None
+
+    def with_scores(self, scores):
+        return RefDocument(self.id, self.text, self.domain, self.token_estimate, dict(scores))
+
+
+def _ref_parse_record(obj, schema):
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    doc_id = obj.get("id")
+    if not isinstance(doc_id, str) or not doc_id:
+        raise ValueError("missing or empty 'id'")
+    text = obj.get("text")
+    if not isinstance(text, str):
+        raise ValueError("missing 'text'")
+    domain = obj.get("domain")
+    if domain not in schema.domains:
+        raise ValueError(f"unknown domain {domain!r}")
+    scores = obj.get("scores")
+    if scores is not None:
+        if not isinstance(scores, dict):
+            raise ValueError("'scores' is not an object")
+        for name, value in scores.items():
+            if not is_finite_number(value):
+                raise ValueError(f"score {name!r} = {value!r} is not a finite number")
+        scores = {name: float(value) for name, value in scores.items()}
+    return RefDocument(doc_id, text, domain, schema.estimate_tokens(text), scores)
+
+
+def ref_load_corpus(path, schema):
+    """The valid records of a JSONL corpus as RefDocuments, in file order."""
+    docs = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                docs.append(_ref_parse_record(json.loads(line), schema))
+            except (json.JSONDecodeError, ValueError):
+                continue
+    return docs
+
+
+def ref_write_corpus(docs, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for doc in docs:
+            record = {"id": doc.id, "text": doc.text, "domain": doc.domain}
+            if doc.scores is not None:
+                record["scores"] = doc.scores
+            fh.write(json.dumps(record, ensure_ascii=False, separators=(",", ":")))
+            fh.write("\n")
+
+
+def ref_from_documents(docs, score_names):
+    names = list(score_names)
+    raw = np.empty((len(docs), len(names)))
+    for i, doc in enumerate(docs):
+        scores = doc.scores or {}
+        raw[i] = [scores.get(name, math.nan) for name in names]
+    return ScoreMatrix(
+        names,
+        [doc.id for doc in docs],
+        [doc.domain for doc in docs],
+        [doc.token_estimate for doc in docs],
+        raw,
+    )
+
+
+def ref_write_score_store(corpus_path, docs, schema):
+    names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
+    matrix = ref_from_documents(docs, names)
+    np.savez(
+        store_path(corpus_path),
+        ids=np.array(matrix.doc_ids, dtype=str),
+        domains=matrix.domains,
+        tokens=matrix.tokens,
+        score_names=np.array(names, dtype=str),
+        raw=matrix.raw,
+        sha256=np.array(_file_sha256(corpus_path)),
+        token_estimator=np.array(schema.token_estimator),
+        schema_domains=np.array(schema.domains, dtype=str),
+    )
+
+
+def ref_annotate(cfg, corpus_path, out_path):
+    """``annotate`` of ``corpus_path`` under the RunConfig ``cfg``, written
+    to ``out_path`` and its store; returns the rating coverage."""
+    from qselect.cli import _annotated_names, _read_annotations
+
+    docs = ref_load_corpus(corpus_path, cfg.corpus)
+    imp = cfg.scores.importance
+    rating_names = []
+    annotations = []
+    if cfg.scores.ratings is not None:
+        annotations = list(_read_annotations(cfg.scores.ratings.files))
+        rating_names = sorted({a.rater for a in annotations})
+
+    names = canonical_order(_annotated_names(cfg) + rating_names)
+    matrix = ref_from_documents(docs, names) if names else None
+
+    if cfg.scores.signals:
+        signal_cols = [names.index(name) for name in SIGNAL_NAMES]
+        for i, doc in enumerate(docs):
+            signals = compute_signals(doc.text)
+            matrix.raw[i, signal_cols] = [signals[name] for name in SIGNAL_NAMES]
+
+    if imp is not None:
+        texts = [doc.text for doc in docs]
+        source = hash_corpus(texts, imp.bucket_count, cfg.seed)
+        source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
+        for target, target_path in imp.targets.items():
+            target_texts = [doc.text for doc in ref_load_corpus(target_path, cfg.corpus)]
+            target_model = fit_bag_model(target_texts, imp.bucket_count, cfg.seed, imp.smoothing)
+            matrix.raw[:, names.index(f"{target}_importance")] = importance_scores(
+                source, target_model, source_model
+            )
+
+    coverage = {}
+    if matrix is not None and annotations:
+        coverage = ingest_ratings(matrix, annotations).coverage(matrix.n_docs)
+        impute_missing(matrix)
+
+    if matrix is not None:
+        docs = [
+            doc.with_scores({**(doc.scores or {}), **dict(zip(names, row))})
+            for doc, row in zip(docs, matrix.raw.tolist())
+        ]
+    ref_write_corpus(docs, out_path)
+    ref_write_score_store(out_path, docs, cfg.corpus)
+    return coverage
+
+
+def ref_synth(cfg, out_path):
+    """``synth`` under the RunConfig ``cfg``, written to ``out_path`` and its store."""
+    spec, schema = cfg.synthesis, cfg.corpus
+    rng = np.random.default_rng(cfg.seed)
+    counts = apportion(spec.domain_mix, spec.doc_count)
+    tags = []
+    for name, count in counts.items():
+        tags.extend([name] * count)
+    rng.shuffle(tags)
+
+    channel_names = list(spec.channels)
+    docs = []
+    for i, domain in enumerate(tags):
+        latent = float(rng.normal())
+        n_words = max(1, int(round(float(rng.lognormal(math.log(spec.token_mean), spec.token_sigma)))))
+        text = _synth_text(rng, n_words)
+        scores = {}
+        for name in channel_names:
+            ch = spec.channels[name]
+            eps = float(rng.normal())
+            scores[name] = ch.offset + ch.scale * (ch.loading * latent + ch.noise * eps)
+        if spec.latent_name is not None:
+            scores[spec.latent_name] = latent
+        docs.append(
+            RefDocument(f"doc-{i:06d}", text, domain, schema.estimate_tokens(text), scores or None)
+        )
+    ref_write_corpus(docs, out_path)
+    ref_write_score_store(out_path, docs, schema)
+
+
 def ref_load_scored_matrix(path, schema, normalization):
     """The JSONL load the score store replaced: parse every line, build the
     raw matrix from the documents' scores maps, impute, normalize."""
-    docs, _ = load_corpus(path, schema)
+    docs = ref_load_corpus(path, schema)
     if not docs:
         raise ValidationError(f"corpus {path} has no valid documents")
     names = canonical_order({name for doc in docs if doc.scores for name in doc.scores})
     if not names:
         raise ValidationError("corpus documents carry no scores; run annotate first")
-    matrix = ScoreMatrix.from_documents(docs, names)
+    matrix = ref_from_documents(docs, names)
     impute_missing(matrix)
     return rank_normalize(matrix, normalization)

@@ -17,14 +17,7 @@ import numpy as np
 import pytest
 
 from qselect.cli import main as cli_main
-from qselect.corpus import (
-    Document,
-    ScoreChannel,
-    SynthesisSpec,
-    load_corpus,
-    synthesize_corpus,
-    write_corpus,
-)
+from qselect.corpus import Document, ScoreChannel, SynthesisSpec, synthesize_corpus
 from qselect.gbt import RegressorHyper
 from qselect.importance import features, fit_bag_model, importance_score
 from qselect.matrix import ScoreMatrix, rank_normalize, spearman_matrix
@@ -37,7 +30,6 @@ from qselect.optimizer import (
 from qselect.proxy import (
     ExperimentRecord,
     OracleSpec,
-    SubsetOracleTrainer,
     oracle_loss,
     run_campaign,
     sample_weights,
@@ -52,7 +44,7 @@ from qselect.selection import (
 )
 from qselect.signals import compute_signals
 
-from conftest import mixed_language_fixture, random_text
+from conftest import SubsetOracleTrainer, bucket_of, mixed_language_fixture, random_text
 from oracles import ref_all_signals, ref_dot, ref_spearman, ref_unhashed_log_ratio
 
 
@@ -167,7 +159,7 @@ class TestCriterion4Importance:
         feats = set()
         for t in p_texts + q_texts + score_texts:
             feats.update(features(t))
-        collision_free = len({p.bucket_of(f) for f in feats}) == len(feats)
+        collision_free = len({bucket_of(p, f) for f in feats}) == len(feats)
         equiv_ok = all(
             abs(
                 importance_score(t, p, q)
@@ -335,15 +327,13 @@ class TestCriterion7EndToEndSuperiority:
             spec = SynthesisSpec(
                 doc_count=1200, channels=channels, latent_name="_latent", token_mean=30.0
             )
-            path = tmp_path / f"c{seed}.jsonl"
-            write_corpus(synthesize_corpus(spec, seed)[1], path)
-            docs, _ = load_corpus(path)
-            quality = {d.id: d.scores["_latent"] for d in docs}
-            docs = [
-                d.with_scores({k: v for k, v in d.scores.items() if k != "_latent"})
-                for d in docs
-            ]
-            matrix = rank_normalize(ScoreMatrix.from_documents(docs, names))
+            full = ScoreMatrix.from_documents(synthesize_corpus(spec, seed)[1])
+            latent = full.raw[:, full.score_names.index("_latent")]
+            quality = dict(zip(full.doc_ids, latent.tolist()))
+            raw = full.raw[:, [full.score_names.index(name) for name in names]]
+            matrix = rank_normalize(
+                ScoreMatrix(names, full.doc_ids, full.domains, full.tokens, raw)
+            )
             plan = SelectionPlan(8000)
             trainer = SubsetOracleTrainer(quality, base=2.0, sigma=0.01, seed=seed)
             records = run_campaign(

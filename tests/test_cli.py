@@ -440,6 +440,14 @@ class TestCampaignAndFit:
         run_cli("campaign", "--config", str(config))
         assert (tmp_path / "out" / "campaign.jsonl").read_bytes() == log
 
+    def test_negative_threads_flag_rejected(self, tmp_path, capsys):
+        config = self.oracle_config(tmp_path, n=4)
+        assert run_cli("campaign", "--config", str(config), "--threads", "-3") == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message":
+                       "--threads must be at least 1 (0 uses campaign.threads), got -3"}
+        assert not (tmp_path / "out" / "campaign.jsonl").exists()
+
     def test_campaign_resume_cuts_torn_last_line(self, tmp_path, capsys, caplog):
         config = self.oracle_config(tmp_path, n=8)
         out = tmp_path / "out"

@@ -56,6 +56,8 @@ MISTAKES = {
     "range-check-of-section": ({"optimizer": {"learning_rate": 2.0}}, "optimizer"),
     "range-check-of-renamed-key": ({"optimizer": {"trees": -1}}, "optimizer.trees"),
     "range-check-of-nested-key": ({"campaign": {"proxy": {"layers": 0}}}, "campaign.proxy.layers"),
+    "negative-threads": ({"campaign": {"threads": -7}}, "campaign.threads"),
+    "zero-threads": ({"campaign": {"threads": 0}}, "campaign.threads"),
 }
 
 

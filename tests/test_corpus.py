@@ -1,9 +1,11 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qselect.corpus import (
+    Corpus,
     CorpusSchema,
     Document,
     ReadReport,
@@ -16,6 +18,7 @@ from qselect.corpus import (
     write_corpus,
 )
 from qselect.errors import CorpusError, ValidationError
+from qselect.matrix import ScoreMatrix
 from qselect.registry import DEFAULT_DOMAIN_WEIGHTS
 
 
@@ -23,11 +26,20 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def write_scored(corpus, path):
+    write_corpus(corpus, path, ScoreMatrix.from_documents(corpus))
+
+
+def load_docs(path, schema=None):
+    corpus, report = load_corpus(path, schema)
+    return corpus.docs, report
+
+
 class TestReadCorpus:
     def test_basic_line(self, tmp_path):
         f = tmp_path / "c.jsonl"
         write_lines(f, ['{"id":"d1","text":"a b c","domain":"C4"}'])
-        docs, report = load_corpus(f)
+        docs, report = load_docs(f)
         assert len(docs) == 1
         assert docs[0].id == "d1"
         assert docs[0].token_estimate == 3
@@ -36,7 +48,7 @@ class TestReadCorpus:
     def test_empty_file(self, tmp_path):
         f = tmp_path / "c.jsonl"
         f.write_text("", encoding="utf-8")
-        docs, report = load_corpus(f)
+        docs, report = load_docs(f)
         assert docs == []
         assert not report.errors
 
@@ -50,7 +62,7 @@ class TestReadCorpus:
             else:
                 lines.append(json.dumps({"id": f"d{i}", "text": "x y", "domain": "C4"}))
         write_lines(f, lines)
-        docs, report = load_corpus(f)
+        docs, report = load_docs(f)
         assert len(docs) == 997
         assert len(report.errors) == 3
         assert {e.line_no for e in report.errors} == bad_lines
@@ -67,7 +79,7 @@ class TestReadCorpus:
                 '{"id":"d4","text":"ok","domain":"C4"}',
             ],
         )
-        docs, report = load_corpus(f)
+        docs, report = load_docs(f)
         assert [d.id for d in docs] == ["d4"]
         assert len(report.errors) == 4
 
@@ -84,7 +96,7 @@ class TestReadCorpus:
                 '{"id":"d6","text":"ok","domain":"C4","scores":{"s":1%s}}' % ("0" * 400),
             ],
         )
-        docs, report = load_corpus(f)
+        docs, report = load_docs(f)
         assert [d.id for d in docs] == ["d1"]
         assert [e.line_no for e in report.errors] == [2, 3, 4, 5, 6]
         assert all("is not a finite number" in e.reason for e in report.errors)
@@ -104,7 +116,7 @@ class TestReadCorpus:
     def test_char_ratio_estimator(self, tmp_path):
         f = tmp_path / "c.jsonl"
         write_lines(f, [json.dumps({"id": "d1", "text": "x" * 77, "domain": "C4"})])
-        docs, _ = load_corpus(f, CorpusSchema(token_estimator="char_ratio"))
+        docs, _ = load_docs(f, CorpusSchema(token_estimator="char_ratio"))
         assert docs[0].token_estimate == 100
 
     def test_unknown_estimator_rejected(self):
@@ -132,28 +144,59 @@ class TestReadCorpus:
 
 class TestRoundTrip:
     def test_write_read_preserves_fields(self, tmp_path):
-        docs = [
-            Document("a", "Hello über 世界", "Books", 3, {"s1": 0.25, "s2": -3.5}),
-            Document("b", "", "C4", 0, None),
-            Document("c", "line1\nline2.", "GitHub", 2, {"s1": 1e-300}),
-        ]
+        corpus = Corpus()
+        for doc, scores in [
+            (Document("a", "Hello über 世界", "Books", 3), {"s1": 0.25, "s2": -3.5}),
+            (Document("b", "", "C4", 0), None),
+            (Document("c", "line1\nline2.", "GitHub", 2), {"s1": 1e-300}),
+        ]:
+            corpus.append(doc, scores)
         f = tmp_path / "c.jsonl"
-        write_corpus(docs, f)
+        write_scored(corpus, f)
         back, report = load_corpus(f)
         assert not report.errors
         assert len(back) == 3
-        for orig, rt in zip(docs, back):
+        for orig, rt in zip(corpus.docs, back.docs):
             assert rt.id == orig.id
             assert rt.text == orig.text
             assert rt.domain == orig.domain
-            assert rt.scores == orig.scores
             assert rt.token_estimate == orig.token_estimate
+        assert back.score_keys == corpus.score_keys
+        assert back.score_values == corpus.score_values
 
     def test_writer_key_order(self, tmp_path):
         f = tmp_path / "c.jsonl"
-        write_corpus([Document("a", "t", "C4", 1, {"s": 1.0})], f)
+        corpus = Corpus()
+        corpus.append(Document("a", "t", "C4", 1), {"s": 1.0})
+        write_scored(corpus, f)
         line = f.read_text(encoding="utf-8").strip()
         assert line.index('"id"') < line.index('"text"') < line.index('"domain"') < line.index('"scores"')
+
+    def test_scores_parse_flat(self, tmp_path):
+        f = tmp_path / "c.jsonl"
+        write_lines(
+            f,
+            [
+                '{"id":"a","text":"t","domain":"C4","scores":{"y":1,"x":-0.0}}',
+                '{"id":"b","text":"t","domain":"C4"}',
+                '{"id":"c","text":"t","domain":"C4","scores":{}}',
+                '{"id":"d","text":"t","domain":"C4","scores":{"y":2.5,"x":3,"y":4}}',
+                '{"id":"e","text":"t","domain":"C4","scores":{"x":5}}',
+            ],
+        )
+        corpus, _ = load_corpus(f)
+        assert corpus.score_keys == [("y", "x"), None, (), ("y", "x"), ("x",)]
+        assert corpus.score_keys[0] is corpus.score_keys[3]
+        values = corpus.score_values.tolist()
+        assert values == [1.0, -0.0, 4.0, 3.0, 5.0]
+        assert str(values[1]) == "-0.0"
+        matrix = ScoreMatrix.from_documents(corpus, ["doc_word_count"])
+        assert matrix.score_names == ["doc_word_count", "x", "y"]
+        np.testing.assert_array_equal(
+            matrix.raw,
+            [[np.nan, -0.0, 1.0], [np.nan] * 3, [np.nan] * 3, [np.nan, 3.0, 4.0],
+             [np.nan, 5.0, np.nan]],
+        )
 
 
 class TestApportion:
@@ -188,18 +231,18 @@ class TestSynthesize:
     def test_domain_mix_within_one_doc(self, tmp_path):
         f = tmp_path / "synth.jsonl"
         counts, synthesized = synthesize_corpus(SynthesisSpec(doc_count=700), seed=3)
-        write_corpus(synthesized, f)
+        write_scored(synthesized, f)
         assert sum(counts.values()) == 700
         for name, p in DEFAULT_DOMAIN_WEIGHTS.items():
             assert abs(counts[name] - p * 700) <= 1.0
-        docs, report = load_corpus(f)
-        assert len(docs) == 700
+        back, report = load_corpus(f)
+        assert len(back) == 700
         assert not report.errors
         observed = {}
-        for d in docs:
+        for d in back.docs:
             observed[d.domain] = observed.get(d.domain, 0) + 1
         assert observed == counts
-        assert docs == synthesized
+        assert back == synthesized
 
     def test_deterministic_bytes(self, tmp_path):
         spec = SynthesisSpec(
@@ -209,18 +252,18 @@ class TestSynthesize:
         )
         f1 = tmp_path / "a.jsonl"
         f2 = tmp_path / "b.jsonl"
-        write_corpus(synthesize_corpus(spec, seed=11)[1], f1)
-        write_corpus(synthesize_corpus(spec, seed=11)[1], f2)
+        write_scored(synthesize_corpus(spec, seed=11)[1], f1)
+        write_scored(synthesize_corpus(spec, seed=11)[1], f2)
         assert f1.read_bytes() == f2.read_bytes()
         f3 = tmp_path / "c.jsonl"
-        write_corpus(synthesize_corpus(spec, seed=12)[1], f3)
+        write_scored(synthesize_corpus(spec, seed=12)[1], f3)
         assert f1.read_bytes() != f3.read_bytes()
 
     def test_single_domain(self, tmp_path):
         f = tmp_path / "synth.jsonl"
         spec = SynthesisSpec(doc_count=40, domain_mix={"Books": 1.0})
-        write_corpus(synthesize_corpus(spec, seed=0)[1], f)
-        docs, _ = load_corpus(f)
+        write_scored(synthesize_corpus(spec, seed=0)[1], f)
+        docs, _ = load_docs(f)
         assert all(d.domain == "Books" for d in docs)
 
     def test_bad_mix_rejected(self):
@@ -229,8 +272,6 @@ class TestSynthesize:
 
     def test_correlated_channels(self, tmp_path):
         # two channels driven by the same latent correlate strongly
-        import numpy as np
-
         f = tmp_path / "synth.jsonl"
         spec = SynthesisSpec(
             doc_count=400,
@@ -240,8 +281,8 @@ class TestSynthesize:
                 "imp_b": ScoreChannel(loading=1.0, noise=0.1),
             },
         )
-        write_corpus(synthesize_corpus(spec, seed=5)[1], f)
-        docs, _ = load_corpus(f)
-        a = np.array([d.scores["imp_a"] for d in docs])
-        b = np.array([d.scores["imp_b"] for d in docs])
+        write_scored(synthesize_corpus(spec, seed=5)[1], f)
+        matrix = ScoreMatrix.from_documents(load_corpus(f)[0])
+        a = matrix.raw[:, matrix.score_names.index("imp_a")]
+        b = matrix.raw[:, matrix.score_names.index("imp_b")]
         assert np.corrcoef(a, b)[0, 1] > 0.95

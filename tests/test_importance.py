@@ -10,7 +10,7 @@ from qselect.importance import (
     importance_scores,
 )
 
-from conftest import kernel_corpus, make_doc
+from conftest import bucket_of, kernel_corpus, make_doc
 from oracles import (
     ref_features,
     ref_fit_bag_model,
@@ -41,7 +41,7 @@ def assert_collision_free(texts, model):
     feats = set()
     for t in texts:
         feats.update(features(t))
-    buckets = {model.bucket_of(f) for f in feats}
+    buckets = {bucket_of(model, f) for f in feats}
     assert len(buckets) == len(feats), "hash seed no longer collision-free"
     return len(feats)
 

@@ -14,7 +14,7 @@ from qselect.matrix import (
     spearman_matrix,
 )
 
-from conftest import make_doc
+from conftest import make_doc, matrix_of_docs
 from oracles import ref_rank_unit, ref_spearman
 
 
@@ -87,10 +87,10 @@ class TestRankNormalize:
 
 class TestIngest:
     def docs(self):
-        return [make_doc(f"d{i}", "text here") for i in range(10)]
+        return [(make_doc(f"d{i}", "text here"), None) for i in range(10)]
 
     def test_direct_write(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["Professionalism"])
+        matrix = matrix_of_docs(self.docs(), ["Professionalism"])
         report = ingest_ratings(
             matrix, [RatingAnnotation("d1", "Professionalism", 4.0)]
         )
@@ -98,28 +98,28 @@ class TestIngest:
         assert report.filled == {"Professionalism": 1}
 
     def test_out_of_range_prrc_rejected(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["Professionalism"])
+        matrix = matrix_of_docs(self.docs(), ["Professionalism"])
         with pytest.raises(ValidationError, match="outside"):
             ingest_ratings(matrix, [RatingAnnotation("d1", "Professionalism", 7.0)])
 
     def test_unregistered_rater_rejected(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["Professionalism"])
+        matrix = matrix_of_docs(self.docs(), ["Professionalism"])
         with pytest.raises(MatrixError, match="unregistered"):
             ingest_ratings(matrix, [RatingAnnotation("d1", "Sparkle", 1.0)])
 
     def test_unknown_doc_ids_reported(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["Fluency"])
+        matrix = matrix_of_docs(self.docs(), ["Fluency"])
         report = ingest_ratings(matrix, [RatingAnnotation("ghost", "Fluency", 1.0)])
         assert report.unknown_doc_ids == ["ghost"]
 
     def test_coverage_with_known_gaps(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["Fluency"])
+        matrix = matrix_of_docs(self.docs(), ["Fluency"])
         anns = [RatingAnnotation(f"d{i}", "Fluency", 1.0) for i in range(9)]
         report = ingest_ratings(matrix, anns)
         assert report.coverage(matrix.n_docs)["Fluency"] == pytest.approx(0.9)
 
     def test_impute_to_median_and_flag(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["Fluency"])
+        matrix = matrix_of_docs(self.docs(), ["Fluency"])
         anns = [RatingAnnotation(f"d{i}", "Fluency", float(i)) for i in range(9)]
         ingest_ratings(matrix, anns)
         flagged = impute_missing(matrix)
@@ -127,7 +127,7 @@ class TestIngest:
         assert matrix.raw[9, 0] == 4.0  # median of 0..8
 
     def test_strict_column_gap_is_error(self):
-        matrix = ScoreMatrix.from_documents(self.docs(), ["doc_word_count"])
+        matrix = matrix_of_docs(self.docs(), ["doc_word_count"])
         with pytest.raises(MatrixError, match="must be complete"):
             impute_missing(matrix)
 
@@ -219,10 +219,10 @@ class TestMatrixIO:
 
     def test_domains_and_tokens_carried_through(self):
         docs = [
-            make_doc("b", "two words", "Books", {"s": 2.0}),
-            make_doc("a", "one", "C4", {"s": 1.0}),
+            (make_doc("b", "two words", "Books"), {"s": 2.0}),
+            (make_doc("a", "one", "C4"), {"s": 1.0}),
         ]
-        matrix = rank_normalize(ScoreMatrix.from_documents(docs, ["s"]))
+        matrix = rank_normalize(matrix_of_docs(docs, ["s"]))
         assert matrix.doc_ids == ["b", "a"]
         assert matrix.domains.tolist() == ["Books", "C4"]
         assert matrix.tokens.tolist() == [2, 1]
@@ -230,14 +230,14 @@ class TestMatrixIO:
 
     def test_from_documents_leaves_missing_cells_nan(self):
         docs = [
-            make_doc("a", "x", scores={"s": 1.0, "t": 2.5}),
-            make_doc("b", "x"),
-            make_doc("c", "x", scores={"t": -3.0}),
+            (make_doc("a", "x"), {"s": 1.0, "t": 2.5}),
+            (make_doc("b", "x"), None),
+            (make_doc("c", "x"), {"t": -3.0}),
         ]
-        raw = ScoreMatrix.from_documents(docs, ["t", "s", "u"]).raw
+        raw = matrix_of_docs(docs, ["t", "s", "u"]).raw
         assert raw.dtype == np.float64
         np.testing.assert_array_equal(
             raw, [[2.5, 1.0, np.nan], [np.nan] * 3, [-3.0, np.nan, np.nan]]
         )
-        assert ScoreMatrix.from_documents([], ["t", "s"]).raw.shape == (0, 2)
-        assert ScoreMatrix.from_documents(docs, []).raw.shape == (3, 0)
+        assert matrix_of_docs([], ["t", "s"]).raw.shape == (0, 2)
+        assert matrix_of_docs(docs, []).raw.shape == (3, 0)

@@ -12,7 +12,6 @@ from qselect.proxy import (
     OracleSpec,
     OracleTrainer,
     ProxyConfig,
-    SubsetOracleTrainer,
     TrainerRequest,
     flops_infer_structural,
     flops_train,
@@ -24,6 +23,8 @@ from qselect.proxy import (
     sample_weights,
 )
 from qselect.selection import SelectionPlan, WeightVector
+
+from conftest import SubsetOracleTrainer
 
 
 class TestFlops:

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qselect.registry import SIGNAL_NAMES
-from qselect.signals import (
-    compute_signals,
-    line_signals,
+from qselect.signals import compute_signals, line_signals, sentence_count
+
+from conftest import (
+    kernel_corpus,
+    mixed_language_fixture,
     ngram_repetition,
-    sentence_count,
+    random_text,
     word_signals,
 )
-
-from conftest import kernel_corpus, mixed_language_fixture, random_text
 from oracles import (
     ref_all_signals,
     ref_line_signals,
