@@ -24,6 +24,7 @@ from .importance import importance_score  # noqa: F401  (kept bound for bench/tr
 from .matrix import (
     RatingAnnotation,
     ScoreMatrix,
+    check_store_ids,
     correlation_csv,
     impute_missing,
     ingest_ratings,
@@ -41,6 +42,7 @@ from .proxy import (
 )
 from .registry import SIGNAL_NAMES, canonical_order
 from .selection import SelectionPlan, select_top_k
+from .tokens import tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +102,7 @@ def _load_logged(path: Path, cfg: RunConfig):
 def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Compute signals and importance scores, merge ratings, write the
     annotated corpus."""
-    from .signals import compute_signals
+    from .signals import corpus_signals
 
     imp = cfg.scores.importance
     if imp is not None:
@@ -109,6 +111,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 raise ValidationError(f"importance target corpus {target_path} missing")
 
     corpus = _load_logged(_corpus_path(cfg, args), cfg)
+    check_store_ids(doc.id for doc in corpus.docs)
 
     rating_names: list[str] = []
     annotations = []
@@ -120,15 +123,17 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     matrix = ScoreMatrix.from_documents(corpus, names)
     column = matrix.score_names.index
 
+    # The source corpus is tokenized once, for its signals and its hashing.
+    texts = [doc.text for doc in corpus.docs]
+    tokens = tokenize(texts) if cfg.scores.signals or imp is not None else None
+
     if cfg.scores.signals:
-        signal_cols = [column(name) for name in SIGNAL_NAMES]
-        for i, doc in enumerate(corpus.docs):
-            signals = compute_signals(doc.text)
-            matrix.raw[i, signal_cols] = [signals[name] for name in SIGNAL_NAMES]
+        matrix.raw[:, [column(name) for name in SIGNAL_NAMES]] = corpus_signals(texts, tokens)
 
     if imp is not None:
         # The source corpus is hashed once; every target scores it by gathering at its buckets.
-        source = hash_corpus(corpus.docs, imp.bucket_count, cfg.seed)
+        source = hash_corpus(tokens, imp.bucket_count, cfg.seed)
+        del tokens  # free the word ids before the targets are read
         source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
         for target, target_path in imp.targets.items():
             target_model = fit_bag_model(

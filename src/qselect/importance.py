@@ -7,65 +7,71 @@ bigrams of the normalized word stream) are hashed into a fixed number of
 buckets with a seeded 64-bit hash; additive smoothing keeps every
 log-ratio finite.
 
-Each corpus is hashed in one pass (``hash_corpus``): every text's
-features become one flat int32 array of buckets plus a feature count
-per text, and each distinct feature is hashed once per pass. A model is
-the ``bincount`` of those buckets. Scoring gathers ``log p`` and
-``log q`` at every bucket of the corpus once per target and subtracts
-them, then sums each text's slice, in feature order.
+Each corpus is hashed in one pass over its word ids (``hash_corpus`` of
+``tokens.tokenize``): each vocabulary word and each distinct adjacent
+word pair is hashed once, in batches, and the buckets are scattered into
+one flat int32 array, each text's unigrams then its bigrams, with a
+feature count per text. A model is the ``bincount`` of those buckets.
+Scoring gathers ``log p`` and ``log q`` at every bucket of the corpus
+once per target and subtracts them, then sums each text's slice, in
+feature order.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from itertools import accumulate
+from itertools import islice, repeat
 
 import numpy as np
 
 from .corpus import Document
 from .errors import ValidationError
-from .signals import normalize_words
+from .tokens import Tokens, blocks, normalize_words, tokenize
 
 DEFAULT_BUCKET_COUNT = 65_536
 
-# Unigram and bigram tokens are joined with the unit-separator control
-# character, which cannot occur inside a word (words never contain
-# whitespace, and U+001F is not whitespace but is stripped by split()
-# boundaries in practice; it simply never collides with real text).
+# A bigram feature joins its two words with U+001F. str.split() treats
+# U+001C-U+001F as whitespace, so no word holds the separator and no
+# bigram can equal a unigram or another bigram.
 _BIGRAM_SEP = "\x1f"
 
-# Most distinct features one hash pass remembers; past it, a feature is
-# hashed again at each occurrence. Bounds the memory of one pass.
-_CACHE_LIMIT = 1_000_000
-
-
-class _BucketCache(dict):
-    """Feature -> bucket map that hashes a feature on its first lookup."""
-
-    def __init__(self, bucket_count: int, seed: int) -> None:
-        if bucket_count > 1 << 31:
-            raise ValidationError("bucket_count must be at most 2**31 (buckets are C ints)")
-        super().__init__()
-        self.bucket_count = bucket_count
-        # Copying a keyed hash skips re-keying it for every feature.
-        self.keyed = blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-
-    def __missing__(self, feature: str) -> int:
-        h = self.keyed.copy()
-        h.update(feature.encode("utf-8"))
-        bucket = int.from_bytes(h.digest(), "little") % self.bucket_count
-        if len(self) < _CACHE_LIMIT:
-            self[feature] = bucket
-        return bucket
+# Features hashed per batch: bounds the hash objects alive at once.
+_HASH_BATCH = 1024
 
 
 def features(text: str) -> list[str]:
     """Unigram and bigram feature tokens of the normalized word stream."""
     words = normalize_words(text)
     return words + [a + _BIGRAM_SEP + b for a, b in zip(words, words[1:])]
+
+
+def _hash_buckets(feats: Iterator[bytes], count: int, bucket_count: int, seed: int) -> np.ndarray:
+    """The bucket of each of ``count`` UTF-8 features: its 8-byte blake2b
+    digest keyed by the low 64 bits of ``seed``, little-endian, modulo
+    ``bucket_count``. Hashed a batch at a time by C-level maps."""
+    # Copying a keyed hash skips re-keying it for every feature.
+    keyed = blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    buckets = np.empty(count, np.intc)
+    for lo in range(0, count, _HASH_BATCH):
+        batch = list(islice(feats, _HASH_BATCH))
+        hashes = list(map(blake2b.copy, repeat(keyed, len(batch))))
+        deque(map(blake2b.update, hashes, batch), maxlen=0)
+        digests = np.frombuffer(b"".join(map(blake2b.digest, hashes)), "<u8")
+        buckets[lo : lo + len(batch)] = digests % bucket_count
+    return buckets
+
+
+def _pair_features(pairs: np.ndarray, words: list[bytes]) -> Iterator[bytes]:
+    """The UTF-8 bigram feature of each pair code ``first * len(words) + second``."""
+    heads = [word + _BIGRAM_SEP.encode() for word in words]
+    for lo in range(0, len(pairs), _HASH_BATCH):
+        first, second = np.divmod(pairs[lo : lo + _HASH_BATCH], len(words))
+        yield from map(
+            bytes.__add__, map(heads.__getitem__, first.tolist()), map(words.__getitem__, second.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -77,30 +83,58 @@ class HashedCorpus:
     """
 
     buckets: np.ndarray  # C int (int32), one per feature
-    lengths: array  # C ints, one per text
+    lengths: np.ndarray  # int64, one per text
     bucket_count: int
     seed: int
 
-    def spans(self) -> Iterable[tuple[int, int]]:
-        """Each text's ``(start, end)`` in ``buckets``."""
-        ends = list(accumulate(self.lengths))
-        return zip([0, *ends], ends)
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of an int array (``np.unique`` of a
+    plain array builds a hash table, several times slower here)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
-def hash_corpus(
-    docs: Iterable[Document | str], bucket_count: int, seed: int
-) -> HashedCorpus:
-    """Hash every feature of every text once, in one pass over the corpus."""
-    cache = _BucketCache(bucket_count, seed)
-    lookup = cache.__getitem__
-    # Raw C ints: a long-lived int object would pin the pages that the
-    # freed cache leaves behind.
-    buckets, lengths = array("i"), array("i")
-    for doc in docs:
-        feats = features(doc.text if isinstance(doc, Document) else doc)
-        buckets.extend(map(lookup, feats))
-        lengths.append(len(feats))
-    return HashedCorpus(np.frombuffer(buckets, dtype=np.intc), lengths, bucket_count, seed)
+def _pair_codes(ids: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each within-text adjacent word pair starts in ``ids``, and its
+    code ``first * vocab_size + second``."""
+    at = np.ones(len(ids), bool)
+    at[np.cumsum(lengths)[lengths > 0] - 1] = False
+    at = np.flatnonzero(at)
+    return at, ids[at] * vocab_size + ids[at + 1]
+
+
+def hash_corpus(tokens: Tokens, bucket_count: int, seed: int) -> HashedCorpus:
+    """Hash every feature of a tokenized corpus, each distinct one once."""
+    if bucket_count > 1 << 31:
+        raise ValidationError("bucket_count must be at most 2**31 (buckets are C ints)")
+    vocab_size = len(tokens.vocab)
+    words = list(map(str.encode, tokens.vocab))
+    word_buckets = _hash_buckets(iter(words), vocab_size, bucket_count, seed)
+    runs = [(tokens.lengths[texts], tokens.ids[span]) for texts, span in blocks(tokens.lengths)]
+    pairs = _distinct(np.concatenate([
+        np.empty(0, np.int64),
+        *(_distinct(_pair_codes(ids, lengths, vocab_size)[1]) for lengths, ids in runs),
+    ]))
+    pair_buckets = _hash_buckets(_pair_features(pairs, words), len(pairs), bucket_count, seed)
+    n_feats = 2 * tokens.lengths - (tokens.lengths > 0)
+    buckets = np.empty(int(n_feats.sum()), np.intc)
+    done = 0
+    for lengths, ids in runs:
+        # Each text's unigrams, then its bigrams: a word's feature sits at
+        # its position plus its text's shift, a pair's one text length on.
+        feats = 2 * lengths - (lengths > 0)
+        shift = (np.cumsum(feats) - feats) - (np.cumsum(lengths) - lengths)
+        text_of = np.repeat(np.arange(len(lengths)), lengths)
+        out = buckets[done : done + int(feats.sum())]
+        out[np.arange(len(ids)) + shift[text_of]] = word_buckets[ids]
+        at, codes = _pair_codes(ids, lengths, vocab_size)
+        codes, pair_of = np.unique(codes, return_inverse=True)
+        out[at + (shift + lengths)[text_of[at]]] = pair_buckets[np.searchsorted(pairs, codes)][pair_of]
+        done += len(out)
+    return HashedCorpus(buckets, n_feats, bucket_count, seed)
 
 
 @dataclass
@@ -146,9 +180,10 @@ def fit_bag_model(
     """
     model = HashedBagModel(bucket_count=bucket_count, seed=seed, smoothing=smoothing)
     if not isinstance(docs, HashedCorpus):
-        docs = hash_corpus(docs, bucket_count, seed)
+        texts = (doc.text if isinstance(doc, Document) else doc for doc in docs)
+        docs = hash_corpus(tokenize(texts), bucket_count, seed)
     _check_compatible(model, docs)
-    if not docs.lengths:
+    if not len(docs.lengths):
         raise ValidationError("cannot fit a bag model on an empty corpus")
     model.counts = np.bincount(docs.buckets, minlength=bucket_count)
     return model
@@ -175,12 +210,19 @@ def importance_scores(
     """
     _check_compatible(p, q)
     _check_compatible(p, corpus)
-    delta = p.log_probs()[corpus.buckets] - q.log_probs()[corpus.buckets]
-    return [float(delta[start:end].sum()) for start, end in corpus.spans()]
+    log_p, log_q = p.log_probs(), q.log_probs()
+    scores: list[float] = []
+    for texts, span in blocks(corpus.lengths):
+        buckets = corpus.buckets[span]
+        delta = log_p[buckets] - log_q[buckets]
+        ends = np.cumsum(corpus.lengths[texts]).tolist()
+        scores.extend(float(delta[start:end].sum()) for start, end in zip([0, *ends], ends))
+    return scores
 
 
 def importance_score(
     doc: Document | str, p: HashedBagModel, q: HashedBagModel
 ) -> float:
     """One document's importance: ``importance_scores`` of a one-text corpus."""
-    return importance_scores(hash_corpus([doc], p.bucket_count, p.seed), p, q)[0]
+    text = doc.text if isinstance(doc, Document) else doc
+    return importance_scores(hash_corpus(tokenize([text]), p.bucket_count, p.seed), p, q)[0]

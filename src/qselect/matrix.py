@@ -156,15 +156,21 @@ _STORE_LAYOUT = {
 }
 
 
+def check_store_ids(doc_ids: Iterable[str]) -> None:
+    """Refuse an id that a score store cannot give back: numpy string
+    arrays drop trailing NULs."""
+    for doc_id in doc_ids:
+        if doc_id.endswith("\0"):
+            raise ValidationError(f"doc id {doc_id!r} ends in NUL, which a score store cannot hold")
+
+
 def write_score_store(corpus_path: str | Path, matrix: ScoreMatrix, schema: CorpusSchema) -> None:
     """Write the score store of the corpus file ``corpus_path``, written from ``matrix``.
 
     The store holds the raw matrix a reader of the file under ``schema``
     would build: a file with no lines carries no score names.
     """
-    for doc_id in matrix.doc_ids:
-        if doc_id.endswith("\0"):
-            raise ValidationError(f"doc id {doc_id!r} ends in NUL, which a score store cannot hold")
+    check_store_ids(matrix.doc_ids)
     names = matrix.score_names if matrix.n_docs else []
     np.savez(
         store_path(corpus_path),

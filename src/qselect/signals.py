@@ -5,6 +5,10 @@ operate on the normalized word stream: NFC-normalize, lowercase, split on
 Unicode whitespace, where a word is a maximal non-whitespace run.
 Line-level signals are per-line ratios reduced to one document value by
 an unweighted mean over lines. Empty documents score zero everywhere.
+
+``corpus_signals`` counts the word and n-gram signals of a tokenized
+corpus (``tokens.tokenize``) as array passes over its word ids, a block
+of texts at a time. The line signals and the sentence count stay per text.
 """
 
 from __future__ import annotations
@@ -12,45 +16,18 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from collections import Counter
-from operator import itemgetter, mul
+from collections.abc import Sequence
+from itertools import accumulate
+
+import numpy as np
 
 from .registry import SIGNAL_NAMES
+from .tokens import Tokens, blocks, tokenize
 
 # Terminal punctuation marks for the line-ending signal.
 TERMINAL_MARKS = (".", "!", "?", '"')
 
 _SENTENCE_RE = re.compile(r"\b[^.!?]+[.!?]*")
-
-
-def normalize_words(text: str) -> list[str]:
-    """NFC-normalized, lowercased, whitespace-split word stream."""
-    return unicodedata.normalize("NFC", text).lower().split()
-
-
-def _word_signals(words: list[str]) -> dict[str, float]:
-    """Word-stream signals: non-alphabetic fraction, mean length, uniqueness,
-    unigram entropy (natural log), and word count."""
-    n = len(words)
-    if n == 0:
-        return {
-            "doc_frac_no_alph_words": 0.0,
-            "doc_mean_word_length": 0.0,
-            "doc_frac_unique_words": 0.0,
-            "doc_unigram_entropy": 0.0,
-            "doc_word_count": 0.0,
-        }
-    counts = Counter(words)
-    no_alph = sum(c for w, c in counts.items() if not any(map(str.isalpha, w)))
-    probs = [c / n for c in counts.values()]
-    entropy = -math.fsum(map(mul, probs, map(math.log, probs)))
-    return {
-        "doc_frac_no_alph_words": no_alph / n,
-        "doc_mean_word_length": sum(map(len, words)) / n,
-        "doc_frac_unique_words": len(counts) / n,
-        "doc_unigram_entropy": entropy,
-        "doc_word_count": float(n),
-    }
 
 
 def _line_ratio(line: str, predicate) -> float:
@@ -96,33 +73,116 @@ def sentence_count(text: str) -> int:
     return len(_SENTENCE_RE.findall(text))
 
 
-def _top_ngram_fraction(words: list[str], n: int) -> float:
-    if len(words) < n:
-        return 0.0
-    counts = Counter(zip(*(words[i:] for i in range(n))))
-    # Ties resolve to the first-seen gram: Counter keeps insertion order
-    # and max returns the first maximum. Only its length matters.
-    best_gram, best_count = max(counts.items(), key=itemgetter(1))
-    # Overlapping occurrences can claim more characters than the document
-    # has; clamp so the signal stays a fraction. Words are non-empty, so
-    # the total is positive.
-    return min(1.0, best_count * sum(map(len, best_gram)) / sum(map(len, words)))
+def _segment_sums(values: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Exact integer sum of ``values[s:e]`` for each segment (empty ones too)."""
+    total = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return total[ends] - total[starts]
 
 
-def _ngram_repetition(words: list[str]) -> dict[str, float]:
-    """Fraction of document characters claimed by the most frequent word
-    2-gram and 3-gram (non-whitespace characters, overlap counted)."""
-    return {
-        "doc_frac_chars_top_2gram": _top_ngram_fraction(words, 2),
-        "doc_frac_chars_top_3gram": _top_ngram_fraction(words, 3),
-    }
+def _entropies(counts: np.ndarray, words: np.ndarray, text_of: np.ndarray) -> list[float]:
+    """Each text's ``-fsum(p * log p)`` over its distinct words' counts.
+
+    ``counts`` holds one count per distinct (text, word) pair, grouped by
+    text, and ``words`` each text's word count. ``math.log`` runs once per
+    distinct ``p``; ``fsum`` is exact, so the order of the terms is free.
+    """
+    probs = counts / words[text_of]
+    distinct, inverse = np.unique(probs, return_inverse=True)
+    logs = np.fromiter(map(math.log, distinct.tolist()), np.float64, len(distinct))
+    terms = (probs * logs[inverse]).tolist()
+    bounds = [0, *accumulate(np.bincount(text_of, minlength=len(words)).tolist())]
+    return [
+        -math.fsum(terms[a:b]) if a < b else 0.0 for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _top_gram_fractions(
+    ids: np.ndarray, text_of: np.ndarray, pos: np.ndarray, lengths: np.ndarray,
+    chars: np.ndarray, word_len: np.ndarray, vocab_size: int,
+) -> dict[int, np.ndarray]:
+    """Fraction of each text's word characters claimed by its most frequent
+    2-gram and 3-gram (overlap counted, clamped to 1).
+
+    A gram's code is the dense id of its first n-1 words and its last word.
+    Sorted by dense gram id, then position, the occurrences of a gram in
+    one text form a run (texts rise with positions) that starts at its
+    first occurrence. A tie on the count goes to the first-seen gram.
+    """
+    n_texts, size = len(lengths), len(ids)
+    prefix = ids  # each position's (n-1)-gram id
+    fractions = {}
+    for n in (2, 3):
+        starts = np.flatnonzero(pos <= lengths[text_of] - n)
+        _, gram = np.unique(prefix[starts] * vocab_size + ids[starts + n - 1], return_inverse=True)
+        gram_sorted, at = np.divmod(np.sort(gram * size + starts), size)
+        text_sorted = text_of[at]
+        new_run = np.ones(len(at), bool)
+        new_run[1:] = (gram_sorted[1:] != gram_sorted[:-1]) | (text_sorted[1:] != text_sorted[:-1])
+        run_start = np.flatnonzero(new_run)
+        run_count = np.diff(np.append(run_start, len(at)))
+        run_text, run_first = text_sorted[run_start], at[run_start]
+        best = np.zeros(n_texts, np.int64)
+        np.maximum.at(best, run_text, run_count)
+        top = run_count == best[run_text]
+        first = np.full(n_texts, size, np.int64)
+        np.minimum.at(first, run_text[top], run_first[top])
+        has = lengths >= n
+        gram_chars = np.zeros(n_texts, np.int64)
+        for k in range(n):
+            gram_chars[has] += word_len[ids[first[has] + k]]
+        out = np.zeros(n_texts)
+        out[has] = np.minimum(1.0, best[has] * gram_chars[has] / chars[has])
+        fractions[n] = out
+        prefix = np.empty(size, np.int64)
+        prefix[starts] = gram
+    return fractions
+
+
+def corpus_signals(texts: Sequence[str], tokens: Tokens) -> np.ndarray:
+    """All 11 signals of every text, one row per text in ``SIGNAL_NAMES``
+    order; ``tokens`` must be ``tokenize(texts)``.
+
+    Ratios are int/int divisions of exact counts, so every value has the
+    bits of the per-text definition whatever texts share its block.
+    """
+    vocab = tokens.vocab
+    vocab_size = len(vocab)
+    word_len = np.fromiter(map(len, vocab), np.int64, vocab_size)
+    no_alpha = np.fromiter(
+        (not any(map(str.isalpha, w)) for w in vocab), np.int64, vocab_size
+    )
+    columns = {name: np.zeros(len(texts)) for name in SIGNAL_NAMES}
+    for block, words_of_block in blocks(tokens.lengths):
+        lengths, ids = tokens.lengths[block], tokens.ids[words_of_block]
+        if not len(ids):
+            continue
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        words = np.maximum(lengths, 1)  # empty texts count 0 of everything
+        text_of = np.repeat(np.arange(len(lengths)), lengths)
+        chars = _segment_sums(word_len[ids], starts, ends)
+        pairs, counts = np.unique(text_of * vocab_size + ids, return_counts=True)
+        pair_text = pairs // vocab_size
+        columns["doc_frac_no_alph_words"][block] = _segment_sums(no_alpha[ids], starts, ends) / words
+        columns["doc_mean_word_length"][block] = chars / words
+        columns["doc_frac_unique_words"][block] = (
+            np.bincount(pair_text, minlength=len(lengths)) / words
+        )
+        columns["doc_unigram_entropy"][block] = _entropies(counts, words, pair_text)
+        columns["doc_word_count"][block] = lengths
+        pos = np.arange(len(ids)) - starts[text_of]
+        tops = _top_gram_fractions(ids, text_of, pos, lengths, chars, word_len, vocab_size)
+        columns["doc_frac_chars_top_2gram"][block] = tops[2]
+        columns["doc_frac_chars_top_3gram"][block] = tops[3]
+    for i, text in enumerate(texts):
+        for name, value in line_signals(text).items():
+            columns[name][i] = value
+        columns["doc_num_sentences"][i] = sentence_count(text)
+    return np.column_stack([columns[name] for name in SIGNAL_NAMES])
 
 
 def compute_signals(text: str) -> dict[str, float]:
-    """All 11 signals, keyed by their canonical names."""
-    words = normalize_words(text)
-    out = _word_signals(words)
-    out.update(line_signals(text))
-    out["doc_num_sentences"] = float(sentence_count(text))
-    out.update(_ngram_repetition(words))
-    return {name: out[name] for name in SIGNAL_NAMES}
+    """All 11 signals, keyed by their canonical names: ``corpus_signals``
+    of a one-text corpus."""
+    row = corpus_signals([text], tokenize([text]))[0]
+    return dict(zip(SIGNAL_NAMES, row.tolist()))

@@ -10,10 +10,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from qselect.corpus import Corpus, Document
-from qselect.importance import _BucketCache
 from qselect.matrix import ScoreMatrix
 from qselect.proxy import TrainerRequest
-from qselect.signals import _ngram_repetition, _word_signals, normalize_words
+
+from oracles import ref_hash_bucket, ref_top_ngram_fraction_of_words, ref_word_signals, ref_words
 
 
 def make_doc(doc_id, text, domain="C4"):
@@ -31,19 +31,21 @@ def matrix_of_docs(records, names):
     return ScoreMatrix(names, full.doc_ids, full.domains, full.tokens, full.raw[:, cols])
 
 
-def word_signals(text):
-    """Word-stream signals of one text."""
-    return _word_signals(normalize_words(text))
+word_signals = ref_word_signals
 
 
 def ngram_repetition(text):
     """Top 2-gram and 3-gram character fractions of one text."""
-    return _ngram_repetition(normalize_words(text))
+    words = ref_words(text)
+    return {
+        "doc_frac_chars_top_2gram": ref_top_ngram_fraction_of_words(words, 2),
+        "doc_frac_chars_top_3gram": ref_top_ngram_fraction_of_words(words, 3),
+    }
 
 
 def bucket_of(model, feature):
     """The bucket ``model`` hashes ``feature`` to."""
-    return _BucketCache(model.bucket_count, model.seed)[feature]
+    return ref_hash_bucket(feature, model.seed, model.bucket_count)
 
 
 class SubsetOracleTrainer:

@@ -31,6 +31,7 @@ from qselect.matrix import (
 )
 from qselect.registry import SIGNAL_NAMES, canonical_order
 from qselect.signals import compute_signals
+from qselect.tokens import tokenize
 
 
 def ref_words(text):
@@ -668,7 +669,7 @@ def ref_annotate(cfg, corpus_path, out_path):
 
     if imp is not None:
         texts = [doc.text for doc in docs]
-        source = hash_corpus(texts, imp.bucket_count, cfg.seed)
+        source = hash_corpus(tokenize(texts), imp.bucket_count, cfg.seed)
         source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
         for target, target_path in imp.targets.items():
             target_texts = [doc.text for doc in ref_load_corpus(target_path, cfg.corpus)]

@@ -266,7 +266,9 @@ class TestAnnotate:
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=20)
         write_corpus_fixture(tmp_path / "books.jsonl", n=5)
         computed = []
-        monkeypatch.setattr(signals_module, "compute_signals", computed.append)
+        for module, kernel in ((cli, "tokenize"), (signals_module, "corpus_signals"),
+                               (cli, "hash_corpus"), (cli, "fit_bag_model")):
+            monkeypatch.setattr(module, kernel, lambda *args, name=kernel: computed.append(name))
         config = write_config(
             tmp_path / "cfg.json",
             corpus={"path": "corpus.jsonl"},

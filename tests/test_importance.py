@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qselect import tokens as tokens_module
 from qselect.errors import ValidationError
 from qselect.importance import (
     features,
@@ -9,6 +14,7 @@ from qselect.importance import (
     importance_score,
     importance_scores,
 )
+from qselect.tokens import tokenize
 
 from conftest import bucket_of, kernel_corpus, make_doc
 from oracles import (
@@ -52,6 +58,11 @@ class TestFitBagModel:
         assert model.total == 3  # a, b, a_b
         assert sorted(f for f in features("a b")) == ["a", "a\x1fb", "b"]
 
+    def test_separator_never_inside_a_word(self):
+        # str.split() treats U+001F as whitespace, so a text holding the
+        # bigram separator has the features of one with a space there.
+        assert features("a\x1fb") == features("a b") == ["a", "b", "a\x1fb"]
+
     def test_additivity(self):
         one = fit_bag_model(["a b c a"], bucket_count=128, seed=3)
         two = fit_bag_model(["a b c a", "a b c a"], bucket_count=128, seed=3)
@@ -68,7 +79,7 @@ class TestFitBagModel:
         with pytest.raises(ValidationError, match="cannot fit a bag model on an empty corpus"):
             fit_bag_model([], bucket_count=64)
         with pytest.raises(ValidationError, match="cannot fit a bag model on an empty corpus"):
-            fit_bag_model(hash_corpus([], 64, 0), bucket_count=64)
+            fit_bag_model(hash_corpus(tokenize([]), 64, 0), bucket_count=64)
 
     def test_zero_feature_corpus_fits_all_zero_model(self):
         model = fit_bag_model(["", " \n\t ", "\u3000"], bucket_count=16, seed=2)
@@ -77,7 +88,7 @@ class TestFitBagModel:
         assert np.array_equal(model.log_probs(), np.full(16, np.log(1 / 16)))
 
     def test_hashed_corpus_must_match_model(self):
-        hashed = hash_corpus(["a b"], 64, 1)
+        hashed = hash_corpus(tokenize(["a b"]), 64, 1)
         with pytest.raises(ValidationError, match="bucket_count mismatch"):
             fit_bag_model(hashed, bucket_count=128, seed=1)
         with pytest.raises(ValidationError, match="hash seed mismatch"):
@@ -103,7 +114,7 @@ class TestImportanceScore:
         p = fit_bag_model(["a b"], bucket_count=128, seed=1)
         q = fit_bag_model(["c d"], bucket_count=128, seed=1)
         assert repr(importance_score("", p, q)) == "0.0"
-        scores = importance_scores(hash_corpus(["", "a", " \n "], 128, 1), p, q)
+        scores = importance_scores(hash_corpus(tokenize(["", "a", " \n "]), 128, 1), p, q)
         assert [repr(x) for x in scores[::2]] == ["0.0", "0.0"]
         assert scores[1] != 0.0
 
@@ -163,27 +174,26 @@ class TestHashCorpus:
     def test_buckets_below_bucket_count_for_wide_seeds(self, seed):
         texts = kernel_corpus(3, n_docs=40)
         for bucket_count in (2, 61, 65_536):
-            hashed = hash_corpus(texts, bucket_count, seed)
+            hashed = hash_corpus(tokenize(texts), bucket_count, seed)
             assert hashed.buckets.min() >= 0 and hashed.buckets.max() < bucket_count
             want = [ref_hash_bucket(f, seed, bucket_count) for t in texts for f in ref_features(t)]
             assert hashed.buckets.tolist() == want
         # only the low 64 bits of the seed key the hash
         assert np.array_equal(
-            hash_corpus(texts, 997, seed).buckets,
-            hash_corpus(texts, 997, seed & 0xFFFFFFFFFFFFFFFF).buckets,
+            hash_corpus(tokenize(texts), 997, seed).buckets,
+            hash_corpus(tokenize(texts), 997, seed & 0xFFFFFFFFFFFFFFFF).buckets,
         )
 
     def test_bucket_count_beyond_c_int_rejected(self):
-        assert hash_corpus(["a b"], 1 << 31, 0).buckets.max() < 1 << 31
+        assert hash_corpus(tokenize(["a b"]), 1 << 31, 0).buckets.max() < 1 << 31
         with pytest.raises(ValidationError, match="at most 2"):
-            hash_corpus(["a b"], (1 << 31) + 1, 0)
+            hash_corpus(tokenize(["a b"]), (1 << 31) + 1, 0)
 
     def test_lengths_count_each_texts_features(self):
         texts = ["", "a", "a b c", "  ", "A a"]
-        hashed = hash_corpus(texts, 64, 0)
+        hashed = hash_corpus(tokenize(texts), 64, 0)
         assert list(hashed.lengths) == [len(features(t)) for t in texts] == [0, 1, 5, 0, 3]
         assert len(hashed.buckets) == 9
-        assert list(hashed.spans()) == [(0, 0), (0, 1), (1, 6), (6, 6), (6, 9)]
 
 
 def _wide_seed(rng):
@@ -207,7 +217,7 @@ class TestMatchesReference:
             got = fit_bag_model(docs, bucket_count, seed)
             assert np.array_equal(got.counts, want), corpus_seed
             assert got.counts.dtype == want.dtype
-            hashed = fit_bag_model(hash_corpus(docs, bucket_count, seed), bucket_count, seed)
+            hashed = fit_bag_model(hash_corpus(tokenize(texts), bucket_count, seed), bucket_count, seed)
             assert np.array_equal(hashed.counts, want), corpus_seed
 
     def test_scores_match_reference_on_120_corpora(self):
@@ -221,7 +231,7 @@ class TestMatchesReference:
             p = fit_bag_model(p_texts, bucket_count, seed, smoothing)
             q = fit_bag_model(q_texts, bucket_count, seed, smoothing)
             want = [repr(ref_importance_score(t, p, q)) for t in texts]
-            got = importance_scores(hash_corpus(texts, bucket_count, seed), p, q)
+            got = importance_scores(hash_corpus(tokenize(texts), bucket_count, seed), p, q)
             assert [repr(x) for x in got] == want, corpus_seed
             assert [repr(importance_score(t, p, q)) for t in texts] == want, corpus_seed
 
@@ -236,5 +246,43 @@ class TestMatchesReference:
         ]
         p = fit_bag_model(texts[:20], 4096, 9)
         q = fit_bag_model(texts[20:40], 4096, 9)
-        got = importance_scores(hash_corpus(texts, 4096, 9), p, q)
+        got = importance_scores(hash_corpus(tokenize(texts), 4096, 9), p, q)
+        assert [repr(x) for x in got] == [repr(ref_importance_score(t, p, q)) for t in texts]
+
+
+# Few words, so adjacent pairs repeat within and across texts.
+HASH_WORDS = ["a", "b", "c", "The", "the", "caf\u00e9", "cafe\u0301", "\u03a3", "42", "\u00b2", "\x1f"]
+
+
+@st.composite
+def repeating_corpus(draw):
+    """Texts over a few words, some repeated whole, so pairs recur across texts."""
+    texts = draw(st.lists(
+        st.lists(st.sampled_from(HASH_WORDS), max_size=20).map(" ".join), max_size=8
+    ))
+    repeats = draw(st.lists(st.sampled_from(texts), max_size=4)) if texts else []
+    return texts + repeats
+
+
+class TestHashCorpusProperties:
+    """Every bucket is the per-feature oracle's, in ``features`` order,
+    whatever texts share the corpus or its blocks."""
+
+    @given(repeating_corpus(), st.sampled_from([2, 2**31]), st.integers(-1, 2**64 + 7),
+           st.integers(1, 48))
+    @settings(max_examples=300, deadline=None)
+    def test_buckets_match_oracle(self, texts, bucket_count, seed, block_items):
+        with mock.patch.object(tokens_module, "_BLOCK_ITEMS", block_items):
+            hashed = hash_corpus(tokenize(texts), bucket_count, seed)
+        want = [[ref_hash_bucket(f, seed, bucket_count) for f in ref_features(t)] for t in texts]
+        assert hashed.lengths.tolist() == [len(w) for w in want]
+        assert hashed.buckets.tolist() == [b for w in want for b in w]
+
+    @given(repeating_corpus(), st.integers(0, 2**64 - 1), st.integers(1, 48))
+    @settings(max_examples=100, deadline=None)
+    def test_scores_match_oracle(self, texts, seed, block_items):
+        p = fit_bag_model(["a b c", "the caf\u00e9"], 2, seed)
+        q = fit_bag_model(["\u03a3 42 a", "b b"], 2, seed)
+        with mock.patch.object(tokens_module, "_BLOCK_ITEMS", block_items):
+            got = importance_scores(hash_corpus(tokenize(texts), 2, seed), p, q)
         assert [repr(x) for x in got] == [repr(ref_importance_score(t, p, q)) for t in texts]

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qselect import tokens as tokens_module
 from qselect.registry import SIGNAL_NAMES
-from qselect.signals import compute_signals, line_signals, sentence_count
+from qselect.signals import compute_signals, corpus_signals, line_signals, sentence_count
+from qselect.tokens import tokenize
 
 from conftest import (
     kernel_corpus,
@@ -164,15 +167,12 @@ class TestMatchesReference:
 
     def test_120_kernel_corpora(self):
         for seed in range(120):
-            for text in kernel_corpus(seed):
-                assert repr(word_signals(text)) == repr(ref_word_signals(text)), text
+            texts = kernel_corpus(seed)
+            rows = corpus_signals(texts, tokenize(texts)).tolist()
+            for text, row in zip(texts, rows):
                 assert repr(line_signals(text)) == repr(ref_line_signals(text)), text
-                words = ref_words(text)
-                assert repr(ngram_repetition(text)) == repr({
-                    "doc_frac_chars_top_2gram": ref_top_ngram_fraction_of_words(words, 2),
-                    "doc_frac_chars_top_3gram": ref_top_ngram_fraction_of_words(words, 3),
-                }), text
                 assert repr(compute_signals(text)) == repr(_reference_signals(text)), text
+                assert repr(dict(zip(SIGNAL_NAMES, row))) == repr(_reference_signals(text)), text
 
     def test_random_and_mixed_language_texts(self):
         rng = np.random.default_rng(3)
@@ -182,10 +182,64 @@ class TestMatchesReference:
 
     def test_tied_ngrams_resolve_to_first_seen(self):
         # "aaa b" and "c d" both occur twice in 15 chars; the first seen wins
-        sig = ngram_repetition("aaa b x c d y aaa b z c d")
-        assert sig["doc_frac_chars_top_2gram"] == 2 * 4 / 15
-        sig = ngram_repetition("c d x aaa b y c d z aaa b")
-        assert sig["doc_frac_chars_top_2gram"] == 2 * 2 / 15
+        for text, want in (("aaa b x c d y aaa b z c d", 2 * 4 / 15),
+                           ("c d x aaa b y c d z aaa b", 2 * 2 / 15)):
+            assert ngram_repetition(text)["doc_frac_chars_top_2gram"] == want
+            assert compute_signals(text)["doc_frac_chars_top_2gram"] == want
+
+
+# Words for the batch-kernel property test: final and capital sigma,
+# dotted capital I (it lowercases to two code points), combining marks,
+# superscript, fullwidth and Arabic-Indic digits, punctuation-only words.
+BATCH_WORDS = [
+    "a", "b", "ab", "the", "The", "\u03bf\u03b4\u03bf\u03c2", "\u039f\u0394\u039f\u03a3",
+    "\u03c3", "\u03a3", "\u0130", "\u0130stanbul", "i\u0307", "cafe\u0301", "caf\u00e9",
+    "\u0301", "x\u00b2", "\u00b2", "\uff11\uff12", "\uff21", "\u0663", "42", "...", "?!",
+]
+# Separators, among them U+001C-U+001F, which str.split() treats as whitespace.
+BATCH_SEPARATORS = [" ", "  ", "\n", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\u3000", " \n "]
+
+
+@st.composite
+def tied_text(draw):
+    """Two phrases that occur equally often, so their n-gram counts tie."""
+    first = draw(st.lists(st.sampled_from(BATCH_WORDS), min_size=2, max_size=3))
+    second = draw(st.lists(st.sampled_from(BATCH_WORDS), min_size=2, max_size=3))
+    fillers = draw(st.lists(st.sampled_from(BATCH_WORDS), min_size=2, max_size=6))
+    words = []
+    for i in range(0, len(fillers) - 1, 2):
+        words += first + [fillers[i]] + second + [fillers[i + 1]]
+    return " ".join(words)
+
+
+batch_texts = st.one_of(
+    st.sampled_from(["", " ", "\n\n", "\x1f", "\x1c\x1d\x1e", "\u3000 \t"]),
+    st.sampled_from(BATCH_WORDS),
+    st.lists(st.tuples(st.sampled_from(BATCH_WORDS), st.sampled_from(BATCH_SEPARATORS)),
+             max_size=30).map(lambda parts: "".join(w + sep for w, sep in parts)),
+    tied_text(),
+    st.text(max_size=80),
+)
+
+
+class TestBatchKernel:
+    """Each text's row of ``corpus_signals`` is the per-text oracle's,
+    whatever texts share its batch or its blocks."""
+
+    @given(st.lists(batch_texts, max_size=12), st.integers(1, 48))
+    @settings(max_examples=400, deadline=None)
+    def test_rows_match_oracle(self, texts, block_items):
+        with mock.patch.object(tokens_module, "_BLOCK_ITEMS", block_items):
+            rows = corpus_signals(texts, tokenize(texts))
+        assert rows.shape == (len(texts), len(SIGNAL_NAMES))
+        for text, row in zip(texts, rows.tolist()):
+            want = ref_all_signals(text)
+            # ref_all_signals sums the negated terms, so a text of one
+            # distinct word gets +0.0 entropy; the per-word loop, and the
+            # package, negate the sum and keep -0.0.
+            assert row[3] == want["doc_unigram_entropy"]
+            want["doc_unigram_entropy"] = ref_word_signals(text)["doc_unigram_entropy"]
+            assert repr(dict(zip(SIGNAL_NAMES, row))) == repr(want), text
 
 
 class TestProperties:

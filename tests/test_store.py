@@ -127,6 +127,8 @@ def test_id_ending_in_nul_is_refused(tmp_path, capsys):
     assert cli.main(["annotate", "--config", str(config)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["message"] == "doc id 'a\\x00' ends in NUL, which a score store cannot hold"
+    # Refused before anything is written: no JSONL is left without its store.
+    assert not (tmp_path / "out").exists()
 
 
 class TestStoreChecks:
