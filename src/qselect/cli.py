@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import RunConfig, load_config
-from .corpus import load_corpus, synthesize_corpus, write_corpus
+from .corpus import check_encodable, load_corpus, numbered_lines, synthesize_corpus, write_corpus
 from .errors import ValidationError, is_finite_number
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
@@ -63,20 +63,22 @@ def _read_annotations(paths: list[Path]):
     for path in paths:
         if not path.exists():
             raise ValidationError(f"ratings file {path} does not exist")
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
+        for line_no, line in numbered_lines(path):
+            try:
+                line = line.decode("utf-8")
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                    doc_id, rater, value = obj["doc_id"], obj["rater"], obj["value"]
-                    if not (isinstance(doc_id, str) and isinstance(rater, str)):
-                        raise ValueError(f"doc_id {doc_id!r} and rater {rater!r} must be strings")
-                    if not is_finite_number(value):
-                        raise ValueError(f"value {value!r} is not a finite number")
-                    yield RatingAnnotation(doc_id, rater, float(value))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
+                obj = json.loads(line)
+                doc_id, rater, value = obj["doc_id"], obj["rater"], obj["value"]
+                if not (isinstance(doc_id, str) and isinstance(rater, str)):
+                    raise ValueError(f"doc_id {doc_id!r} and rater {rater!r} must be strings")
+                if not is_finite_number(value):
+                    raise ValueError(f"value {value!r} is not a finite number")
+                if "\\u" in line:
+                    check_encodable("rater", rater)
+                yield RatingAnnotation(doc_id, rater, float(value))
+            except (KeyError, TypeError, ValueError) as exc:  # UTF-8 and JSON errors are ValueErrors
+                raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
 
 
 def _corpus_path(cfg: RunConfig, args: argparse.Namespace) -> Path:
@@ -111,7 +113,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 raise ValidationError(f"importance target corpus {target_path} missing")
 
     corpus = _load_logged(_corpus_path(cfg, args), cfg)
-    check_store_ids(doc.id for doc in corpus.docs)
+    check_store_ids(corpus.ids)
 
     rating_names: list[str] = []
     annotations = []
@@ -124,11 +126,10 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     column = matrix.score_names.index
 
     # The source corpus is tokenized once, for its signals and its hashing.
-    texts = [doc.text for doc in corpus.docs]
-    tokens = tokenize(texts) if cfg.scores.signals or imp is not None else None
+    tokens = tokenize(corpus.texts) if cfg.scores.signals or imp is not None else None
 
     if cfg.scores.signals:
-        matrix.raw[:, [column(name) for name in SIGNAL_NAMES]] = corpus_signals(texts, tokens)
+        matrix.raw[:, [column(name) for name in SIGNAL_NAMES]] = corpus_signals(corpus.texts, tokens)
 
     if imp is not None:
         # The source corpus is hashed once; every target scores it by gathering at its buckets.
@@ -137,7 +138,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
         for target, target_path in imp.targets.items():
             target_model = fit_bag_model(
-                _load_logged(target_path, cfg).docs, imp.bucket_count, cfg.seed, imp.smoothing
+                _load_logged(target_path, cfg).texts, imp.bucket_count, cfg.seed, imp.smoothing
             )
             matrix.raw[:, column(f"{target}_importance")] = importance_scores(
                 source, target_model, source_model

@@ -239,8 +239,7 @@ def load_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ValidationError(f"config file {path} does not exist")
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        raw = json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UTF-8 and JSON errors are ValueErrors
+        raise ValidationError(f"config is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(raw, path.parent)

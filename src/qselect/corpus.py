@@ -1,9 +1,10 @@
-"""Document model, JSONL corpus I/O, and a synthetic corpus generator.
+"""The columnar corpus, JSONL corpus I/O, and a synthetic corpus generator.
 
 The corpus format is line-delimited JSON (UTF-8, no BOM), one object per
 line with keys ``id``, ``text``, ``domain`` and an optional ``scores``
 object mapping score names to numbers. The writer emits keys in exactly
-that order so that repeated runs are byte-identical.
+that order so that repeated runs are byte-identical. A parsed corpus
+holds its records as columns, one per field.
 
 Token budgets throughout the engine are denominated in estimator units
 (whitespace words by default), not in any specific tokenizer's tokens.
@@ -16,6 +17,7 @@ import math
 from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -48,39 +50,39 @@ TOKEN_ESTIMATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Document:
-    """One corpus record. Immutable; safe to share across threads."""
-
-    id: str
-    text: str
-    domain: str
-    token_estimate: int
-
-
 @dataclass
 class Corpus:
-    """Documents in file order, with their records' scores kept flat.
+    """Records in file order, held as columns.
 
-    ``score_keys[i]`` is document ``i``'s score names in its record's order
-    (``None`` without a ``scores`` object), one shared tuple per key order;
-    their values are the next ``len(score_keys[i])`` floats of ``score_values``.
+    Document ``i`` is ``ids[i]`` of domain ``domains[i]``, with text
+    ``texts[i]`` and ``tokens[i]`` estimated tokens. ``score_keys[i]`` is
+    its score names in its record's order (``None`` without a ``scores``
+    object), one shared tuple per key order; their values are the next
+    ``len(score_keys[i])`` floats of ``score_values``.
     """
 
-    docs: list[Document] = field(default_factory=list)
+    ids: list[str] = field(default_factory=list)
+    texts: list[str] = field(default_factory=list)
+    domains: list[str] = field(default_factory=list)
+    tokens: array = field(default_factory=lambda: array("q"))
     score_keys: list[tuple[str, ...] | None] = field(default_factory=list)
     score_values: array = field(default_factory=lambda: array("d"))
     _key_orders: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.docs)
+        return len(self.ids)
 
-    def append(self, doc: Document, scores: Mapping[str, float] | None) -> None:
-        """Add ``doc`` and its scores map (finite numbers), which is not kept."""
+    def append(
+        self, doc_id: str, text: str, domain: str, tokens: int, scores: Mapping[str, float] | None
+    ) -> None:
+        """Add one record; its scores map (finite numbers) is not kept."""
         keys = None if scores is None else tuple(scores)
         keys = self._key_orders.setdefault(keys, keys)
         self.score_values.extend(scores.values() if scores else ())
-        self.docs.append(doc)
+        self.ids.append(doc_id)
+        self.texts.append(text)
+        self.domains.append(domain)
+        self.tokens.append(tokens)
         self.score_keys.append(keys)
 
 
@@ -126,7 +128,33 @@ class ReadReport:
         return f"{self.records_ok} records read, {len(self.errors)} rejected"
 
 
-def _parse_record(obj: object, schema: CorpusSchema) -> tuple[Document, dict | None]:
+def numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """Stream a file's lines as bytes, numbered from 1 and cut where text
+    mode cuts them: at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Each caller
+    decodes a line inside its own check, so a bad byte names its line."""
+    with open(path, "rb") as fh:
+        yield from enumerate(chain.from_iterable(map(bytes.splitlines, fh)), start=1)
+
+
+def check_encodable(what: str, value: str) -> None:
+    """Refuse a string holding a lone surrogate, which UTF-8 cannot write.
+
+    Only a JSON ``\\u`` escape produces one, so callers check the strings
+    of lines that hold such an escape.
+    """
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{what} holds the lone surrogate {exc.object[exc.start]!r}") from None
+
+
+# One parsed record: id, text, domain, token estimate and scores object.
+Record = tuple[str, str, str, int, "dict | None"]
+
+
+def _parse_record(line: str, schema: CorpusSchema) -> Record:
+    obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     doc_id = obj.get("id")
@@ -145,18 +173,25 @@ def _parse_record(obj: object, schema: CorpusSchema) -> tuple[Document, dict | N
         for name, value in scores.items():
             if not is_finite_number(value):
                 raise ValueError(f"score {name!r} = {value!r} is not a finite number")
-    return Document(doc_id, text, domain, schema.estimate_tokens(text)), scores
+    if "\\u" in line:
+        for what, value in (("id", doc_id), ("text", text), ("domain", domain)):
+            check_encodable(what, value)
+        for name in scores or ():
+            check_encodable("score name", name)
+    return doc_id, text, domain, schema.estimate_tokens(text), scores
 
 
 def read_corpus(
     path: str | Path,
     schema: CorpusSchema | None = None,
     report: ReadReport | None = None,
-) -> Iterator[tuple[Document, dict | None]]:
-    """Stream (Document, scores object or None) pairs from a JSONL corpus file in file order.
+) -> Iterator[Record]:
+    """Stream (id, text, domain, token estimate, scores object or None)
+    records from a JSONL corpus file in file order.
 
-    Malformed lines (bad JSON, missing id/text, unknown domain, a score
-    that is not a finite number) are recorded in ``report`` with their
+    Malformed lines (not UTF-8, bad JSON, missing id/text, unknown domain,
+    a score that is not a finite number, a lone surrogate escape in a
+    string that is written back) are recorded in ``report`` with their
     line numbers and skipped. A duplicate document id is a hard error:
     selection outputs reference ids, so silently keeping either copy would
     corrupt downstream manifests. Memory stays bounded by one record plus the id index used
@@ -164,24 +199,23 @@ def read_corpus(
     """
     schema = schema or CorpusSchema()
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    for line_no, line in numbered_lines(path):
+        try:
+            line = line.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-                doc, scores = _parse_record(obj, schema)
-            except (json.JSONDecodeError, ValueError) as exc:
-                if report is not None:
-                    report.add(line_no, str(exc))
-                continue
-            if doc.id in seen_ids:
-                raise CorpusError(f"duplicate document id {doc.id!r} at line {line_no}")
-            seen_ids.add(doc.id)
+            record = _parse_record(line, schema)
+        except ValueError as exc:  # UTF-8 and JSON errors are ValueErrors
             if report is not None:
-                report.records_ok += 1
-            yield doc, scores
+                report.add(line_no, str(exc))
+            continue
+        doc_id = record[0]
+        if doc_id in seen_ids:
+            raise CorpusError(f"duplicate document id {doc_id!r} at line {line_no}")
+        seen_ids.add(doc_id)
+        if report is not None:
+            report.records_ok += 1
+        yield record
 
 
 def load_corpus(
@@ -190,8 +224,8 @@ def load_corpus(
     """Read a whole corpus into memory, returning it and the error report."""
     report = ReadReport()
     corpus = Corpus()
-    for doc, scores in read_corpus(path, schema, report):
-        corpus.append(doc, scores)
+    for record in read_corpus(path, schema, report):
+        corpus.append(*record)
     return corpus, report
 
 
@@ -205,9 +239,10 @@ def write_corpus(
     raw matrix); a record with neither gets no ``scores`` key.
     """
     col = {name: j for j, name in enumerate(matrix.score_names)}
+    columns = (corpus.ids, corpus.texts, corpus.domains, corpus.score_keys, matrix.raw)
     with open(path, "w", encoding="utf-8") as fh:
-        for doc, keys, row in zip(corpus.docs, corpus.score_keys, matrix.raw):
-            record: dict[str, object] = {"id": doc.id, "text": doc.text, "domain": doc.domain}
+        for doc_id, text, domain, keys, row in zip(*columns):
+            record: dict[str, object] = {"id": doc_id, "text": text, "domain": domain}
             if keys is not None or added:
                 values = row.tolist()
                 record["scores"] = {name: values[col[name]] for name in (*(keys or ()), *added)}
@@ -225,7 +260,7 @@ def apportion(proportions: Mapping[str, float], total: int) -> dict[str, int]:
     """
     if total < 0:
         raise ValidationError("total must be nonnegative")
-    _check_proportions(proportions)
+    check_proportions(proportions)
     names = list(proportions)
     floors: list[int] = []
     remainders: list[float] = []
@@ -241,7 +276,9 @@ def apportion(proportions: Mapping[str, float], total: int) -> dict[str, int]:
     return dict(zip(names, floors))
 
 
-def _check_proportions(proportions: Mapping[str, float]) -> None:
+def check_proportions(proportions: Mapping[str, float]) -> None:
+    """Refuse an empty map, a negative share, or shares whose ``fsum`` is
+    not 1 within 1e-9."""
     if not proportions:
         raise ValidationError("empty proportion map")
     for name, p in proportions.items():
@@ -287,7 +324,7 @@ class SynthesisSpec:
             raise FieldError("doc_count", "must be nonnegative")
         if self.token_mean <= 0:
             raise FieldError("token_mean", "must be positive")
-        _check_proportions(self.domain_mix)
+        check_proportions(self.domain_mix)
 
 
 # Small skewed vocabulary for generated text; the leading entries act as
@@ -362,7 +399,5 @@ def synthesize_corpus(
             scores[name] = ch.offset + ch.scale * (ch.loading * latent + ch.noise * eps)
         if spec.latent_name is not None:
             scores[spec.latent_name] = latent
-        corpus.append(
-            Document(f"doc-{i:06d}", text, domain, schema.estimate_tokens(text)), scores or None
-        )
+        corpus.append(f"doc-{i:06d}", text, domain, schema.estimate_tokens(text), scores or None)
     return counts, corpus

@@ -27,7 +27,6 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .corpus import Document
 from .errors import ValidationError
 from .tokens import Tokens, blocks, normalize_words, tokenize
 
@@ -167,25 +166,24 @@ class HashedBagModel:
 
 
 def fit_bag_model(
-    docs: Iterable[Document | str] | HashedCorpus,
+    corpus: Iterable[str] | HashedCorpus,
     bucket_count: int = DEFAULT_BUCKET_COUNT,
     seed: int = 0,
     smoothing: float = 1.0,
 ) -> HashedBagModel:
-    """Count hashed features over a corpus of Documents, raw strings, or
-    a corpus already hashed with the same bucket count and seed.
+    """Count hashed features over texts, or over a corpus already hashed
+    with the same bucket count and seed.
 
     Raises on an empty corpus (a model fit on nothing would silently
     score everything 0 against itself).
     """
     model = HashedBagModel(bucket_count=bucket_count, seed=seed, smoothing=smoothing)
-    if not isinstance(docs, HashedCorpus):
-        texts = (doc.text if isinstance(doc, Document) else doc for doc in docs)
-        docs = hash_corpus(tokenize(texts), bucket_count, seed)
-    _check_compatible(model, docs)
-    if not len(docs.lengths):
+    if not isinstance(corpus, HashedCorpus):
+        corpus = hash_corpus(tokenize(corpus), bucket_count, seed)
+    _check_compatible(model, corpus)
+    if not len(corpus.lengths):
         raise ValidationError("cannot fit a bag model on an empty corpus")
-    model.counts = np.bincount(docs.buckets, minlength=bucket_count)
+    model.counts = np.bincount(corpus.buckets, minlength=bucket_count)
     return model
 
 
@@ -220,9 +218,6 @@ def importance_scores(
     return scores
 
 
-def importance_score(
-    doc: Document | str, p: HashedBagModel, q: HashedBagModel
-) -> float:
-    """One document's importance: ``importance_scores`` of a one-text corpus."""
-    text = doc.text if isinstance(doc, Document) else doc
+def importance_score(text: str, p: HashedBagModel, q: HashedBagModel) -> float:
+    """One text's importance: ``importance_scores`` of a one-text corpus."""
     return importance_scores(hash_corpus(tokenize([text]), p.bucket_count, p.seed), p, q)[0]

@@ -119,14 +119,7 @@ class ScoreMatrix:
         cols = [col[name] for keys in corpus.score_keys if keys for name in keys]
         raw = np.full((len(corpus), len(names)), np.nan)
         raw[rows, np.asarray(cols, dtype=np.intp)] = corpus.score_values
-        docs = corpus.docs
-        return cls(
-            names,
-            [doc.id for doc in docs],
-            [doc.domain for doc in docs],
-            [doc.token_estimate for doc in docs],
-            raw,
-        )
+        return cls(names, corpus.ids, corpus.domains, corpus.tokens, raw)
 
 
 def store_path(corpus_path: str | Path) -> Path:
@@ -231,12 +224,20 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
                 f"this config has {wanted!r}; run annotate again"
             )
     raw = arrays["raw"]
+    names = arrays["score_names"].tolist()
     infinite = np.isinf(raw).any(axis=0)
     if infinite.any():
-        name = str(arrays["score_names"][int(np.argmax(infinite))])
+        name = names[int(np.argmax(infinite))]
         raise ValidationError(f"score store {path}: column {name!r} holds an infinite score")
+    # impute_missing would refuse these gaps later, as a runtime error.
+    for name, gap in zip(names, np.isnan(raw).any(axis=0).tolist()):
+        if gap and name in _STRICT_NAMES:
+            raise ValidationError(
+                f"score store {path}: column {name!r} has missing cells; "
+                "signals and importance scores must be complete"
+            )
     return ScoreMatrix(
-        arrays["score_names"].tolist(),
+        names,
         arrays["ids"].tolist(),
         arrays["domains"],
         arrays["tokens"],

@@ -222,8 +222,8 @@ class ExperimentRecord:
                 f"status {status!r} with loss {loss!r}: need 'ok' with a finite number "
                 "or 'failed' with null"
             )
-        if not isinstance(weights, dict):
-            raise ValueError(f"weights {weights!r} is not an object")
+        if not isinstance(weights, dict) or not weights:
+            raise ValueError(f"weights {weights!r} is not a nonempty object")
         for name, value in weights.items():
             if not is_finite_number(value):
                 raise ValueError(f"weight {name!r} = {value!r} is not a finite number")

@@ -13,13 +13,13 @@ the quota.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import check_proportions
 from .errors import FieldError, ValidationError
 from .matrix import ScoreMatrix
 from .registry import DEFAULT_DOMAIN_WEIGHTS, REFERENCE_WEIGHT_PCT
@@ -100,14 +100,7 @@ class SelectionPlan:
     def __post_init__(self) -> None:
         if self.token_budget <= 0:
             raise FieldError("token_budget", "must be positive")
-        if not self.domain_targets:
-            raise FieldError("domain_targets", "must not be empty")
-        for name, p in self.domain_targets.items():
-            if p < 0:
-                raise ValidationError(f"negative proportion for domain {name!r}")
-        total = math.fsum(self.domain_targets.values())
-        if abs(total - 1.0) > SIMPLEX_TOL:
-            raise ValidationError(f"domain proportions sum to {total!r}, expected 1")
+        check_proportions(self.domain_targets)
 
     @classmethod
     def cc_only(cls, token_budget: int) -> "SelectionPlan":

@@ -3,29 +3,40 @@ import sys
 from collections.abc import Mapping, Sequence
 from hashlib import blake2b
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from qselect.corpus import Corpus, Document
-from qselect.matrix import ScoreMatrix
+from qselect.corpus import Corpus
+from qselect.matrix import ScoreMatrix, rank_normalize
 from qselect.proxy import TrainerRequest
 
 from oracles import ref_hash_bucket, ref_top_ngram_fraction_of_words, ref_word_signals, ref_words
 
 
-def make_doc(doc_id, text, domain="C4"):
-    return Document(doc_id, text, domain, len(text.split()))
+class Row(NamedTuple):
+    """The labels of one matrix row, for tests that build a matrix directly."""
+
+    id: str
+    domain: str
+    token_estimate: int
+
+
+def matrix_of(rows, names, raw):
+    """Rank-normalized matrix whose rows are ``rows`` with scores ``raw``."""
+    ids, domains, tokens = zip(*rows)
+    return rank_normalize(ScoreMatrix(list(names), ids, domains, tokens, np.asarray(raw, dtype=float)))
 
 
 def matrix_of_docs(records, names):
-    """The raw matrix of ``(Document, scores map or None)`` records over the
-    columns ``names``, in that order, NaN where a record lacks a name."""
+    """The raw matrix of ``(id, text, domain, scores map or None)`` records
+    over the columns ``names``, in that order, NaN where a record lacks a name."""
     corpus = Corpus()
-    for doc, scores in records:
-        corpus.append(doc, scores)
+    for doc_id, text, domain, scores in records:
+        corpus.append(doc_id, text, domain, len(text.split()), scores)
     full = ScoreMatrix.from_documents(corpus, names)
     cols = [full.score_names.index(name) for name in names]
     return ScoreMatrix(names, full.doc_ids, full.domains, full.tokens, full.raw[:, cols])

@@ -18,7 +18,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from qselect.corpus import Document, _synth_text, apportion
+from qselect.corpus import _synth_text, apportion
 from qselect.errors import ValidationError, is_finite_number
 from qselect.importance import HashedBagModel, fit_bag_model, hash_corpus, importance_scores
 from qselect.matrix import (
@@ -247,14 +247,13 @@ def ref_features(text):
     return feats
 
 
-def ref_fit_bag_model(docs, bucket_count, seed, smoothing=1.0):
+def ref_fit_bag_model(texts, bucket_count, seed, smoothing=1.0):
     """Bag model counted one feature at a time (an empty corpus raises)."""
     model = HashedBagModel(bucket_count=bucket_count, seed=seed, smoothing=smoothing)
     bucket_cache = {}
     n_docs = 0
-    for doc in docs:
+    for text in texts:
         n_docs += 1
-        text = doc.text if isinstance(doc, Document) else doc
         for feat in ref_features(text):
             bucket = bucket_cache.get(feat)
             if bucket is None:
@@ -267,8 +266,7 @@ def ref_fit_bag_model(docs, bucket_count, seed, smoothing=1.0):
     return model
 
 
-def ref_importance_score(doc, p, q):
-    text = doc.text if isinstance(doc, Document) else doc
+def ref_importance_score(text, p, q):
     feats = ref_features(text)
     if not feats:
         return 0.0

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from qselect.cli import main as cli_main
-from qselect.corpus import Document, ScoreChannel, SynthesisSpec, synthesize_corpus
+from qselect.corpus import ScoreChannel, SynthesisSpec, synthesize_corpus
 from qselect.gbt import RegressorHyper
 from qselect.importance import features, fit_bag_model, importance_score
 from qselect.matrix import ScoreMatrix, rank_normalize, spearman_matrix
@@ -44,7 +44,7 @@ from qselect.selection import (
 )
 from qselect.signals import compute_signals
 
-from conftest import SubsetOracleTrainer, bucket_of, mixed_language_fixture, random_text
+from conftest import Row, SubsetOracleTrainer, bucket_of, matrix_of, mixed_language_fixture, random_text
 from oracles import ref_all_signals, ref_dot, ref_spearman, ref_unhashed_log_ratio
 
 
@@ -187,20 +187,8 @@ def random_pool(gen, n_docs, names):
     probs = np.array([DEFAULT_DOMAIN_WEIGHTS[d] for d in domains])
     probs /= probs.sum()
     tags = gen.choice(domains, size=n_docs, p=probs)
-    docs = [
-        Document(f"d{i:05d}", "", str(tags[i]), int(gen.integers(20, 200)))
-        for i in range(n_docs)
-    ]
-    raw = gen.normal(size=(n_docs, len(names)))
-    return docs, rank_normalize(
-        ScoreMatrix(
-            list(names),
-            [d.id for d in docs],
-            [d.domain for d in docs],
-            [d.token_estimate for d in docs],
-            raw,
-        )
-    )
+    docs = [Row(f"d{i:05d}", str(tags[i]), int(gen.integers(20, 200))) for i in range(n_docs)]
+    return docs, matrix_of(docs, names, gen.normal(size=(n_docs, len(names))))
 
 
 def prefix_sort_reference(matrix, docs, w, plan):

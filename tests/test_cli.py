@@ -300,6 +300,110 @@ class TestAnnotate:
         assert f"corpus read {target}: 5 records read, 1 rejected" in caplog.text
 
 
+class TestUndecodableInput:
+    """A byte that is not UTF-8, or a lone surrogate escape that UTF-8
+    cannot write, fails its own line by number, never the whole run."""
+
+    def annotate_with(self, tmp_path, line, **config):
+        corpus = write_corpus_fixture(tmp_path / "corpus.jsonl", n=4)
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(lines[0] + line + b"\n" + b"".join(lines[1:]))
+        config = write_config(
+            tmp_path / "cfg.json", corpus={"path": "corpus.jsonl", **config},
+            scores={"signals": True},
+        )
+        return corpus, run_cli("annotate", "--config", str(config))
+
+    def test_corpus_line_not_utf8_is_rejected(self, tmp_path, capsys, caplog):
+        corpus, code = self.annotate_with(tmp_path, b'{"id": "d\xff", "text": "x", "domain": "C4"}')
+        assert code == 0
+        assert f"{corpus}:2 rejected: 'utf-8' codec can't decode byte 0xff" in caplog.text
+        annotated = (tmp_path / "out" / "annotated.jsonl").read_text(encoding="utf-8")
+        assert len(annotated.splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "field, line",
+        [
+            ("id", r'{"id": "d\ud800", "text": "x", "domain": "C4"}'),
+            ("text", r'{"id": "z", "text": "x \uDFFF y", "domain": "C4"}'),
+            ("domain", r'{"id": "z", "text": "x", "domain": "X\ud800"}'),
+            ("score name", r'{"id": "z", "text": "x", "domain": "C4", "scores": {"s\udc00": 1}}'),
+        ],
+        ids=["id", "text", "domain", "score-name"],
+    )
+    def test_corpus_line_with_lone_surrogate_is_rejected(self, tmp_path, capsys, caplog, field, line):
+        domains = [*DEFAULT_DOMAIN_WEIGHTS, "X\ud800"]
+        corpus, code = self.annotate_with(tmp_path, line.encode(), domains=domains)
+        assert code == 0
+        assert f"{corpus}:2 rejected: {field} holds the lone surrogate" in caplog.text
+        annotated = (tmp_path / "out" / "annotated.jsonl").read_text(encoding="utf-8")
+        assert len(annotated.splitlines()) == 4
+
+    def test_escaped_surrogate_pair_is_kept(self, tmp_path, capsys, caplog):
+        line = rb'{"id": "z", "text": "\ud83d\ude00 caf\u00e9", "domain": "C4"}'
+        _, code = self.annotate_with(tmp_path, line)
+        assert code == 0
+        assert "rejected" not in caplog.text
+        annotated = (tmp_path / "out" / "annotated.jsonl").read_text(encoding="utf-8")
+        assert '"text":"\U0001f600 caf\u00e9"' in annotated
+
+    @pytest.mark.parametrize(
+        "line",
+        [b'{"doc_id": "d0001", "rater": "Fluency", "value": 4}\xff',
+         rb'{"doc_id": "d0001", "rater": "Fluency\ud800", "value": 4}'],
+        ids=["not-utf8", "lone-surrogate-rater"],
+    )
+    def test_bad_ratings_line_names_it(self, tmp_path, capsys, line):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_bytes(b'{"doc_id": "d0000", "rater": "Fluency", "value": 3}\n' + line + b"\n")
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": False, "ratings": {"files": ["ratings.jsonl"]}},
+        )
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert f"{ratings}:2: bad annotation" in err["message"]
+        assert not (tmp_path / "out" / "annotated.jsonl").exists()
+
+    def test_config_not_utf8_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'{"seed": 1, "output_dir": "out\xff"}')
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "ValidationError"
+        assert "config is not valid UTF-8 JSON" in err["message"]
+
+
+@pytest.mark.parametrize("column", ["doc_word_count", "books_importance"])
+def test_store_with_a_gap_in_a_strict_column_is_refused(tmp_path, capsys, column):
+    # Pass-through annotate keeps the gap; the downstream read refuses it.
+    records = [
+        {"id": f"d{i}", "text": "a b", "domain": "C4", "scores": {column: 1.0 + i, "s": float(i)}}
+        for i in range(3)
+    ]
+    del records[1]["scores"][column]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+    config = write_config(
+        tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"}, scores={"signals": False},
+        plan={"token_budget": 4, "domain_targets": {"C4": 1.0}},
+    )
+    assert run_cli("annotate", "--config", str(config)) == 0
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps([{"name": column, "weight": 1}, {"name": "s", "weight": 1}]))
+    annotated = tmp_path / "out" / "annotated.jsonl"
+    capsys.readouterr()
+    argv = ["select", "--config", str(config), "--weights", str(weights), "--corpus", str(annotated)]
+    assert run_cli(*argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ValidationError"
+    assert err["message"].startswith(f"score store {tmp_path / 'out' / 'annotated.scores.npz'}: ")
+    assert f"column {column!r} has missing cells" in err["message"]
+
+
 def synth_config(tmp_path, n_docs=900, budget=6000, seed=1, extra=None):
     channels = {f"ch{j}": {"loading": 1.0 if j < 2 else 0.0, "noise": 0.3 if j < 2 else 1.0}
                 for j in range(3)}
@@ -531,12 +635,14 @@ class TestCampaignAndFit:
             ("weights", '{"ch0": "0.5"}'),
             ("weights", '{"ch0": NaN}'),
             ("weights", "[1.0]"),
+            ("weights", "{}"),
             ("status", '"OK"'),
             ("status", '"failed"'),
             ("status", "null"),
         ],
         ids=["nan", "infinity", "string", "bool", "huge-int", "null-on-ok", "string-weight",
-             "nan-weight", "weights-list", "upper-case-ok", "failed-with-loss", "null-status"],
+             "nan-weight", "weights-list", "empty-weights", "upper-case-ok", "failed-with-loss",
+             "null-status"],
     )
     def test_fit_bad_log_value_fails(self, tmp_path, capsys, field, value):
         good = {"experiment_id": "exp-0000", "weights": {"ch0": 1.0}, "loss": 1.0, "status": "ok"}
@@ -562,9 +668,10 @@ class TestCampaignAndFit:
             ("loss", "Infinity"),
             ("loss", '"abc"'),
             ("weight", '"0.5"'),
+            ("weights", "{}"),
             ("status", '"OK"'),
         ],
-        ids=["nan", "infinity", "string-loss", "string-weight", "upper-case-ok"],
+        ids=["nan", "infinity", "string-loss", "string-weight", "empty-weights", "upper-case-ok"],
     )
     def test_campaign_resume_bad_log_value_fails(self, tmp_path, capsys, field, value):
         config = self.oracle_config(tmp_path, n=4)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from qselect.corpus import (
     Corpus,
     CorpusSchema,
-    Document,
     ReadReport,
     ScoreChannel,
     SynthesisSpec,
@@ -30,26 +30,20 @@ def write_scored(corpus, path):
     write_corpus(corpus, path, ScoreMatrix.from_documents(corpus))
 
 
-def load_docs(path, schema=None):
-    corpus, report = load_corpus(path, schema)
-    return corpus.docs, report
-
-
 class TestReadCorpus:
     def test_basic_line(self, tmp_path):
         f = tmp_path / "c.jsonl"
         write_lines(f, ['{"id":"d1","text":"a b c","domain":"C4"}'])
-        docs, report = load_docs(f)
-        assert len(docs) == 1
-        assert docs[0].id == "d1"
-        assert docs[0].token_estimate == 3
+        corpus, report = load_corpus(f)
+        assert corpus.ids == ["d1"]
+        assert corpus.tokens.tolist() == [3]
         assert not report.errors
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "c.jsonl"
         f.write_text("", encoding="utf-8")
-        docs, report = load_docs(f)
-        assert docs == []
+        corpus, report = load_corpus(f)
+        assert len(corpus) == 0
         assert not report.errors
 
     def test_malformed_lines_located(self, tmp_path):
@@ -62,8 +56,8 @@ class TestReadCorpus:
             else:
                 lines.append(json.dumps({"id": f"d{i}", "text": "x y", "domain": "C4"}))
         write_lines(f, lines)
-        docs, report = load_docs(f)
-        assert len(docs) == 997
+        corpus, report = load_corpus(f)
+        assert len(corpus) == 997
         assert len(report.errors) == 3
         assert {e.line_no for e in report.errors} == bad_lines
 
@@ -79,8 +73,8 @@ class TestReadCorpus:
                 '{"id":"d4","text":"ok","domain":"C4"}',
             ],
         )
-        docs, report = load_docs(f)
-        assert [d.id for d in docs] == ["d4"]
+        corpus, report = load_corpus(f)
+        assert corpus.ids == ["d4"]
         assert len(report.errors) == 4
 
     def test_non_finite_scores_rejected(self, tmp_path):
@@ -96,8 +90,8 @@ class TestReadCorpus:
                 '{"id":"d6","text":"ok","domain":"C4","scores":{"s":1%s}}' % ("0" * 400),
             ],
         )
-        docs, report = load_docs(f)
-        assert [d.id for d in docs] == ["d1"]
+        corpus, report = load_corpus(f)
+        assert corpus.ids == ["d1"]
         assert [e.line_no for e in report.errors] == [2, 3, 4, 5, 6]
         assert all("is not a finite number" in e.reason for e in report.errors)
 
@@ -116,8 +110,21 @@ class TestReadCorpus:
     def test_char_ratio_estimator(self, tmp_path):
         f = tmp_path / "c.jsonl"
         write_lines(f, [json.dumps({"id": "d1", "text": "x" * 77, "domain": "C4"})])
-        docs, _ = load_docs(f, CorpusSchema(token_estimator="char_ratio"))
-        assert docs[0].token_estimate == 100
+        corpus, _ = load_corpus(f, CorpusSchema(token_estimator="char_ratio"))
+        assert corpus.tokens.tolist() == [100]
+
+    def test_lines_numbered_as_text_mode_numbers_them(self, tmp_path):
+        # A lone CR ends a line as LF and CRLF do; a bad byte fails its line only.
+        f = tmp_path / "c.jsonl"
+        f.write_bytes(
+            b'{"id":"a","text":"x","domain":"C4"}\r{bad\r\n\n'
+            b'{"id":"b","text":"y","domain":"C4"}\r\xff\n{"id":"c","text":"\xc3\xa9","domain":"C4"}'
+        )
+        corpus, report = load_corpus(f)
+        assert corpus.ids == ["a", "b", "c"]
+        assert corpus.texts[2] == "\u00e9"
+        assert [e.line_no for e in report.errors] == [2, 5]
+        assert "can't decode byte 0xff" in report.errors[1].reason
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValidationError):
@@ -145,29 +152,19 @@ class TestReadCorpus:
 class TestRoundTrip:
     def test_write_read_preserves_fields(self, tmp_path):
         corpus = Corpus()
-        for doc, scores in [
-            (Document("a", "Hello über 世界", "Books", 3), {"s1": 0.25, "s2": -3.5}),
-            (Document("b", "", "C4", 0), None),
-            (Document("c", "line1\nline2.", "GitHub", 2), {"s1": 1e-300}),
-        ]:
-            corpus.append(doc, scores)
+        corpus.append("a", "Hello über 世界", "Books", 3, {"s1": 0.25, "s2": -3.5})
+        corpus.append("b", "", "C4", 0, None)
+        corpus.append("c", "line1\nline2.", "GitHub", 2, {"s1": 1e-300})
         f = tmp_path / "c.jsonl"
         write_scored(corpus, f)
         back, report = load_corpus(f)
         assert not report.errors
-        assert len(back) == 3
-        for orig, rt in zip(corpus.docs, back.docs):
-            assert rt.id == orig.id
-            assert rt.text == orig.text
-            assert rt.domain == orig.domain
-            assert rt.token_estimate == orig.token_estimate
-        assert back.score_keys == corpus.score_keys
-        assert back.score_values == corpus.score_values
+        assert back == corpus
 
     def test_writer_key_order(self, tmp_path):
         f = tmp_path / "c.jsonl"
         corpus = Corpus()
-        corpus.append(Document("a", "t", "C4", 1), {"s": 1.0})
+        corpus.append("a", "t", "C4", 1, {"s": 1.0})
         write_scored(corpus, f)
         line = f.read_text(encoding="utf-8").strip()
         assert line.index('"id"') < line.index('"text"') < line.index('"domain"') < line.index('"scores"')
@@ -238,10 +235,7 @@ class TestSynthesize:
         back, report = load_corpus(f)
         assert len(back) == 700
         assert not report.errors
-        observed = {}
-        for d in back.docs:
-            observed[d.domain] = observed.get(d.domain, 0) + 1
-        assert observed == counts
+        assert Counter(back.domains) == counts
         assert back == synthesized
 
     def test_deterministic_bytes(self, tmp_path):
@@ -263,8 +257,8 @@ class TestSynthesize:
         f = tmp_path / "synth.jsonl"
         spec = SynthesisSpec(doc_count=40, domain_mix={"Books": 1.0})
         write_scored(synthesize_corpus(spec, seed=0)[1], f)
-        docs, _ = load_docs(f)
-        assert all(d.domain == "Books" for d in docs)
+        corpus, _ = load_corpus(f)
+        assert set(corpus.domains) == {"Books"}
 
     def test_bad_mix_rejected(self):
         with pytest.raises(ValidationError):

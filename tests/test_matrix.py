@@ -14,7 +14,7 @@ from qselect.matrix import (
     spearman_matrix,
 )
 
-from conftest import make_doc, matrix_of_docs
+from conftest import matrix_of_docs
 from oracles import ref_rank_unit, ref_spearman
 
 
@@ -87,7 +87,7 @@ class TestRankNormalize:
 
 class TestIngest:
     def docs(self):
-        return [(make_doc(f"d{i}", "text here"), None) for i in range(10)]
+        return [(f"d{i}", "text here", "C4", None) for i in range(10)]
 
     def test_direct_write(self):
         matrix = matrix_of_docs(self.docs(), ["Professionalism"])
@@ -219,8 +219,8 @@ class TestMatrixIO:
 
     def test_domains_and_tokens_carried_through(self):
         docs = [
-            (make_doc("b", "two words", "Books"), {"s": 2.0}),
-            (make_doc("a", "one", "C4"), {"s": 1.0}),
+            ("b", "two words", "Books", {"s": 2.0}),
+            ("a", "one", "C4", {"s": 1.0}),
         ]
         matrix = rank_normalize(matrix_of_docs(docs, ["s"]))
         assert matrix.doc_ids == ["b", "a"]
@@ -230,9 +230,9 @@ class TestMatrixIO:
 
     def test_from_documents_leaves_missing_cells_nan(self):
         docs = [
-            (make_doc("a", "x"), {"s": 1.0, "t": 2.5}),
-            (make_doc("b", "x"), None),
-            (make_doc("c", "x"), {"t": -3.0}),
+            ("a", "x", "C4", {"s": 1.0, "t": 2.5}),
+            ("b", "x", "C4", None),
+            ("c", "x", "C4", {"t": -3.0}),
         ]
         raw = matrix_of_docs(docs, ["t", "s", "u"]).raw
         assert raw.dtype == np.float64

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qselect.corpus import Document
 from qselect.errors import ValidationError
-from qselect.matrix import ScoreMatrix, rank_normalize
+from qselect.matrix import ScoreMatrix
 from qselect.registry import DEFAULT_DOMAIN_WEIGHTS
 from qselect.selection import (
     SelectionPlan,
@@ -13,20 +12,8 @@ from qselect.selection import (
     select_top_k,
 )
 
+from conftest import Row, matrix_of
 from oracles import ref_dot
-
-
-def matrix_of(docs, names, raw):
-    """Rank-normalized matrix whose rows are ``docs`` with scores ``raw``."""
-    return rank_normalize(
-        ScoreMatrix(
-            list(names),
-            [d.id for d in docs],
-            [d.domain for d in docs],
-            [d.token_estimate for d in docs],
-            np.asarray(raw, dtype=float),
-        )
-    )
 
 
 def build_pool(
@@ -48,10 +35,7 @@ def build_pool(
     else:
         raw = rng.normal(size=(n_docs, len(names)))
     tags = rng.choice(domains, size=n_docs, p=probs)
-    docs = [
-        Document(f"d{i:05d}", "", str(tags[i]), int(rng.integers(*token_range)))
-        for i in range(n_docs)
-    ]
+    docs = [Row(f"d{i:05d}", str(tags[i]), int(rng.integers(*token_range))) for i in range(n_docs)]
     return docs, matrix_of(docs, names, raw)
 
 
@@ -160,9 +144,9 @@ S = WeightVector(("s",), np.array([1.0]))
 class TestSelectTopK:
     def test_forced_ordering(self):
         docs = [
-            Document("a", "", "C4", 5),
-            Document("b", "", "C4", 5),
-            Document("c", "", "C4", 5),
+            Row("a", "C4", 5),
+            Row("b", "C4", 5),
+            Row("c", "C4", 5),
         ]
         matrix = matrix_of(docs, ["s"], [[0.9], [0.5], [0.1]])
         result = select_top_k(matrix, S, SelectionPlan(10, {"C4": 1.0}))
@@ -171,7 +155,7 @@ class TestSelectTopK:
         assert not result.shortfalls
 
     def test_crossing_doc_included(self):
-        docs = [Document("a", "", "C4", 7), Document("b", "", "C4", 7)]
+        docs = [Row("a", "C4", 7), Row("b", "C4", 7)]
         matrix = matrix_of(docs, ["s"], [[1.0], [0.0]])
         result = select_top_k(matrix, S, SelectionPlan(10, {"C4": 1.0}))
         # second doc crosses the 10-token target and is included
@@ -179,19 +163,19 @@ class TestSelectTopK:
         assert result.total_tokens == 14
 
     def test_tie_break_lexicographic(self):
-        docs = [Document("z1", "", "C4", 5), Document("a1", "", "C4", 5)]
+        docs = [Row("z1", "C4", 5), Row("a1", "C4", 5)]
         matrix = matrix_of(docs, ["s"], [[0.5], [0.5]])
         result = select_top_k(matrix, S, SelectionPlan(5, {"C4": 1.0}))
         assert result.selected_ids == ["a1"]
 
     def test_shortfall_reported(self):
-        matrix = matrix_of([Document("a", "", "C4", 5)], ["s"], [[1.0]])
+        matrix = matrix_of([Row("a", "C4", 5)], ["s"], [[1.0]])
         result = select_top_k(matrix, S, SelectionPlan(100, {"C4": 1.0}))
         assert len(result.shortfalls) == 1
         assert result.shortfalls[0].achieved_tokens == 5
 
     def test_empty_plan_domain_is_a_shortfall(self):
-        matrix = matrix_of([Document("a", "", "C4", 5)], ["s"], [[1.0]])
+        matrix = matrix_of([Row("a", "C4", 5)], ["s"], [[1.0]])
         plan = SelectionPlan(10, {"C4": 0.5, "Books": 0.5})
         result = select_top_k(matrix, S, plan)
         assert result.selected_ids == ["a"]
@@ -201,7 +185,7 @@ class TestSelectTopK:
         assert (shortfall.domain, shortfall.achieved_tokens) == ("Books", 0)
 
     def test_zero_proportion_domain_selects_nothing(self):
-        docs = [Document("a", "", "C4", 5), Document("b", "", "Books", 5)]
+        docs = [Row("a", "C4", 5), Row("b", "Books", 5)]
         matrix = matrix_of(docs, ["s"], [[0.0], [1.0]])
         plan = SelectionPlan(5, {"C4": 1.0, "Books": 0.0})
         result = select_top_k(matrix, S, plan)
@@ -215,7 +199,7 @@ class TestSelectTopK:
         # one ranked above the crossing document is taken, none below it
         ids = ["a", "b", "c", "d", "e"]
         tokens = [0, 0, 6, 0, 6]
-        docs = [Document(i, "", "C4", t) for i, t in zip(ids, tokens)]
+        docs = [Row(i, "C4", t) for i, t in zip(ids, tokens)]
         raw = [[5.0], [4.0], [3.0], [2.0], [1.0]]
         plan = SelectionPlan(6, {"C4": 1.0})
         result = select_top_k(matrix_of(docs, ["s"], raw), S, plan)
@@ -227,7 +211,7 @@ class TestSelectTopK:
         assert starved.shortfalls[0].achieved_tokens == 0
 
     def test_domains_outside_the_plan_ignored(self):
-        docs = [Document("a", "", "C4", 5), Document("b", "", "Elsewhere", 5)]
+        docs = [Row("a", "C4", 5), Row("b", "Elsewhere", 5)]
         matrix = matrix_of(docs, ["s"], [[0.0], [1.0]])
         result = select_top_k(matrix, S, SelectionPlan(10, {"C4": 1.0}))
         assert result.selected_ids == ["a"]
@@ -246,7 +230,7 @@ class TestSelectTopK:
             tokens = rng.integers(20, 200, size=n)
             tokens[rng.random(n) < 0.1] = 0
             ids = rng.permutation(n)
-            docs = [Document(f"d{ids[i]:05d}", "", str(tags[i]), int(tokens[i])) for i in range(n)]
+            docs = [Row(f"d{ids[i]:05d}", str(tags[i]), int(tokens[i])) for i in range(n)]
             if trial % 2:
                 raw = rng.integers(0, 4, size=(n, len(names)))
             else:
