@@ -74,8 +74,7 @@ def _read_annotations(paths: list[Path]):
                     raise ValueError(f"doc_id {doc_id!r} and rater {rater!r} must be strings")
                 if not is_finite_number(value):
                     raise ValueError(f"value {value!r} is not a finite number")
-                if "\\u" in line:
-                    check_encodable("rater", rater)
+                check_encodable("rater", rater)
                 yield RatingAnnotation(doc_id, rater, float(value))
             except (KeyError, TypeError, ValueError) as exc:  # UTF-8 and JSON errors are ValueErrors
                 raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")

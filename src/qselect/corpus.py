@@ -137,11 +137,7 @@ def numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
 
 
 def check_encodable(what: str, value: str) -> None:
-    """Refuse a string holding a lone surrogate, which UTF-8 cannot write.
-
-    Only a JSON ``\\u`` escape produces one, so callers check the strings
-    of lines that hold such an escape.
-    """
+    """Refuse a string holding a lone surrogate, which UTF-8 cannot write."""
     if not value.isascii():
         try:
             value.encode("utf-8")
@@ -173,11 +169,10 @@ def _parse_record(line: str, schema: CorpusSchema) -> Record:
         for name, value in scores.items():
             if not is_finite_number(value):
                 raise ValueError(f"score {name!r} = {value!r} is not a finite number")
-    if "\\u" in line:
-        for what, value in (("id", doc_id), ("text", text), ("domain", domain)):
-            check_encodable(what, value)
-        for name in scores or ():
-            check_encodable("score name", name)
+    for what, value in (("id", doc_id), ("text", text), ("domain", domain)):
+        check_encodable(what, value)
+    for name in scores or ():
+        check_encodable("score name", name)
     return doc_id, text, domain, schema.estimate_tokens(text), scores
 
 

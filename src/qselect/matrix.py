@@ -183,7 +183,8 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
 
     The store must exist, be a well-formed npz of the layout above, mirror
     the file's current bytes and have been built under ``schema``. NaN
-    cells are missing scores; infinite ones are refused.
+    cells are missing scores; infinite ones, and a gap in a signal or
+    importance column (``_strict_gap``), are refused.
     """
     import zipfile  # numpy imports it lazily as well
 
@@ -229,13 +230,10 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
     if infinite.any():
         name = names[int(np.argmax(infinite))]
         raise ValidationError(f"score store {path}: column {name!r} holds an infinite score")
-    # impute_missing would refuse these gaps later, as a runtime error.
-    for name, gap in zip(names, np.isnan(raw).any(axis=0).tolist()):
-        if gap and name in _STRICT_NAMES:
-            raise ValidationError(
-                f"score store {path}: column {name!r} has missing cells; "
-                "signals and importance scores must be complete"
-            )
+    for j, name in enumerate(names):
+        problem = _strict_gap(name, raw[:, j])
+        if problem:
+            raise ValidationError(f"score store {path}: {problem}")
     return ScoreMatrix(
         names,
         arrays["ids"].tolist(),
@@ -277,24 +275,34 @@ def ingest_ratings(
     return report
 
 
+def _strict_gap(name: str, col: np.ndarray) -> str | None:
+    """Why column ``name`` may not be imputed, if it is a signal or
+    importance column with missing cells; those are computed locally, so a
+    gap there is an upstream bug, not missing data."""
+    if name not in _STRICT_NAMES:
+        return None
+    missing = int(np.isnan(col).sum())
+    if not missing:
+        return None
+    return (
+        f"column {name!r} has {missing} missing cells; "
+        "signals and importance scores must be complete"
+    )
+
+
 def impute_missing(matrix: ScoreMatrix, names: Sequence[str] | None = None) -> list[tuple[str, str]]:
     """Fill remaining gaps in the columns ``names`` (default: all) with
-    column medians; return the cells filled.
-
-    Signal and importance columns are computed locally and must already be
-    complete; a gap there is an upstream bug, not missing data.
-    """
+    column medians; return the cells filled. A gap in a signal or
+    importance column is refused (``_strict_gap``)."""
     flagged: list[tuple[str, str]] = []
     for name in matrix.score_names if names is None else names:
         col = matrix.raw[:, matrix.score_names.index(name)]
         missing = np.isnan(col)
         if not missing.any():
             continue
-        if name in _STRICT_NAMES:
-            raise MatrixError(
-                f"column {name!r} has {int(missing.sum())} missing cells; "
-                "signals and importance scores must be complete"
-            )
+        problem = _strict_gap(name, col)
+        if problem:
+            raise MatrixError(problem)
         if missing.all():
             raise MatrixError(f"column {name!r} has no observed values to impute from")
         median = float(np.median(col[~missing]))

@@ -100,7 +100,10 @@ class SelectionPlan:
     def __post_init__(self) -> None:
         if self.token_budget <= 0:
             raise FieldError("token_budget", "must be positive")
-        check_proportions(self.domain_targets)
+        try:
+            check_proportions(self.domain_targets)
+        except ValidationError as exc:
+            raise FieldError("domain_targets", str(exc)) from None
 
     @classmethod
     def cc_only(cls, token_budget: int) -> "SelectionPlan":

@@ -401,7 +401,7 @@ def test_store_with_a_gap_in_a_strict_column_is_refused(tmp_path, capsys, column
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ValidationError"
     assert err["message"].startswith(f"score store {tmp_path / 'out' / 'annotated.scores.npz'}: ")
-    assert f"column {column!r} has missing cells" in err["message"]
+    assert f"column {column!r} has 1 missing cells" in err["message"]
 
 
 def synth_config(tmp_path, n_docs=900, budget=6000, seed=1, extra=None):

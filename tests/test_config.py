@@ -58,14 +58,14 @@ MISTAKES = {
     "range-check-of-nested-key": ({"campaign": {"proxy": {"layers": 0}}}, "campaign.proxy.layers"),
     "negative-threads": ({"campaign": {"threads": -7}}, "campaign.threads"),
     "zero-threads": ({"campaign": {"threads": 0}}, "campaign.threads"),
-    "empty-domain-targets": ({"plan": {"token_budget": 10, "domain_targets": {}}}, "plan"),
+    "empty-domain-targets": ({"plan": {"token_budget": 10, "domain_targets": {}}}, "plan.domain_targets"),
     "negative-domain-target": (
         {"plan": {"token_budget": 10, "domain_targets": {"C4": 1.5, "Books": -0.5}}},
-        "plan",
+        "plan.domain_targets",
     ),
     "domain-targets-off-simplex": (
         {"plan": {"token_budget": 10, "domain_targets": {"C4": 0.5, "Books": 0.4}}},
-        "plan",
+        "plan.domain_targets",
     ),
 }
 
