@@ -22,7 +22,6 @@ from .errors import ValidationError, is_finite_number
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
-    RatingAnnotation,
     ScoreMatrix,
     check_store_ids,
     correlation_csv,
@@ -40,7 +39,7 @@ from .proxy import (
     flops_train_structural,
     run_campaign,
 )
-from .registry import SIGNAL_NAMES, canonical_order
+from .registry import PRRC_NAMES, SIGNAL_NAMES, canonical_order
 from .selection import SelectionPlan, select_top_k
 from .tokens import tokenize
 
@@ -59,7 +58,10 @@ def _annotated_names(cfg: RunConfig) -> list[str]:
     return names
 
 
-def _read_annotations(paths: list[Path]):
+def _read_annotations(paths: list[Path]) -> dict[str, dict[str, float]]:
+    """The ratings files as ``{rater: {doc_id: value}}``; a later rating of
+    the same document by the same rater replaces the earlier one."""
+    ratings: dict[str, dict[str, float]] = {}
     for path in paths:
         if not path.exists():
             raise ValidationError(f"ratings file {path} does not exist")
@@ -74,10 +76,13 @@ def _read_annotations(paths: list[Path]):
                     raise ValueError(f"doc_id {doc_id!r} and rater {rater!r} must be strings")
                 if not is_finite_number(value):
                     raise ValueError(f"value {value!r} is not a finite number")
+                if rater in PRRC_NAMES and not 0 <= value <= 5:
+                    raise ValueError(f"{rater} value {value!r} outside [0, 5]")
                 check_encodable("rater", rater)
-                yield RatingAnnotation(doc_id, rater, float(value))
+                ratings.setdefault(rater, {})[doc_id] = float(value)
             except (KeyError, TypeError, ValueError) as exc:  # UTF-8 and JSON errors are ValueErrors
                 raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
+    return ratings
 
 
 def _corpus_path(cfg: RunConfig, args: argparse.Namespace) -> Path:
@@ -114,13 +119,8 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     corpus = _load_logged(_corpus_path(cfg, args), cfg)
     check_store_ids(corpus.ids)
 
-    rating_names: list[str] = []
-    annotations = []
-    if cfg.scores.ratings is not None:
-        annotations = list(_read_annotations(cfg.scores.ratings.files))
-        rating_names = sorted({a.rater for a in annotations})
-
-    names = canonical_order(_annotated_names(cfg) + rating_names)
+    ratings = _read_annotations(cfg.scores.ratings.files) if cfg.scores.ratings else {}
+    names = canonical_order(_annotated_names(cfg) + list(ratings))
     matrix = ScoreMatrix.from_documents(corpus, names)
     column = matrix.score_names.index
 
@@ -143,13 +143,13 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 source, target_model, source_model
             )
 
-    if annotations:
-        ingest = ingest_ratings(matrix, annotations)
-        coverage = ingest.coverage(matrix.n_docs)
-        for rater, cov in sorted(coverage.items()):
+    if ratings:
+        filled, unknown = ingest_ratings(matrix, ratings)
+        coverage = {rater: filled[rater] / max(matrix.n_docs, 1) for rater in sorted(filled)}
+        for rater, cov in coverage.items():
             logger.info("rating coverage %s: %.3f", rater, cov)
-        if ingest.unknown_doc_ids:
-            logger.warning("%d annotations referenced unknown doc ids", len(ingest.unknown_doc_ids))
+        if unknown:
+            logger.warning("%d (rater, doc id) pairs referenced unknown doc ids", unknown)
         min_cov = cfg.scores.ratings.min_coverage
         low = {r: c for r, c in coverage.items() if c < min_cov}
         if low:

@@ -1,28 +1,33 @@
 """Run configuration: one JSON file drives every CLI command.
 
-Keys; ``?`` marks an optional key (a command that needs a section says so):
+Keys; ``?`` marks an optional key (a command that needs a section says so),
+and ``key: range`` gives the values a number may take:
 
   seed?        int, root seed for all randomness (default 0)
   output_dir?  where outputs land (default "out")
   corpus?      {path?, domains?: [str], token_estimator?: "whitespace"|"char_ratio"}
-  scores?      {signals?: bool, importance?: {targets: {name: path}, bucket_count?,
-                smoothing?}, ratings?: {files: [path], min_coverage?}}
+  scores?      {signals?: bool,
+                importance?: {targets: {name: path}, bucket_count?: 2..2**31, smoothing?: > 0},
+                ratings?: {files: [path], min_coverage?: 0..1}}
   plan?        {token_budget, domain_targets?: {domain: share}}
-  campaign?    {n?, trainer?, valset?, threads?,
+  campaign?    {n?: >= 1, trainer?, valset?, threads?: >= 1,
                 proxy?: {hidden_dim?, layers?, heads?, kv_heads?, token_budget?}}
     trainer    {type: "oracle", w_star: {score: weight}, base?, sigma?}
                or {type: "command", argv: [str], timeout?: seconds > 0}
-  optimizer?   {trees?, depth?, learning_rate?, subsample?, min_samples_leaf?, candidates?,
-                top_k?, concentration?, normalization?: "rank"|"zscore", grid?}
+  optimizer?   {trees?, depth?, learning_rate?, subsample?, min_samples_leaf?,
+                candidates?: >= top_k, top_k?: >= 1, concentration?: > 0,
+                normalization?: "rank"|"zscore", grid?: >= 2}
   synthesis?   {doc_count, domain_mix?, latent_name?, token_mean?, token_sigma?,
                 channels?: {name: {loading?, noise?, offset?, scale?}}}
 
 Each section is built from its dataclass, whose fields give the keys, their
 types and their defaults. An unknown key, a missing required key, a value
 of the wrong type or one out of range is a ValidationError naming the key's
-dotted path, e.g. ``optimizer.trees``. An integer is accepted where a number
-is expected; a boolean is neither. Relative paths resolve against the config
-file's directory. The oracle trainer and the regressor use the root seed.
+dotted path, e.g. ``optimizer.trees``, before any command starts work. So is
+a string, path or object key holding a lone surrogate, which no output file
+could hold. An integer is accepted where a number is expected; a boolean is
+neither. Relative paths resolve against the config file's directory. The
+oracle trainer and the regressor use the root seed.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
-from .corpus import CorpusSchema, SynthesisSpec
+from .corpus import CorpusSchema, SynthesisSpec, check_encodable
 from .errors import FieldError, ValidationError
 from .gbt import RegressorHyper
 from .importance import DEFAULT_BUCKET_COUNT
@@ -52,6 +57,10 @@ class ImportanceConfig:
     def __post_init__(self) -> None:
         if not self.targets:
             raise FieldError("targets", "must name at least one target corpus")
+        if not 2 <= self.bucket_count <= 1 << 31:
+            raise FieldError("bucket_count", f"must be in [2, 2**31], got {self.bucket_count}")
+        if self.smoothing <= 0:
+            raise FieldError("smoothing", f"must be positive, got {self.smoothing}")
 
 
 @dataclass
@@ -62,6 +71,8 @@ class RatingsConfig:
     def __post_init__(self) -> None:
         if not self.files:
             raise FieldError("files", "must list at least one ratings file")
+        if not 0 <= self.min_coverage <= 1:
+            raise FieldError("min_coverage", f"must be in [0, 1], got {self.min_coverage}")
 
 
 @dataclass
@@ -80,6 +91,8 @@ class CampaignConfig:
     proxy: ProxyConfig = field(default_factory=ProxyConfig)
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise FieldError("n", f"must be at least 1, got {self.n}")
         if self.threads < 1:
             raise FieldError("threads", f"must be at least 1, got {self.threads}")
 
@@ -92,6 +105,18 @@ class OptimizerConfig:
     concentration: float = 1.0
     normalization: Literal["rank", "zscore"] = "rank"
     grid: int = 41
+
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise FieldError("top_k", f"must be at least 1, got {self.top_k}")
+        if self.candidates < self.top_k:
+            raise FieldError(
+                "candidates", f"must be at least top_k ({self.top_k}), got {self.candidates}"
+            )
+        if self.concentration <= 0:
+            raise FieldError("concentration", f"must be positive, got {self.concentration}")
+        if self.grid < 2:
+            raise FieldError("grid", f"must be at least 2, got {self.grid}")
 
 
 @dataclass
@@ -142,6 +167,15 @@ def _checked(path: str, build, *args, **kwargs):
         raise ValidationError(f"{path}: {exc}") from None
 
 
+def _encodable(path: str, what: str, text: str) -> str:
+    """``text``, refused if it holds a lone surrogate, which no UTF-8 output can write."""
+    try:
+        check_encodable(what, text)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return text
+
+
 def _value(hint, value: object, path: str, base_dir: Path):
     """Check one JSON value against a type hint and convert it."""
     origin, args = get_origin(hint), get_args(hint)
@@ -164,13 +198,18 @@ def _value(hint, value: object, path: str, base_dir: Path):
         return items if origin is list else tuple(items)
     if origin in (dict, Mapping):
         items = _object(value, path).items()
-        return {k: _value(args[1], v, _join(path, k), base_dir) for k, v in items}
+        return {
+            _encodable(_join(path, k), "key", k): _value(args[1], v, _join(path, k), base_dir)
+            for k, v in items
+        }
     if hint in (int, float):
         ok = isinstance(value, int if hint is int else (int, float)) and not isinstance(value, bool)
     else:
         ok = isinstance(value, bool if hint is bool else str)
     if not ok or (isinstance(value, float) and not math.isfinite(value)):
         raise ValidationError(f"{path}: expected {_EXPECTED[hint]}, got {value!r}")
+    if isinstance(value, str):
+        _encodable(path, "value", value)
     return base_dir / value if hint is Path else value
 
 

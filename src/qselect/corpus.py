@@ -160,6 +160,11 @@ def _parse_record(line: str, schema: CorpusSchema) -> Record:
     if not isinstance(text, str):
         raise ValueError("missing 'text'")
     domain = obj.get("domain")
+    # Before the domain lookup: a config cannot name a domain that holds a
+    # lone surrogate, so such a line would otherwise read as an unknown domain.
+    for what, value in (("id", doc_id), ("text", text), ("domain", domain)):
+        if isinstance(value, str):
+            check_encodable(what, value)
     if domain not in schema.domains:
         raise ValueError(f"unknown domain {domain!r}")
     scores = obj.get("scores")
@@ -169,8 +174,6 @@ def _parse_record(line: str, schema: CorpusSchema) -> Record:
         for name, value in scores.items():
             if not is_finite_number(value):
                 raise ValueError(f"score {name!r} = {value!r} is not a finite number")
-    for what, value in (("id", doc_id), ("text", text), ("domain", domain)):
-        check_encodable(what, value)
     for name in scores or ():
         check_encodable("score name", name)
     return doc_id, text, domain, schema.estimate_tokens(text), scores

@@ -4,9 +4,11 @@ Each row carries its document's id, domain and token estimate beside the
 scores, so selection needs nothing but the matrix. Raw scores live on
 wildly different scales (counts, entropies, log ratios, 0-5 ratings), so
 columns are rank-normalized to [0, 1] before weighting; a z-score mode
-exists for comparison. Model-based ratings may arrive with gaps and are
-imputed to the column median (flagged); signals and importance scores
-are computed locally and must be complete.
+exists for comparison. Model-based ratings arrive as one map,
+``{rater: {doc_id: value}}``, written into the matrix one column per
+rater; they may have gaps, which are imputed to the column median
+(flagged). Signals and importance scores are computed locally and must
+be complete.
 
 The commands that write a scored corpus ``X.jsonl`` (annotate, synth) also
 write its score store ``X.scores.npz``: the raw matrix with its row and
@@ -19,43 +21,18 @@ from __future__ import annotations
 import copy
 import hashlib
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Corpus, CorpusSchema
 from .errors import MatrixError, ValidationError
-from .registry import IMPORTANCE_NAMES, PRRC_NAMES, SIGNAL_NAMES, canonical_order
+from .registry import IMPORTANCE_NAMES, SIGNAL_NAMES, canonical_order
 
 # Columns that must be complete before normalization; everything else is
 # imputable (model-based ratings and ad hoc score channels).
 _STRICT_NAMES = frozenset(SIGNAL_NAMES) | frozenset(IMPORTANCE_NAMES)
-
-PRRC_RANGE = (0.0, 5.0)
-
-
-@dataclass(frozen=True)
-class RatingAnnotation:
-    """One externally produced model-based rating for one document."""
-
-    doc_id: str
-    rater: str
-    value: float
-
-
-@dataclass
-class IngestReport:
-    """Outcome of streaming annotations into a matrix."""
-
-    filled: dict[str, int] = field(default_factory=dict)
-    unknown_doc_ids: list[str] = field(default_factory=list)
-
-    def coverage(self, doc_count: int) -> dict[str, float]:
-        if doc_count == 0:
-            return {name: 0.0 for name in self.filled}
-        return {name: count / doc_count for name, count in self.filled.items()}
 
 
 class ScoreMatrix:
@@ -244,35 +221,29 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
 
 
 def ingest_ratings(
-    matrix: ScoreMatrix, annotations: Iterable[RatingAnnotation]
-) -> IngestReport:
-    """Write external ratings into the raw matrix.
+    matrix: ScoreMatrix, ratings: Mapping[str, Mapping[str, float]]
+) -> tuple[dict[str, int], int]:
+    """Write ``{rater: {doc_id: value}}`` into the raw matrix, one column per rater.
 
-    Unknown doc ids are collected in the report rather than raised (shard
-    mismatches are routine); an unregistered rater name or an out-of-range
-    PRRC value is an error.
+    Returns the missing cells each rater filled, and the number of ratings
+    whose doc id has no row: those are counted, not raised (shard
+    mismatches are routine). A rater without a column is an error.
     """
     if matrix.normalized is not None:
         raise MatrixError("cannot ingest into a normalized matrix")
     rows = {doc_id: i for i, doc_id in enumerate(matrix.doc_ids)}
-    cols = {name: j for j, name in enumerate(matrix.score_names)}
-    report = IngestReport()
-    for ann in annotations:
-        if ann.rater not in cols:
-            raise MatrixError(f"unregistered rater {ann.rater!r}")
-        if ann.rater in PRRC_NAMES and not (PRRC_RANGE[0] <= ann.value <= PRRC_RANGE[1]):
-            raise ValidationError(
-                f"{ann.rater} value {ann.value} outside {list(PRRC_RANGE)}"
-            )
-        row = rows.get(ann.doc_id)
-        if row is None:
-            report.unknown_doc_ids.append(ann.doc_id)
-            continue
-        col = cols[ann.rater]
-        if math.isnan(matrix.raw[row, col]):
-            report.filled[ann.rater] = report.filled.get(ann.rater, 0) + 1
-        matrix.raw[row, col] = ann.value
-    return report
+    filled: dict[str, int] = {}
+    unknown = 0
+    for rater, values in ratings.items():
+        if rater not in matrix.score_names:
+            raise MatrixError(f"unregistered rater {rater!r}")
+        col = matrix.raw[:, matrix.score_names.index(rater)]
+        at = np.fromiter((rows.get(doc_id, -1) for doc_id in values), np.intp, len(values))
+        known = at >= 0
+        filled[rater] = int(np.isnan(col[at[known]]).sum())
+        col[at[known]] = np.fromiter(values.values(), np.float64, len(values))[known]
+        unknown += len(values) - int(known.sum())
+    return filled, unknown
 
 
 def _strict_gap(name: str, col: np.ndarray) -> str | None:

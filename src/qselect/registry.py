@@ -46,7 +46,7 @@ MODEL_RATER_NAMES: tuple[str, ...] = (
 )
 
 # The four dimensions scored on an additive 0-5 scale; values are
-# range-checked at ingestion.
+# range-checked when the ratings files are read.
 PRRC_NAMES: tuple[str, ...] = (
     "Professionalism",
     "Readability",

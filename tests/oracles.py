@@ -12,24 +12,25 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from hashlib import blake2b
+from pathlib import Path
 
 import numpy as np
 
-from qselect.corpus import _synth_text, apportion
-from qselect.errors import ValidationError, is_finite_number
+from qselect.corpus import _synth_text, apportion, check_encodable, numbered_lines
+from qselect.errors import MatrixError, ValidationError, is_finite_number
 from qselect.importance import HashedBagModel, fit_bag_model, hash_corpus, importance_scores
 from qselect.matrix import (
     ScoreMatrix,
     _file_sha256,
     impute_missing,
-    ingest_ratings,
     rank_normalize,
     store_path,
 )
-from qselect.registry import SIGNAL_NAMES, canonical_order
+from qselect.registry import PRRC_NAMES, SIGNAL_NAMES, canonical_order
 from qselect.signals import compute_signals
 from qselect.tokens import tokenize
 
@@ -643,17 +644,99 @@ def ref_write_score_store(corpus_path, docs, schema):
     )
 
 
+# The ratings path annotate replaced: a reader yielding one object per
+# rating and an ingest that writes them one cell at a time. Kept verbatim
+# as the spec of the bytes the per-rater map path must write.
+
+PRRC_RANGE = (0.0, 5.0)
+
+
+@dataclass(frozen=True)
+class RatingAnnotation:
+    """One externally produced model-based rating for one document."""
+
+    doc_id: str
+    rater: str
+    value: float
+
+
+@dataclass
+class IngestReport:
+    """Outcome of streaming annotations into a matrix."""
+
+    filled: dict[str, int] = field(default_factory=dict)
+    unknown_doc_ids: list[str] = field(default_factory=list)
+
+    def coverage(self, doc_count: int) -> dict[str, float]:
+        if doc_count == 0:
+            return {name: 0.0 for name in self.filled}
+        return {name: count / doc_count for name, count in self.filled.items()}
+
+
+def ref_read_annotations(paths: list[Path]):
+    for path in paths:
+        if not path.exists():
+            raise ValidationError(f"ratings file {path} does not exist")
+        for line_no, line in numbered_lines(path):
+            try:
+                line = line.decode("utf-8")
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                doc_id, rater, value = obj["doc_id"], obj["rater"], obj["value"]
+                if not (isinstance(doc_id, str) and isinstance(rater, str)):
+                    raise ValueError(f"doc_id {doc_id!r} and rater {rater!r} must be strings")
+                if not is_finite_number(value):
+                    raise ValueError(f"value {value!r} is not a finite number")
+                check_encodable("rater", rater)
+                yield RatingAnnotation(doc_id, rater, float(value))
+            except (KeyError, TypeError, ValueError) as exc:  # UTF-8 and JSON errors are ValueErrors
+                raise ValidationError(f"{path}:{line_no}: bad annotation: {exc}")
+
+
+def ref_ingest_ratings(
+    matrix: ScoreMatrix, annotations: Iterable[RatingAnnotation]
+) -> IngestReport:
+    """Write external ratings into the raw matrix.
+
+    Unknown doc ids are collected in the report rather than raised (shard
+    mismatches are routine); an unregistered rater name or an out-of-range
+    PRRC value is an error.
+    """
+    if matrix.normalized is not None:
+        raise MatrixError("cannot ingest into a normalized matrix")
+    rows = {doc_id: i for i, doc_id in enumerate(matrix.doc_ids)}
+    cols = {name: j for j, name in enumerate(matrix.score_names)}
+    report = IngestReport()
+    for ann in annotations:
+        if ann.rater not in cols:
+            raise MatrixError(f"unregistered rater {ann.rater!r}")
+        if ann.rater in PRRC_NAMES and not (PRRC_RANGE[0] <= ann.value <= PRRC_RANGE[1]):
+            raise ValidationError(
+                f"{ann.rater} value {ann.value} outside {list(PRRC_RANGE)}"
+            )
+        row = rows.get(ann.doc_id)
+        if row is None:
+            report.unknown_doc_ids.append(ann.doc_id)
+            continue
+        col = cols[ann.rater]
+        if math.isnan(matrix.raw[row, col]):
+            report.filled[ann.rater] = report.filled.get(ann.rater, 0) + 1
+        matrix.raw[row, col] = ann.value
+    return report
+
+
 def ref_annotate(cfg, corpus_path, out_path):
     """``annotate`` of ``corpus_path`` under the RunConfig ``cfg``, written
     to ``out_path`` and its store; returns the rating coverage."""
-    from qselect.cli import _annotated_names, _read_annotations
+    from qselect.cli import _annotated_names
 
     docs = ref_load_corpus(corpus_path, cfg.corpus)
     imp = cfg.scores.importance
     rating_names = []
     annotations = []
     if cfg.scores.ratings is not None:
-        annotations = list(_read_annotations(cfg.scores.ratings.files))
+        annotations = list(ref_read_annotations(cfg.scores.ratings.files))
         rating_names = sorted({a.rater for a in annotations})
 
     names = canonical_order(_annotated_names(cfg) + rating_names)
@@ -678,7 +761,7 @@ def ref_annotate(cfg, corpus_path, out_path):
 
     coverage = {}
     if matrix is not None and annotations:
-        coverage = ingest_ratings(matrix, annotations).coverage(matrix.n_docs)
+        coverage = ref_ingest_ratings(matrix, annotations).coverage(matrix.n_docs)
         impute_missing(matrix)
 
     if matrix is not None:

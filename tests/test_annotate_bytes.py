@@ -11,7 +11,7 @@ from qselect import cli
 from qselect.matrix import ScoreMatrix, store_path
 
 from conftest import kernel_text
-from oracles import ref_annotate, ref_synth
+from oracles import ref_annotate, ref_load_corpus, ref_read_annotations, ref_synth
 
 DOMAINS = ["CommonCrawl", "C4", "Books", "Wikipedia"]
 # Ratings, ad hoc channels, a signal and an importance name: annotate
@@ -74,10 +74,26 @@ def write_ratings(path, seed, n_docs):
         fh.write(json.dumps({"doc_id": "ghost", "rater": RATERS[0], "value": 1}) + "\n")
 
 
+def write_more_ratings(path, corpus_path):
+    """A second ratings file: it rates again a (document, rater) pair of the
+    first with another value, gives the PRRC bounds 0 and 5, repeats an
+    unknown id, and has ``aa_channel`` rate only documents whose input
+    already holds it, so that rater fills no cell."""
+    ratings = [("d000", "Fluency", 4.25), ("d000", "Professionalism", 0), ("d000", "Reasoning", 5),
+               ("ghost", "Fluency", 2), ("ghost", "Reasoning", 3), ("ghost", "Reasoning", 4)]
+    for line in corpus_path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if "aa_channel" in (record.get("scores") or {}):
+            ratings.append((record["id"], "aa_channel", -1.5))
+    path.write_text("".join(json.dumps({"doc_id": d, "rater": r, "value": v}) + "\n"
+                            for d, r, v in ratings), encoding="utf-8")
+
+
 VARIANTS = {
     "pass-through": {"signals": False},
     "signals": {"signals": True},
     "ratings": {"signals": False, "ratings": {"files": ["r.jsonl"]}},
+    "ratings-merged": {"signals": False, "ratings": {"files": ["r.jsonl", "r2.jsonl"]}},
     "all": {"signals": True, "importance": {"targets": {"books": "books.jsonl",
                                                         "wikipedia": "wiki.jsonl"},
                                             "bucket_count": 257},
@@ -85,13 +101,30 @@ VARIANTS = {
 }
 
 
+def rating_log(cfg, corpus_path, coverage):
+    """What annotate logs about ratings, from the reference's reader and
+    coverage: a line for every rater read (0.000 for one that filled no
+    cell), then the count of distinct (rater, doc id) pairs whose doc id
+    has no row."""
+    if cfg.scores.ratings is None:
+        return []
+    pairs = {(a.rater, a.doc_id) for a in ref_read_annotations(cfg.scores.ratings.files)}
+    ids = {doc.id for doc in ref_load_corpus(corpus_path, cfg.corpus)}
+    lines = [f"rating coverage {r}: {coverage.get(r, 0.0):.3f}" for r in sorted({r for r, _ in pairs})]
+    unknown = sum(doc_id not in ids for _, doc_id in pairs)
+    if unknown:
+        lines.append(f"{unknown} (rater, doc id) pairs referenced unknown doc ids")
+    return lines
+
+
 def annotate_both(tmp_path, seed, estimator, scores, strict_half=False):
     """Run annotate and the reference on one seeded corpus; return the
-    paths of both outputs and the reference's rating coverage."""
+    paths of both outputs and the rating lines annotate should log."""
     write_corpus_lines(tmp_path / "c.jsonl", seed, strict_half)
     for name, target_seed in (("books.jsonl", seed + 1000), ("wiki.jsonl", seed + 2000)):
         write_corpus_lines(tmp_path / name, target_seed)
     write_ratings(tmp_path / "r.jsonl", seed, 30)
+    write_more_ratings(tmp_path / "r2.jsonl", tmp_path / "c.jsonl")
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
         "seed": seed, "output_dir": "out",
@@ -101,8 +134,9 @@ def annotate_both(tmp_path, seed, estimator, scores, strict_half=False):
     assert cli.main(["annotate", "--config", str(config)]) == 0
     got = tmp_path / "out" / "annotated.jsonl"
     want = tmp_path / "ref.jsonl"
-    coverage = ref_annotate(cli.load_config(config), tmp_path / "c.jsonl", want)
-    return got, want, coverage
+    cfg = cli.load_config(config)
+    coverage = ref_annotate(cfg, tmp_path / "c.jsonl", want)
+    return got, want, rating_log(cfg, tmp_path / "c.jsonl", coverage)
 
 
 def assert_same_bytes(got, want):
@@ -116,12 +150,13 @@ def test_annotate_matches_reference(tmp_path, caplog, capsys, estimator, variant
     caplog.set_level(logging.INFO, logger="qselect.cli")
     for seed in range(12):
         caplog.clear()
-        got, want, coverage = annotate_both(tmp_path, seed, estimator, VARIANTS[variant])
+        got, want, expected_log = annotate_both(tmp_path, seed, estimator, VARIANTS[variant])
         assert_same_bytes(got, want)
         # Coverage counts only the cells a rating filled, not those the
         # input already held.
-        logged = [r.getMessage() for r in caplog.records if r.getMessage().startswith("rating coverage")]
-        assert logged == [f"rating coverage {r}: {c:.3f}" for r, c in sorted(coverage.items())]
+        logged = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("rating coverage") or "unknown doc ids" in r.getMessage()]
+        assert logged == expected_log
 
 
 @pytest.mark.parametrize("variant", ["pass-through", "ratings"])

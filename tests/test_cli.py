@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 from qselect import cli
 from qselect import signals as signals_module
 from qselect.cli import main
+from qselect.errors import ValidationError
 from qselect.registry import (
     DEFAULT_DOMAIN_WEIGHTS,
     IMPORTANCE_NAMES,
@@ -110,6 +112,31 @@ class TestSynth:
         first = (tmp_path / "out" / "synth.jsonl").read_bytes()
         run_cli("synth", "--config", str(config))
         assert (tmp_path / "out" / "synth.jsonl").read_bytes() == first
+
+
+class TestReadRatings:
+    def test_out_of_range_prrc_rejected(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        for value in (-0.5, 5.5, 7):
+            path.write_text(json.dumps({"doc_id": "d1", "rater": "Professionalism", "value": value}))
+            with pytest.raises(ValidationError, match=re.escape(
+                f"r.jsonl:1: bad annotation: Professionalism value {value} outside [0, 5]"
+            )):
+                cli._read_annotations([path])
+        path.write_text('{"doc_id": "d1", "rater": "Professionalism", "value": 0}\n'
+                        '{"doc_id": "d2", "rater": "Professionalism", "value": 5}\n')
+        assert cli._read_annotations([path]) == {"Professionalism": {"d1": 0.0, "d2": 5.0}}
+
+    def test_later_rating_replaces_earlier(self, tmp_path):
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        first.write_text('{"doc_id": "d1", "rater": "Reasoning", "value": 0}\n'
+                         '{"doc_id": "d1", "rater": "Fluency", "value": 2}\n'
+                         '{"doc_id": "d1", "rater": "Fluency", "value": 3}\n')
+        second.write_text('{"doc_id": "d1", "rater": "Reasoning", "value": 5}\n'
+                          '{"doc_id": "d2", "rater": "Reasoning", "value": 1}\n')
+        assert cli._read_annotations([first, second]) == {
+            "Reasoning": {"d1": 5.0, "d2": 1.0}, "Fluency": {"d1": 3.0}
+        }
 
 
 class TestAnnotate:
@@ -220,6 +247,51 @@ class TestAnnotate:
         assert run_cli("annotate", "--config", str(config)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "coverage" in err["message"]
+
+    @pytest.mark.parametrize("case", ["unknown-ids-only", "cells-already-held"])
+    def test_rater_that_fills_no_cell_is_held_to_min_coverage(self, tmp_path, capsys, caplog, case):
+        caplog.set_level("INFO", logger="qselect.cli")
+        with open(tmp_path / "corpus.jsonl", "w") as fh:
+            for i in range(5):
+                rec = {"id": f"d{i:04d}", "text": "alpha beta.", "domain": "C4"}
+                if case == "cells-already-held":
+                    rec["scores"] = {"Fluency": 1.0}
+                fh.write(json.dumps(rec) + "\n")
+        doc_ids = ["ghost"] if case == "unknown-ids-only" else [f"d{i:04d}" for i in range(5)]
+        write_ratings(tmp_path / "ratings.jsonl", doc_ids, ["Fluency"])
+        min_coverage = 0.5 if case == "unknown-ids-only" else 0.9
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": False,
+                    "ratings": {"files": ["ratings.jsonl"], "min_coverage": min_coverage}},
+        )
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError",
+                       "message": f"rating coverage below {min_coverage}: {{'Fluency': 0.0}}"}
+        assert "rating coverage Fluency: 0.000" in caplog.messages
+
+    def test_out_of_range_prrc_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_text(
+            '{"doc_id": "d0000", "rater": "Reasoning", "value": 5}\n'
+            '{"doc_id": "d0001", "rater": "Reasoning", "value": 7}\n'
+        )
+        computed = []
+        monkeypatch.setattr(cli, "tokenize", lambda *args: computed.append("tokenize"))
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": True, "ratings": {"files": ["ratings.jsonl"]}},
+        )
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError",
+                       "message": f"{ratings}:2: bad annotation: Reasoning value 7 outside [0, 5]"}
+        assert computed == []
+        assert not (tmp_path / "out" / "annotated.jsonl").exists()
 
     def test_byte_identical_rerun(self, tmp_path, capsys):
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=30)
@@ -332,8 +404,7 @@ class TestUndecodableInput:
         ids=["id", "text", "domain", "score-name"],
     )
     def test_corpus_line_with_lone_surrogate_is_rejected(self, tmp_path, capsys, caplog, field, line):
-        domains = [*DEFAULT_DOMAIN_WEIGHTS, "X\ud800"]
-        corpus, code = self.annotate_with(tmp_path, line.encode(), domains=domains)
+        corpus, code = self.annotate_with(tmp_path, line.encode())
         assert code == 0
         assert f"{corpus}:2 rejected: {field} holds the lone surrogate" in caplog.text
         annotated = (tmp_path / "out" / "annotated.jsonl").read_text(encoding="utf-8")
@@ -599,6 +670,17 @@ class TestCampaignAndFit:
         assert err["error"] == "ValidationError"
         assert "exp-0000 is not an experiment of this campaign" in err["message"]
         assert (tmp_path / "out" / "campaign.jsonl").read_bytes() == log
+
+    def test_fit_with_grid_1_fails_before_writing(self, tmp_path, capsys):
+        config = self.oracle_config(tmp_path)
+        assert run_cli("campaign", "--config", str(config)) == 0
+        raw = json.loads(config.read_text())
+        raw["optimizer"]["grid"] = 1
+        config.write_text(json.dumps(raw))
+        assert run_cli("fit", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": "optimizer.grid: must be at least 2, got 1"}
+        assert not (tmp_path / "out" / "weights.json").exists()
 
     def test_fit_with_too_few_records_fails(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path, n=8)

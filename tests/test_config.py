@@ -67,6 +67,40 @@ MISTAKES = {
         {"plan": {"token_budget": 10, "domain_targets": {"C4": 0.5, "Books": 0.4}}},
         "plan.domain_targets",
     ),
+    "lone-surrogate-channel-key": (
+        {"synthesis": {"doc_count": 5, "channels": {"q\ud800": {"loading": 1.0}}}},
+        "synthesis.channels.q\ud800",
+    ),
+    "lone-surrogate-domain": ({"corpus": {"domains": ["C4", "X\ud800"]}}, "corpus.domains[1]"),
+    "lone-surrogate-latent-name": (
+        {"synthesis": {"doc_count": 5, "latent_name": "q\udc00"}},
+        "synthesis.latent_name",
+    ),
+    "lone-surrogate-importance-target": (
+        {"scores": {"importance": {"targets": {"b\ud800": "b.jsonl"}}}},
+        "scores.importance.targets.b\ud800",
+    ),
+    "grid-below-2": ({"optimizer": {"grid": 1}}, "optimizer.grid"),
+    "candidates-below-top-k": ({"optimizer": {"candidates": 5, "top_k": 10}}, "optimizer.candidates"),
+    "zero-top-k": ({"optimizer": {"top_k": 0}}, "optimizer.top_k"),
+    "zero-concentration": ({"optimizer": {"concentration": 0}}, "optimizer.concentration"),
+    "zero-smoothing": (
+        {"scores": {"importance": {"targets": {"b": "b.jsonl"}, "smoothing": 0}}},
+        "scores.importance.smoothing",
+    ),
+    "one-bucket": (
+        {"scores": {"importance": {"targets": {"b": "b.jsonl"}, "bucket_count": 1}}},
+        "scores.importance.bucket_count",
+    ),
+    "too-many-buckets": (
+        {"scores": {"importance": {"targets": {"b": "b.jsonl"}, "bucket_count": 2**32}}},
+        "scores.importance.bucket_count",
+    ),
+    "zero-campaign-n": ({"campaign": {"n": 0}}, "campaign.n"),
+    "min-coverage-above-1": (
+        {"scores": {"ratings": {"files": ["r.jsonl"], "min_coverage": 1.5}}},
+        "scores.ratings.min_coverage",
+    ),
 }
 
 

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qselect.errors import MatrixError, ValidationError
+from qselect.errors import MatrixError
 from qselect.matrix import (
-    RatingAnnotation,
     ScoreMatrix,
     correlation_csv,
     impute_missing,
@@ -91,37 +90,35 @@ class TestIngest:
 
     def test_direct_write(self):
         matrix = matrix_of_docs(self.docs(), ["Professionalism"])
-        report = ingest_ratings(
-            matrix, [RatingAnnotation("d1", "Professionalism", 4.0)]
-        )
+        filled, unknown = ingest_ratings(matrix, {"Professionalism": {"d1": 4.0}})
         assert matrix.raw[1, 0] == 4.0
-        assert report.filled == {"Professionalism": 1}
-
-    def test_out_of_range_prrc_rejected(self):
-        matrix = matrix_of_docs(self.docs(), ["Professionalism"])
-        with pytest.raises(ValidationError, match="outside"):
-            ingest_ratings(matrix, [RatingAnnotation("d1", "Professionalism", 7.0)])
+        assert (filled, unknown) == ({"Professionalism": 1}, 0)
 
     def test_unregistered_rater_rejected(self):
         matrix = matrix_of_docs(self.docs(), ["Professionalism"])
         with pytest.raises(MatrixError, match="unregistered"):
-            ingest_ratings(matrix, [RatingAnnotation("d1", "Sparkle", 1.0)])
+            ingest_ratings(matrix, {"Sparkle": {"d1": 1.0}})
 
     def test_unknown_doc_ids_reported(self):
-        matrix = matrix_of_docs(self.docs(), ["Fluency"])
-        report = ingest_ratings(matrix, [RatingAnnotation("ghost", "Fluency", 1.0)])
-        assert report.unknown_doc_ids == ["ghost"]
+        matrix = matrix_of_docs(self.docs(), ["Fluency", "Reasoning"])
+        filled, unknown = ingest_ratings(
+            matrix, {"Fluency": {"ghost": 1.0, "d2": 3.0}, "Reasoning": {"ghost": 2.0}}
+        )
+        assert (filled, unknown) == ({"Fluency": 1, "Reasoning": 0}, 2)
+        assert np.isnan(matrix.raw[:, 1]).all()
 
     def test_coverage_with_known_gaps(self):
-        matrix = matrix_of_docs(self.docs(), ["Fluency"])
-        anns = [RatingAnnotation(f"d{i}", "Fluency", 1.0) for i in range(9)]
-        report = ingest_ratings(matrix, anns)
-        assert report.coverage(matrix.n_docs)["Fluency"] == pytest.approx(0.9)
+        docs = self.docs()
+        docs[3] = ("d3", "text here", "C4", {"Fluency": 7.0})
+        matrix = matrix_of_docs(docs, ["Fluency"])
+        filled, _ = ingest_ratings(matrix, {"Fluency": {f"d{i}": 1.0 for i in range(9)}})
+        # d3 already held a value: the rating replaces it but fills no gap.
+        assert filled == {"Fluency": 8}
+        assert matrix.raw[3, 0] == 1.0 and np.isnan(matrix.raw[9, 0])
 
     def test_impute_to_median_and_flag(self):
         matrix = matrix_of_docs(self.docs(), ["Fluency"])
-        anns = [RatingAnnotation(f"d{i}", "Fluency", float(i)) for i in range(9)]
-        ingest_ratings(matrix, anns)
+        ingest_ratings(matrix, {"Fluency": {f"d{i}": float(i) for i in range(9)}})
         flagged = impute_missing(matrix)
         assert flagged == [("d9", "Fluency")]
         assert matrix.raw[9, 0] == 4.0  # median of 0..8
