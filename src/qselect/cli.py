@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -120,9 +122,27 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     check_store_ids(corpus.ids)
 
     ratings = _read_annotations(cfg.scores.ratings.files) if cfg.scores.ratings else {}
-    names = canonical_order(_annotated_names(cfg) + list(ratings))
+    computed = _annotated_names(cfg)
+    clash = sorted(set(ratings) & set(computed))
+    if clash:
+        raise ValidationError(f"raters {clash} are named like scores this run computes")
+    names = canonical_order(computed + list(ratings))
     matrix = ScoreMatrix.from_documents(corpus, names)
     column = matrix.score_names.index
+
+    # Ratings are ingested and held to min_coverage before the passes, so that a
+    # refusal costs none of them.
+    if ratings:
+        filled, unknown = ingest_ratings(matrix, ratings)
+        coverage = {rater: filled[rater] / max(matrix.n_docs, 1) for rater in sorted(filled)}
+        for rater, cov in coverage.items():
+            logger.info("rating coverage %s: %.3f", rater, cov)
+        if unknown:
+            logger.warning("%d (rater, doc id) pairs referenced unknown doc ids", unknown)
+        min_cov = cfg.scores.ratings.min_coverage
+        low = {r: c for r, c in coverage.items() if c < min_cov}
+        if low:
+            raise ValidationError(f"rating coverage below {min_cov}: {low}")
 
     # The source corpus is tokenized once, for its signals and its hashing.
     tokens = tokenize(corpus.texts) if cfg.scores.signals or imp is not None else None
@@ -143,18 +163,10 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 source, target_model, source_model
             )
 
+    # Rating gaps are imputed after the passes: the first np.median call imports
+    # numpy.ma (about 1 MB), which before them would add to annotate's peak RSS.
     if ratings:
-        filled, unknown = ingest_ratings(matrix, ratings)
-        coverage = {rater: filled[rater] / max(matrix.n_docs, 1) for rater in sorted(filled)}
-        for rater, cov in coverage.items():
-            logger.info("rating coverage %s: %.3f", rater, cov)
-        if unknown:
-            logger.warning("%d (rater, doc id) pairs referenced unknown doc ids", unknown)
-        min_cov = cfg.scores.ratings.min_coverage
-        low = {r: c for r, c in coverage.items() if c < min_cov}
-        if low:
-            raise ValidationError(f"rating coverage below {min_cov}: {low}")
-        imputed = impute_missing(matrix, names)
+        imputed = impute_missing(matrix, list(ratings))
         if imputed:
             logger.warning("imputed %d missing rating cells to column medians", len(imputed))
 
@@ -199,20 +211,11 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Run the proxy-experiment loop and append to the campaign log."""
     if args.threads < 0:
         raise ValidationError(f"--threads must be at least 1 (0 uses campaign.threads), got {args.threads}")
+    campaign = replace(cfg.campaign, threads=args.threads or cfg.campaign.threads)
     plan = cfg.require_plan()
     matrix = _load_scored_matrix(cfg, args)
-    trainer = cfg.require_trainer()
-    records = run_campaign(
-        matrix,
-        plan,
-        trainer,
-        n=cfg.campaign.n,
-        seed=cfg.seed,
-        out_dir=cfg.output_dir,
-        proxy_config=cfg.campaign.proxy,
-        valset=cfg.campaign.valset,
-        threads=args.threads or cfg.campaign.threads,
-    )
+    cfg.require_trainer()
+    records = run_campaign(matrix, plan, campaign, seed=cfg.seed, out_dir=cfg.output_dir)
     ok = sum(1 for r in records if r.status == "ok")
     print(json.dumps({"experiments": len(records), "ok": ok, "log": str(cfg.output_dir / "campaign.jsonl")}))
     return 0
@@ -227,18 +230,12 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValidationError(f"campaign log {log_path} does not exist")
     records = read_campaign_log(log_path)
     model = fit_regressor(records, cfg.optimizer.hyper)
-    outcome = search_optimal(
-        model,
-        n_candidates=cfg.optimizer.candidates,
-        top_k=cfg.optimizer.top_k,
-        seed=cfg.seed,
-        concentration=cfg.optimizer.concentration,
-    )
+    outcome = search_optimal(model, cfg.optimizer, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     weights_path = cfg.output_dir / "weights.json"
     landscape_path = cfg.output_dir / "landscape.csv"
     write_weights(weights_path, outcome.w_star, seed=cfg.seed)
-    landscape = pca_landscape(records, model, grid=cfg.optimizer.grid)
+    landscape = pca_landscape(records, model, cfg.optimizer)
     landscape.write_csv(landscape_path)
     print(
         json.dumps(
@@ -272,13 +269,16 @@ def cmd_cost(args: argparse.Namespace) -> int:
     if args.params is not None:
         if args.tokens is None:
             raise ValidationError("--params requires --tokens")
+        used = {"params": args.params, "tokens": args.tokens}
         flops = flops_train(args.params, args.tokens)
     elif args.layers is not None:
         required = {"hidden": args.hidden, "seq_len": args.seq_len, "samples": args.samples}
         missing = [k for k, v in required.items() if v is None]
         if missing:
             raise ValidationError(f"structural mode needs --{', --'.join(missing)}")
+        used = {"layers": args.layers, **required}
         if args.mode == "train":
+            used["epochs"] = args.epochs
             flops = flops_train_structural(
                 args.layers, args.hidden, args.seq_len, args.samples, args.epochs
             )
@@ -286,6 +286,9 @@ def cmd_cost(args: argparse.Namespace) -> int:
             flops = flops_infer_structural(args.layers, args.hidden, args.seq_len, args.samples)
     else:
         raise ValidationError("use --params/--tokens or --layers/--hidden/--seq-len/--samples")
+    if not math.isfinite(flops):
+        flags = " ".join(f"--{name.replace('_', '-')} {value!r}" for name, value in used.items())
+        raise ValidationError(f"the FLOP count of {flags} is too large for a float")
     print(json.dumps({"flops": flops, "flops_1e19": flops / 1e19}))
     return 0
 
@@ -308,8 +311,28 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the error contract:
+    a ValidationError, reported by ``main`` as exit 1 and a JSON object."""
+
+    def error(self, message: str):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _nonnegative(text: str) -> float:
+    """A ``cost`` flag's value: a finite number, not negative (0 documents
+    cost 0 FLOPs)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number, not negative, got {text!r}")
+    return value + 0.0  # -0.0 becomes 0.0
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qselect",
         description="Corpus quality scoring, learned score weighting, and budgeted selection.",
     )
@@ -341,13 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output CSV path")
 
     p = sub.add_parser("cost", help="FLOPs calculator")
-    p.add_argument("--params", type=float, help="nominal parameter count")
-    p.add_argument("--tokens", type=float, help="training tokens")
-    p.add_argument("--layers", type=float)
-    p.add_argument("--hidden", type=float)
-    p.add_argument("--seq-len", type=float)
-    p.add_argument("--samples", type=float)
-    p.add_argument("--epochs", type=float, default=1.0)
+    p.add_argument("--params", type=_nonnegative, help="nominal parameter count")
+    p.add_argument("--tokens", type=_nonnegative, help="training tokens")
+    p.add_argument("--layers", type=_nonnegative)
+    p.add_argument("--hidden", type=_nonnegative)
+    p.add_argument("--seq-len", type=_nonnegative)
+    p.add_argument("--samples", type=_nonnegative)
+    p.add_argument("--epochs", type=_nonnegative, default=1.0)
     p.add_argument("--mode", choices=("train", "infer"), default="train")
 
     p = with_config(sub.add_parser("synth", help="generate a synthetic test corpus"))
@@ -356,9 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception) -> int:
+    """Write the JSON error object of ``exc`` to stderr; return its exit code."""
+    json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
+    sys.stderr.write("\n")
+    return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_RUNTIME
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValidationError as exc:
+        return _report(exc)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
@@ -379,9 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         return handler(cfg, args)
     except Exception as exc:
         logger.debug("%s failed", args.command, exc_info=True)
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_RUNTIME
+        return _report(exc)
 
 
 if __name__ == "__main__":

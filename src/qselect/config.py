@@ -21,13 +21,16 @@ and ``key: range`` gives the values a number may take:
                 channels?: {name: {loading?, noise?, offset?, scale?}}}
 
 Each section is built from its dataclass, whose fields give the keys, their
-types and their defaults. An unknown key, a missing required key, a value
-of the wrong type or one out of range is a ValidationError naming the key's
-dotted path, e.g. ``optimizer.trees``, before any command starts work. So is
-a string, path or object key holding a lone surrogate, which no output file
-could hold. An integer is accepted where a number is expected; a boolean is
-neither. Relative paths resolve against the config file's directory. The
-oracle trainer and the regressor use the root seed.
+types and their defaults, and whose ``__post_init__`` checks the ranges.
+``campaign`` is ``proxy.CampaignConfig`` and ``optimizer`` is
+``optimizer.OptimizerConfig``, each beside the kernels that take it whole.
+An unknown key, a missing required key, a value of the wrong type or one
+out of range is a ValidationError naming the key's dotted path, e.g.
+``optimizer.trees``, before any command starts work. So is a string, path
+or object key holding a lone surrogate, which no output file could hold.
+An integer is accepted where a number is expected; a boolean is neither.
+Relative paths resolve against the config file's directory. The oracle
+trainer and the regressor use the root seed.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from .corpus import CorpusSchema, SynthesisSpec, check_encodable
 from .errors import FieldError, ValidationError
 from .gbt import RegressorHyper
 from .importance import DEFAULT_BUCKET_COUNT
-from .proxy import CommandTrainer, OracleSpec, OracleTrainer, ProxyConfig, Trainer
+from .optimizer import OptimizerConfig
+from .proxy import CampaignConfig, CommandTrainer, OracleTrainer, Trainer
 from .selection import SelectionPlan, WeightVector
 
 
@@ -80,43 +84,6 @@ class ScoresConfig:
     signals: bool = True
     importance: ImportanceConfig | None = None
     ratings: RatingsConfig | None = None
-
-
-@dataclass
-class CampaignConfig:
-    n: int = 256
-    trainer: Trainer | None = None
-    valset: str = ""
-    threads: int = 1
-    proxy: ProxyConfig = field(default_factory=ProxyConfig)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise FieldError("n", f"must be at least 1, got {self.n}")
-        if self.threads < 1:
-            raise FieldError("threads", f"must be at least 1, got {self.threads}")
-
-
-@dataclass
-class OptimizerConfig:
-    hyper: RegressorHyper = field(default_factory=RegressorHyper)
-    candidates: int = 100_000
-    top_k: int = 100
-    concentration: float = 1.0
-    normalization: Literal["rank", "zscore"] = "rank"
-    grid: int = 41
-
-    def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise FieldError("top_k", f"must be at least 1, got {self.top_k}")
-        if self.candidates < self.top_k:
-            raise FieldError(
-                "candidates", f"must be at least top_k ({self.top_k}), got {self.candidates}"
-            )
-        if self.concentration <= 0:
-            raise FieldError("concentration", f"must be positive, got {self.concentration}")
-        if self.grid < 2:
-            raise FieldError("grid", f"must be at least 2, got {self.grid}")
 
 
 @dataclass
@@ -246,7 +213,7 @@ def _build_trainer(spec: object, seed: int, base_dir: Path) -> Trainer:
     spec = dict(_object(spec, "campaign.trainer"))
     kind = spec.pop("type", None)
     if kind == "oracle":
-        return OracleTrainer(_build(OracleSpec, spec, "campaign.trainer", base_dir, seed=seed))
+        return _build(OracleTrainer, spec, "campaign.trainer", base_dir, seed=seed)
     if kind == "command":
         return _build(CommandTrainer, spec, "campaign.trainer", base_dir)
     raise ValidationError(f"campaign.trainer.type: expected 'oracle' or 'command', got {kind!r}")

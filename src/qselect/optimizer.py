@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
-from .errors import ValidationError, is_finite_number
+from .errors import FieldError, ValidationError, is_finite_number
 from .gbt import GradientBoostedRegressor, RegressorHyper, fit_gradient_boosted
 from .proxy import ExperimentRecord, sample_simplex
 from .selection import WeightVector
@@ -25,8 +26,32 @@ logger = logging.getLogger(__name__)
 
 MIN_RECORDS = 16
 
-DEFAULT_CANDIDATES = 100_000
-DEFAULT_TOP_K = 100
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """The fit's settings: the regressor's hyperparameters, the sweep's
+    ``candidates`` Dirichlet draws (at ``concentration``) of which the best
+    ``top_k`` are averaged, the score normalization, and the landscape's
+    ``grid`` points per axis."""
+
+    hyper: RegressorHyper = field(default_factory=RegressorHyper)
+    candidates: int = 100_000
+    top_k: int = 100
+    concentration: float = 1.0
+    normalization: Literal["rank", "zscore"] = "rank"
+    grid: int = 41
+
+    def __post_init__(self) -> None:
+        if self.top_k < 1:
+            raise FieldError("top_k", f"must be at least 1, got {self.top_k}")
+        if self.candidates < self.top_k:
+            raise FieldError(
+                "candidates", f"must be at least top_k ({self.top_k}), got {self.candidates}"
+            )
+        if self.concentration <= 0:
+            raise FieldError("concentration", f"must be positive, got {self.concentration}")
+        if self.grid < 2:
+            raise FieldError("grid", f"must be at least 2, got {self.grid}")
 
 
 @dataclass
@@ -90,26 +115,19 @@ class SearchOutcome:
     predicted_loss_at_star: float
 
 
-def search_optimal(
-    model: RegressorModel,
-    n_candidates: int = DEFAULT_CANDIDATES,
-    top_k: int = DEFAULT_TOP_K,
-    seed: int = 0,
-    concentration: float = 1.0,
-) -> SearchOutcome:
-    """Sweep Dirichlet candidates through the model, average the best k.
+def search_optimal(model: RegressorModel, settings: OptimizerConfig, seed: int) -> SearchOutcome:
+    """Sweep ``settings.candidates`` Dirichlet draws through the model and
+    average the best ``settings.top_k``.
 
     The returned vector is the renormalized mean of the k candidates with
     the lowest predicted loss (ties resolved by draw order), which is more
     robust than trusting the single best cell of a piecewise-constant
     model.
     """
-    if top_k < 1 or n_candidates < top_k:
-        raise ValidationError("need n_candidates >= top_k >= 1")
     m = len(model.score_names)
-    candidates = sample_simplex(m, n_candidates, seed, concentration)
+    candidates = sample_simplex(m, settings.candidates, seed, settings.concentration)
     preds = model.booster.predict(candidates)
-    best = np.argsort(preds, kind="stable")[:top_k]
+    best = np.argsort(preds, kind="stable")[: settings.top_k]
     mean = candidates[best].mean(axis=0)
     w_star = WeightVector(model.score_names, mean / mean.sum())
     return SearchOutcome(w_star, model.predict(w_star))
@@ -147,16 +165,22 @@ def read_weights(path: str | Path) -> WeightVector:
     """Load a weights file, normalized to sum to 1.
 
     Accepts the report object or a bare list; every weight must be a JSON
-    number.
+    number, and no name may be listed twice.
     """
+    if not Path(path).exists():
+        raise ValidationError(f"weights file {path} does not exist")
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
             rows = payload["weights"] if isinstance(payload, dict) else payload
-            mapping = {row["name"]: row["weight"] for row in rows}
-            for name, value in mapping.items():
+            mapping = {}
+            for row in rows:
+                name, value = row["name"], row["weight"]
+                if name in mapping:
+                    raise ValueError(f"name {name!r} is listed twice")
                 if not is_finite_number(value):
                     raise ValueError(f"weight {name!r} = {value!r} is not a finite number")
+                mapping[name] = value
         except (ValueError, KeyError, TypeError) as exc:
             raise ValidationError(
                 f"malformed weights file {path}: {type(exc).__name__}: {exc}"
@@ -181,16 +205,12 @@ class Landscape:
 
 
 def pca_landscape(
-    records: Sequence[ExperimentRecord],
-    model: RegressorModel,
-    grid: int = 41,
+    records: Sequence[ExperimentRecord], model: RegressorModel, settings: OptimizerConfig
 ) -> Landscape:
     """Project campaign weights onto their top-2 principal directions and
-    evaluate the regressor on a grid x grid lattice over the projected
-    range. Weight sets with fewer than two independent directions fall
-    back to a 1-D sweep along the first component."""
-    if grid < 2:
-        raise ValidationError("grid must be at least 2")
+    evaluate the regressor on a grid x grid lattice (``settings.grid``)
+    over the projected range. Weight sets with fewer than two independent
+    directions fall back to a 1-D sweep along the first component."""
     names, X, _ = _records_to_arrays(records, min_records=3)
     if set(names) != set(model.score_names):
         raise ValidationError("records and model disagree on score names")
@@ -205,9 +225,9 @@ def pca_landscape(
     components = vt[:2] if two_d else np.vstack([vt[0], np.zeros_like(vt[0])])
     projections = centered @ components.T
 
-    pc1 = np.linspace(projections[:, 0].min(), projections[:, 0].max(), grid)
+    pc1 = np.linspace(projections[:, 0].min(), projections[:, 0].max(), settings.grid)
     if two_d:
-        pc2 = np.linspace(projections[:, 1].min(), projections[:, 1].max(), grid)
+        pc2 = np.linspace(projections[:, 1].min(), projections[:, 1].max(), settings.grid)
     else:
         pc2 = np.array([0.0])
     a, b = (axis.reshape(-1, 1) for axis in np.meshgrid(pc1, pc2, indexing="ij"))

@@ -81,17 +81,16 @@ def sample_simplex(m: int, n: int, seed: int, concentration: float = 1.0) -> np.
     return rng.dirichlet(np.full(m, concentration), size=n)
 
 
-def sample_weights(
-    names: Sequence[str], n: int, seed: int, concentration: float = 1.0
-) -> list[WeightVector]:
+def sample_weights(names: Sequence[str], n: int, seed: int) -> list[WeightVector]:
     """n weight vectors over ``names`` from the flat Dirichlet prior."""
-    draws = sample_simplex(len(names), n, seed, concentration)
+    draws = sample_simplex(len(names), n, seed)
     return [WeightVector(tuple(names), row) for row in draws]
 
 
 @dataclass(frozen=True)
-class OracleSpec:
-    """Planted-optimum quadratic loss: base + ||w - w*||^2 + N(0, sigma).
+class OracleTrainer:
+    """Trainer stand-in with a planted-optimum quadratic loss:
+    base + ||w - w*||^2 + N(0, sigma), scored on the weight vector directly.
 
     Noise is keyed on (seed, w) so a given weight vector always receives
     the same loss, regardless of evaluation order or parallelism.
@@ -106,8 +105,11 @@ class OracleSpec:
         if self.sigma < 0:
             raise FieldError("sigma", "must be nonnegative")
 
+    def __call__(self, request: TrainerRequest) -> float:
+        return oracle_loss(request.weights, self)
 
-def oracle_loss(w: WeightVector, oracle: OracleSpec) -> float:
+
+def oracle_loss(w: WeightVector, oracle: OracleTrainer) -> float:
     """Evaluate the synthetic loss oracle at ``w``."""
     values = w.aligned_to(oracle.w_star.names)
     dist_sq = float(((values - oracle.w_star.values) ** 2).sum())
@@ -132,16 +134,6 @@ class TrainerRequest:
 
 
 Trainer = Callable[[TrainerRequest], float]
-
-
-class OracleTrainer:
-    """Trainer stand-in that scores the weight vector directly."""
-
-    def __init__(self, spec: OracleSpec) -> None:
-        self.spec = spec
-
-    def __call__(self, request: TrainerRequest) -> float:
-        return oracle_loss(request.weights, self.spec)
 
 
 @dataclass(frozen=True)
@@ -196,6 +188,24 @@ class CommandTrainer:
         if not math.isfinite(loss):
             raise TrainerError(f"trainer returned non-finite loss {loss!r}")
         return loss
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """A campaign's settings: its size ``n``, its trainer, the validation
+    set named to the trainer, its worker threads and the proxy model."""
+
+    n: int = 256
+    trainer: Trainer | None = None
+    valset: str = ""
+    threads: int = 1
+    proxy: ProxyConfig = field(default_factory=ProxyConfig)
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise FieldError("n", f"must be at least 1, got {self.n}")
+        if self.threads < 1:
+            raise FieldError("threads", f"must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -295,16 +305,12 @@ def probe_trainer(trainer: Trainer) -> None:
 def run_campaign(
     matrix: ScoreMatrix,
     plan: SelectionPlan,
-    trainer: Trainer,
-    n: int = 256,
-    seed: int = 0,
+    campaign: CampaignConfig,
     *,
+    seed: int,
     out_dir: str | Path,
-    proxy_config: ProxyConfig | None = None,
-    valset: str = "",
-    threads: int = 1,
 ) -> list[ExperimentRecord]:
-    """Run (or resume) a campaign of ``n`` proxy experiments.
+    """Run (or resume) a campaign of ``campaign.n`` proxy experiments.
 
     Weight vectors are derived from the root seed alone, so a resumed
     campaign reproduces the missing experiments exactly; experiment ids
@@ -317,10 +323,8 @@ def run_campaign(
     trainer) queued experiments are cancelled, and those already running
     finish unlogged.
     """
-    if n < 1:
-        raise ValidationError("campaign size n must be at least 1")
+    n, trainer = campaign.n, campaign.trainer
     probe_trainer(trainer)
-    proxy_config = proxy_config or ProxyConfig()
     out_dir = Path(out_dir)
     manifest_dir = out_dir / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
@@ -347,8 +351,8 @@ def run_campaign(
             experiment_id=experiment_id,
             weights=w,
             manifest_path=manifest_path,
-            proxy_config=proxy_config,
-            valset=valset,
+            proxy_config=campaign.proxy,
+            valset=campaign.valset,
         )
         metadata = {
             "seed": seed,
@@ -379,7 +383,7 @@ def run_campaign(
     failure_budget = _MAX_FAILURE_RATE * n
     new_records: list[ExperimentRecord] = []
     with open(log_path, "a", encoding="utf-8") as log, ThreadPoolExecutor(
-        max_workers=threads
+        max_workers=campaign.threads
     ) as pool:
         futures = [pool.submit(run_one, i, eid) for i, eid in pending]
         try:

@@ -22,14 +22,16 @@ from qselect.gbt import RegressorHyper
 from qselect.importance import features, fit_bag_model, importance_score
 from qselect.matrix import ScoreMatrix, rank_normalize, spearman_matrix
 from qselect.optimizer import (
+    OptimizerConfig,
     fit_regressor,
     pca_landscape,
     rank_weights,
     search_optimal,
 )
 from qselect.proxy import (
+    CampaignConfig,
     ExperimentRecord,
-    OracleSpec,
+    OracleTrainer,
     oracle_loss,
     run_campaign,
     sample_weights,
@@ -259,15 +261,15 @@ def pipeline_recovery_trial(m, trial_seed):
     gen = np.random.default_rng(trial_seed)
     w_star = WeightVector(names, gen.dirichlet(np.ones(m)))
     weights = sample_weights(names, 256, seed=trial_seed + 1)
-    clean = [oracle_loss(w, OracleSpec(w_star=w_star, base=1.0, sigma=0.0)) for w in weights]
+    clean = [oracle_loss(w, OracleTrainer(w_star=w_star, base=1.0, sigma=0.0)) for w in weights]
     sigma = 0.10 * (max(clean) - min(clean))
-    spec = OracleSpec(w_star=w_star, base=1.0, sigma=sigma, seed=trial_seed + 2)
+    oracle = OracleTrainer(w_star=w_star, base=1.0, sigma=sigma, seed=trial_seed + 2)
     records = [
-        ExperimentRecord(f"exp-{i:04d}", w.as_mapping(), oracle_loss(w, spec), "ok", "")
+        ExperimentRecord(f"exp-{i:04d}", w.as_mapping(), oracle_loss(w, oracle), "ok", "")
         for i, w in enumerate(weights)
     ]
     model = fit_regressor(records, RegressorHyper(seed=0))
-    outcome = search_optimal(model, seed=trial_seed + 3)
+    outcome = search_optimal(model, OptimizerConfig(), seed=trial_seed + 3)
     return float(np.abs(outcome.w_star.aligned_to(names) - w_star.values).sum())
 
 
@@ -325,10 +327,11 @@ class TestCriterion7EndToEndSuperiority:
             plan = SelectionPlan(8000)
             trainer = SubsetOracleTrainer(quality, base=2.0, sigma=0.01, seed=seed)
             records = run_campaign(
-                matrix, plan, trainer, n=48, seed=seed, out_dir=tmp_path / f"camp{seed}"
+                matrix, plan, CampaignConfig(n=48, trainer=trainer), seed=seed,
+                out_dir=tmp_path / f"camp{seed}",
             )
             model = fit_regressor(records, RegressorHyper(seed=seed))
-            outcome = search_optimal(model, seed=seed)
+            outcome = search_optimal(model, OptimizerConfig(), seed=seed)
             noiseless = SubsetOracleTrainer(quality, base=2.0, sigma=0.0)
             loss_star = noiseless.loss_for_ids(
                 select_top_k(matrix, outcome.w_star, plan).selected_ids
@@ -366,13 +369,13 @@ class TestCriterion8Statistics:
 
         names = [f"s{j}" for j in range(6)]
         w_star = WeightVector(tuple(names), np.random.default_rng(1).dirichlet(np.ones(6)))
-        spec = OracleSpec(w_star=w_star, base=1.0, sigma=0.0)
+        oracle = OracleTrainer(w_star=w_star, base=1.0, sigma=0.0)
         records = [
-            ExperimentRecord(f"exp-{i:04d}", w.as_mapping(), oracle_loss(w, spec), "ok", "")
+            ExperimentRecord(f"exp-{i:04d}", w.as_mapping(), oracle_loss(w, oracle), "ok", "")
             for i, w in enumerate(sample_weights(names, 64, seed=2))
         ]
         model = fit_regressor(records)
-        land = pca_landscape(records, model, grid=9)
+        land = pca_landscape(records, model, OptimizerConfig(grid=9))
         v1, v2 = land.components
         pca_ok = (
             abs(float(np.dot(v1, v2))) < 1e-9

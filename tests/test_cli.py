@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qselect import cli
+from qselect import cli, proxy
 from qselect import signals as signals_module
 from qselect.cli import main
 from qselect.errors import ValidationError
@@ -86,6 +86,30 @@ class TestCost:
         assert run_cli("cost", "--params", "1e9") == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ValidationError"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--params", "nan", "--tokens", "1"],
+             "qselect cost: argument --params: must be a finite number, not negative, got 'nan'"),
+            (["--params", "-5", "--tokens", "1"],
+             "qselect cost: argument --params: must be a finite number, not negative, got '-5'"),
+            (["--layers", "2", "--hidden", "inf", "--seq-len", "1", "--samples", "1"],
+             "qselect cost: argument --hidden: must be a finite number, not negative, got 'inf'"),
+            (["--params", "1e300", "--tokens", "1e300"],
+             "the FLOP count of --params 1e+300 --tokens 1e+300 is too large for a float"),
+            (["--layers", "1e200", "--hidden", "1e100", "--seq-len", "1", "--samples", "1",
+              "--mode", "infer"],
+             "the FLOP count of --layers 1e+200 --hidden 1e+100 --seq-len 1.0 --samples 1.0 "
+             "is too large for a float"),
+        ],
+        ids=["nan", "negative", "inf", "overflow", "structural-overflow"],
+    )
+    def test_number_that_is_not_a_finite_count_is_refused(self, capsys, argv, message):
+        assert run_cli("cost", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "ValidationError", "message": message}
 
 
 class TestSynth:
@@ -249,8 +273,12 @@ class TestAnnotate:
         assert "coverage" in err["message"]
 
     @pytest.mark.parametrize("case", ["unknown-ids-only", "cells-already-held"])
-    def test_rater_that_fills_no_cell_is_held_to_min_coverage(self, tmp_path, capsys, caplog, case):
+    def test_rater_that_fills_no_cell_is_held_to_min_coverage(
+        self, tmp_path, capsys, caplog, monkeypatch, case
+    ):
         caplog.set_level("INFO", logger="qselect.cli")
+        computed = []
+        monkeypatch.setattr(cli, "tokenize", lambda *args: computed.append("tokenize"))
         with open(tmp_path / "corpus.jsonl", "w") as fh:
             for i in range(5):
                 rec = {"id": f"d{i:04d}", "text": "alpha beta.", "domain": "C4"}
@@ -263,7 +291,7 @@ class TestAnnotate:
         config = write_config(
             tmp_path / "cfg.json",
             corpus={"path": "corpus.jsonl"},
-            scores={"signals": False,
+            scores={"signals": True,
                     "ratings": {"files": ["ratings.jsonl"], "min_coverage": min_coverage}},
         )
         assert run_cli("annotate", "--config", str(config)) == 1
@@ -271,6 +299,7 @@ class TestAnnotate:
         assert err == {"error": "ValidationError",
                        "message": f"rating coverage below {min_coverage}: {{'Fluency': 0.0}}"}
         assert "rating coverage Fluency: 0.000" in caplog.messages
+        assert computed == []  # refused before the tokenize, signal and importance passes
 
     def test_out_of_range_prrc_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
@@ -292,6 +321,27 @@ class TestAnnotate:
                        "message": f"{ratings}:2: bad annotation: Reasoning value 7 outside [0, 5]"}
         assert computed == []
         assert not (tmp_path / "out" / "annotated.jsonl").exists()
+
+    def test_rater_named_like_a_computed_score_is_refused(self, tmp_path, capsys, monkeypatch):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+        ids = [f"d{i:04d}" for i in range(5)]
+        write_ratings(tmp_path / "ratings.jsonl", ids, ["Fluency", SIGNAL_NAMES[0]])
+        scores = {"signals": True, "ratings": {"files": ["ratings.jsonl"]}}
+        config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"}, scores=scores)
+        computed = []
+        monkeypatch.setattr(cli, "tokenize", lambda *args: computed.append("tokenize"))
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError",
+                       "message": f"raters {[SIGNAL_NAMES[0]]} are named like scores this run computes"}
+        assert computed == []
+        # with signals off, nothing computes that score, and the rater is a column like any other
+        monkeypatch.undo()
+        config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"},
+                              scores={**scores, "signals": False})
+        assert run_cli("annotate", "--config", str(config)) == 0
+        out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert set(out["scores"]) == {"Fluency", SIGNAL_NAMES[0]}
 
     def test_byte_identical_rerun(self, tmp_path, capsys):
         write_corpus_fixture(tmp_path / "corpus.jsonl", n=30)
@@ -555,6 +605,25 @@ class TestSelect:
         assert err["error"] == "ValidationError"
         assert str(weights) in err["message"] and cause in err["message"]
 
+    def test_missing_weights_file(self, tmp_path, capsys):
+        config = synth_config(tmp_path)
+        weights = tmp_path / "nope.json"
+        assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": f"weights file {weights} does not exist"}
+
+    def test_name_listed_twice_in_weights_file(self, tmp_path, capsys):
+        config = synth_config(tmp_path)
+        weights = tmp_path / "weights.json"
+        rows = [{"name": "ch0", "weight": 0.5}, {"name": "ch1", "weight": 0.5},
+                {"name": "ch0", "weight": 0.1}]
+        weights.write_text(json.dumps(rows))
+        assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message":
+                       f"malformed weights file {weights}: ValueError: name 'ch0' is listed twice"}
+        assert not (tmp_path / "out" / "selection.txt").exists()
+
     def test_byte_identical_rerun(self, tmp_path, capsys):
         config = synth_config(tmp_path)
         weights = self.make_weights(tmp_path, {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2})
@@ -624,6 +693,27 @@ class TestCampaignAndFit:
         assert err == {"error": "ValidationError", "message":
                        "--threads must be at least 1 (0 uses campaign.threads), got -3"}
         assert not (tmp_path / "out" / "campaign.jsonl").exists()
+
+    def test_threads_flag_overrides_config(self, tmp_path, capsys, monkeypatch):
+        workers = []
+
+        class RecordingPool(proxy.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(proxy, "ThreadPoolExecutor", RecordingPool)
+        config = self.oracle_config(tmp_path, n=8)
+        raw = json.loads(config.read_text())
+        raw["campaign"]["threads"] = 1
+        config.write_text(json.dumps(raw))
+        log = tmp_path / "out" / "campaign.jsonl"
+        assert run_cli("campaign", "--config", str(config)) == 0
+        one_thread = log.read_bytes()
+        log.unlink()
+        assert run_cli("campaign", "--config", str(config), "--threads", "3") == 0
+        assert workers == [1, 3]
+        assert log.read_bytes() == one_thread
 
     def test_campaign_resume_cuts_torn_last_line(self, tmp_path, capsys, caplog):
         config = self.oracle_config(tmp_path, n=8)
@@ -821,6 +911,33 @@ class TestErrorSurface:
         assert run_cli("synth", "--config", str(config)) == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "RuntimeError", "message": "handler crashed"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cost", "--params", "abc", "--tokens", "1"],
+             "qselect cost: argument --params: must be a finite number, not negative, got 'abc'"),
+            (["select", "--weights", "w.json"],
+             "qselect select: the following arguments are required: --config"),
+            (["bogus"], "qselect: argument command: invalid choice: 'bogus'"),
+            ([], "qselect: the following arguments are required: command"),
+            (["fit", "--config", "c.json", "--bogus"], "qselect: unrecognized arguments: --bogus"),
+        ],
+        ids=["bad-number", "missing-config", "unknown-command", "no-command", "unknown-flag"],
+    )
+    def test_usage_error_is_validation_error(self, capsys, argv, message):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValidationError" and err["message"].startswith(message)
+        assert "usage:" not in captured.err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as info:
+            run_cli(flag)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
 
     def test_bad_config_json(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"

@@ -192,7 +192,7 @@ def test_defaults_and_root_seed(tmp_path):
     assert cfg.optimizer.hyper.seed == 3 and cfg.optimizer.hyper.n_trees == 100
     trainer = cfg.require_trainer()
     assert isinstance(trainer, OracleTrainer)
-    assert trainer.spec.seed == 3 and trainer.spec.w_star.as_mapping() == {"a": 0.5, "b": 0.5}
+    assert trainer.seed == 3 and trainer.w_star.as_mapping() == {"a": 0.5, "b": 0.5}
     with pytest.raises(ValidationError, match="no campaign.trainer"):
         parse_config({}, tmp_path).require_trainer()
 

@@ -55,3 +55,73 @@ def test_scan_finds_an_unused_import():
         "@dataclass\nclass A:\n    pass\n"
     )
     assert unused_imports(source) == [(1, "field")]
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+# Public names kept with no caller in src/qselect or bench/, and why.
+NO_CALLER_NEEDED = {
+    "selection.reference_weights": "criterion 2's published-weights fixture",
+}
+
+
+def _defined(stmt: ast.stmt) -> set[str]:
+    """The public names a top-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)}
+    else:
+        names = set()
+    return {name for name in names if not name.startswith("_")}
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    """Names loaded in ``tree``: bare, as an attribute, or in a quoted annotation."""
+    loaded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                loaded |= _names_in(ast.parse(node.value.strip(), mode="eval"))
+            except SyntaxError:
+                pass
+    return loaded
+
+
+def uncalled_public_names(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` of each public top-level name of ``sources`` (module
+    -> source) that no top-level statement but its own definition loads,
+    in ``sources`` or ``callers``."""
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = _defined(stmt)
+            defined.update((name, module) for name in own)
+            used |= _loaded(stmt) - own
+    for source in callers:
+        used |= _loaded(ast.parse(source))
+    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+
+
+def test_every_public_name_has_a_caller():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))]
+    assert uncalled_public_names(sources, callers) == sorted(NO_CALLER_NEEDED)
+
+
+def test_caller_scan_ignores_a_name_only_its_own_body_loads():
+    sources = {
+        "m": "import x\n"
+        "LIMIT = 3\n"
+        "def loop(n):\n    return loop(n - 1) if n else LIMIT\n"
+        "def used() -> 'Kept':\n    return 1\n"
+        "class Kept:\n    pass\n"
+        "def _private():\n    pass\n",
+    }
+    assert uncalled_public_names(sources, ["import m\nm.used()\n"]) == ["m.loop"]

@@ -6,6 +6,7 @@ import pytest
 from qselect.errors import ValidationError
 from qselect.gbt import RegressorHyper
 from qselect.optimizer import (
+    OptimizerConfig,
     fit_regressor,
     pca_landscape,
     rank_weights,
@@ -13,7 +14,7 @@ from qselect.optimizer import (
     search_optimal,
     write_weights,
 )
-from qselect.proxy import ExperimentRecord, OracleSpec, oracle_loss, sample_simplex, sample_weights
+from qselect.proxy import ExperimentRecord, OracleTrainer, oracle_loss, sample_simplex, sample_weights
 from qselect.selection import WeightVector, reference_weights
 
 from oracles import ref_landscape_points
@@ -21,11 +22,11 @@ from oracles import ref_landscape_points
 
 def quadratic_records(names, w_star_values, n=256, seed=0, sigma=0.0, base=1.0):
     w_star = WeightVector(tuple(names), np.asarray(w_star_values))
-    spec = OracleSpec(w_star=w_star, base=base, sigma=sigma, seed=seed)
+    oracle = OracleTrainer(w_star=w_star, base=base, sigma=sigma, seed=seed)
     records = []
     for i, w in enumerate(sample_weights(names, n, seed=seed + 1)):
         records.append(
-            ExperimentRecord(f"exp-{i:04d}", w.as_mapping(), oracle_loss(w, spec), "ok", "")
+            ExperimentRecord(f"exp-{i:04d}", w.as_mapping(), oracle_loss(w, oracle), "ok", "")
         )
     return records, w_star
 
@@ -83,7 +84,7 @@ class TestSearchOptimal:
             rng = np.random.default_rng(seed)
             records, w_star = quadratic_records(names, rng.dirichlet(np.ones(5)), seed=seed + 100)
             model = fit_regressor(records, RegressorHyper(seed=0))
-            outcome = search_optimal(model, seed=seed + 200)
+            outcome = search_optimal(model, OptimizerConfig(), seed=seed + 200)
             err = float(np.abs(outcome.w_star.aligned_to(names) - w_star.values).sum())
             assert err <= 0.15
 
@@ -91,14 +92,14 @@ class TestSearchOptimal:
         names = [f"s{j}" for j in range(5)]
         records, _ = quadratic_records(names, [0.2] * 5, n=32)
         model = fit_regressor(records)
-        outcome = search_optimal(model, n_candidates=100_000, top_k=100_000, seed=4)
+        outcome = search_optimal(model, OptimizerConfig(candidates=100_000, top_k=100_000), seed=4)
         assert np.allclose(outcome.w_star.values, 0.2, atol=0.01)
 
     def test_k_one_returns_best_candidate(self):
         names = ["a", "b", "c"]
         records, _ = quadratic_records(names, [0.5, 0.3, 0.2], n=64)
         model = fit_regressor(records)
-        outcome = search_optimal(model, n_candidates=5000, top_k=1, seed=8)
+        outcome = search_optimal(model, OptimizerConfig(candidates=5000, top_k=1), seed=8)
         candidates = sample_simplex(3, 5000, 8)
         preds = model.booster.predict(candidates)
         best = candidates[np.argmin(preds)]
@@ -110,7 +111,7 @@ class TestSearchOptimal:
         rng = np.random.default_rng(10)
         records, _ = quadratic_records(names, rng.dirichlet(np.ones(4)))
         model = fit_regressor(records)
-        outcome = search_optimal(model, n_candidates=20_000, seed=11)
+        outcome = search_optimal(model, OptimizerConfig(candidates=20_000), seed=11)
         cands = sample_weights(names, 2000, seed=12)
         mean_loss = float(np.mean([model.predict(w) for w in cands]))
         assert outcome.predicted_loss_at_star <= mean_loss
@@ -208,7 +209,7 @@ class TestPcaLandscape:
         rng = np.random.default_rng(5)
         records, _ = quadratic_records(names, rng.dirichlet(np.ones(6)), n=64)
         model = fit_regressor(records)
-        land = pca_landscape(records, model, grid=11)
+        land = pca_landscape(records, model, OptimizerConfig(grid=11))
         v1, v2 = land.components
         assert abs(np.dot(v1, v2)) < 1e-9
         assert np.linalg.norm(v1) == pytest.approx(1.0, abs=1e-9)
@@ -218,7 +219,7 @@ class TestPcaLandscape:
         names = [f"s{j}" for j in range(5)]
         records = planar_records(names)
         model = fit_regressor(records, RegressorHyper(n_trees=5))
-        land = pca_landscape(records, model, grid=5)
+        land = pca_landscape(records, model, OptimizerConfig(grid=5))
         total = land.explained_variance.sum()
         assert land.explained_variance[:2].sum() == pytest.approx(total, abs=1e-9 * total)
 
@@ -227,7 +228,7 @@ class TestPcaLandscape:
         rng = np.random.default_rng(6)
         records, _ = quadratic_records(names, rng.dirichlet(np.ones(6)), n=64)
         model = fit_regressor(records)
-        land = pca_landscape(records, model, grid=5)
+        land = pca_landscape(records, model, OptimizerConfig(grid=5))
         ev = land.explained_variance
         assert all(b <= a + 1e-12 for a, b in zip(ev, ev[1:]))
 
@@ -236,7 +237,7 @@ class TestPcaLandscape:
         rng = np.random.default_rng(7)
         records, _ = quadratic_records(names, rng.dirichlet(np.ones(4)), n=32)
         model = fit_regressor(records)
-        land = pca_landscape(records, model, grid=9)
+        land = pca_landscape(records, model, OptimizerConfig(grid=9))
         assert len(land.grid_points) == 81
         path = tmp_path / "landscape.csv"
         land.write_csv(path)
@@ -249,7 +250,7 @@ class TestPcaLandscape:
         rng = np.random.default_rng(9)
         records, _ = quadratic_records(names, rng.dirichlet(np.ones(5)), n=48)
         model = fit_regressor(records, RegressorHyper(n_trees=20))
-        land = pca_landscape(records, model, grid=6)
+        land = pca_landscape(records, model, OptimizerConfig(grid=6))
         mean = np.array([[r.weights[n] for n in names] for r in records]).mean(axis=0)
         expected = ref_landscape_points(
             mean, land.components, land.projections, model.booster.predict, grid=6
@@ -273,7 +274,7 @@ class TestPcaLandscape:
             )
         model = fit_regressor(records, RegressorHyper(n_trees=5))
         with caplog.at_level("WARNING"):
-            land = pca_landscape(records, model, grid=7)
+            land = pca_landscape(records, model, OptimizerConfig(grid=7))
         assert "1-D" in caplog.text
         assert len(land.grid_points) == 7
         assert all(p[1] == 0.0 for p in land.grid_points)
@@ -282,11 +283,11 @@ class TestPcaLandscape:
         names = ["a", "b"]
         records, _ = quadratic_records(names, [0.5, 0.5], n=20)
         with pytest.raises(ValidationError, match="at least 3"):
-            pca_landscape(records[:2], fit_regressor(records), grid=5)
+            pca_landscape(records[:2], fit_regressor(records), OptimizerConfig(grid=5))
 
     def test_landscape_accepts_small_record_sets(self):
         names = ["a", "b", "c"]
         records, _ = quadratic_records(names, [0.3, 0.3, 0.4], n=20)
         model = fit_regressor(records)
-        land = pca_landscape(records[:5], model, grid=4)
+        land = pca_landscape(records[:5], model, OptimizerConfig(grid=4))
         assert len(land.grid_points) == 16

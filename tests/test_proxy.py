@@ -8,8 +8,8 @@ import pytest
 from qselect.errors import CampaignError, TrainerError, ValidationError
 from qselect.matrix import ScoreMatrix, rank_normalize
 from qselect.proxy import (
+    CampaignConfig,
     CommandTrainer,
-    OracleSpec,
     OracleTrainer,
     ProxyConfig,
     TrainerRequest,
@@ -90,25 +90,25 @@ class TestOracleLoss:
         return WeightVector(("a", "b", "c"), np.asarray(values, dtype=float))
 
     def test_minimum_at_w_star(self):
-        spec = OracleSpec(w_star=self.w([0.5, 0.3, 0.2]), base=1.5, sigma=0.0)
-        assert oracle_loss(self.w([0.5, 0.3, 0.2]), spec) == 1.5
+        oracle = OracleTrainer(w_star=self.w([0.5, 0.3, 0.2]), base=1.5, sigma=0.0)
+        assert oracle_loss(self.w([0.5, 0.3, 0.2]), oracle) == 1.5
 
     def test_increases_along_rays(self):
         w_star = self.w([0.6, 0.3, 0.1])
-        spec = OracleSpec(w_star=w_star, base=1.0, sigma=0.0)
+        oracle = OracleTrainer(w_star=w_star, base=1.0, sigma=0.0)
         other = np.array([0.1, 0.2, 0.7])
         losses = []
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             point = (1 - t) * w_star.values + t * other
-            losses.append(oracle_loss(self.w(point), spec))
+            losses.append(oracle_loss(self.w(point), oracle))
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
     def test_noise_deterministic_per_weights(self):
-        spec = OracleSpec(w_star=self.w([0.4, 0.4, 0.2]), sigma=0.1, seed=5)
+        oracle = OracleTrainer(w_star=self.w([0.4, 0.4, 0.2]), sigma=0.1, seed=5)
         w = self.w([0.2, 0.3, 0.5])
-        assert oracle_loss(w, spec) == oracle_loss(w, spec)
+        assert oracle_loss(w, oracle) == oracle_loss(w, oracle)
         w2 = self.w([0.3, 0.2, 0.5])
-        assert oracle_loss(w, spec) != oracle_loss(w2, spec)
+        assert oracle_loss(w, oracle) != oracle_loss(w2, oracle)
 
 
 def single_domain_fixture(n_docs=40, seed=0):
@@ -124,11 +124,9 @@ def single_domain_fixture(n_docs=40, seed=0):
 class TestRunCampaign:
     def test_smoke_with_oracle(self, tmp_path):
         matrix, plan = single_domain_fixture()
-        trainer = OracleTrainer(
-            OracleSpec(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
-        )
+        trainer = OracleTrainer(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
         records = run_campaign(
-            matrix, plan, trainer, n=4, seed=1, out_dir=tmp_path
+            matrix, plan, CampaignConfig(n=4, trainer=trainer), seed=1, out_dir=tmp_path
         )
         assert len(records) == 4
         assert all(r.status == "ok" and math.isfinite(r.loss) for r in records)
@@ -147,26 +145,23 @@ class TestRunCampaign:
             return 1.0
 
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(matrix, plan, trainer, n=4, seed=1, out_dir=tmp_path)
+            run_campaign(matrix, plan, CampaignConfig(n=4, trainer=trainer), seed=1, out_dir=tmp_path)
         assert len(read_campaign_log(tmp_path / "campaign.jsonl")) == 2
 
         calls.clear()
-        records = run_campaign(
-            matrix, plan, lambda req: (calls.append(req.experiment_id), 1.0)[1],
-            n=4, seed=1, out_dir=tmp_path,
-        )
+        resumed = CampaignConfig(n=4, trainer=lambda req: (calls.append(req.experiment_id), 1.0)[1])
+        records = run_campaign(matrix, plan, resumed, seed=1, out_dir=tmp_path)
         assert len(calls) == 2  # exactly the two missing experiments
         assert len(records) == 4
 
     def test_resume_reproduces_same_weights(self, tmp_path):
         matrix, plan = single_domain_fixture()
-        trainer = OracleTrainer(
-            OracleSpec(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
-        )
-        full = run_campaign(matrix, plan, trainer, n=4, seed=9, out_dir=tmp_path / "one")
+        trainer = OracleTrainer(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
+        four, two = CampaignConfig(n=4, trainer=trainer), CampaignConfig(n=2, trainer=trainer)
+        full = run_campaign(matrix, plan, four, seed=9, out_dir=tmp_path / "one")
         (tmp_path / "two").mkdir()
-        partial = run_campaign(matrix, plan, trainer, n=2, seed=9, out_dir=tmp_path / "two")
-        resumed = run_campaign(matrix, plan, trainer, n=4, seed=9, out_dir=tmp_path / "two")
+        partial = run_campaign(matrix, plan, two, seed=9, out_dir=tmp_path / "two")
+        resumed = run_campaign(matrix, plan, four, seed=9, out_dir=tmp_path / "two")
         assert [r.weights for r in resumed] == [r.weights for r in full]
         assert [r.loss for r in resumed] == [r.loss for r in full]
 
@@ -177,7 +172,7 @@ class TestRunCampaign:
             raise TrainerError("gpu fell over")
 
         with pytest.raises(CampaignError, match="failures"):
-            run_campaign(matrix, plan, flaky, n=10, seed=1, out_dir=tmp_path)
+            run_campaign(matrix, plan, CampaignConfig(n=10, trainer=flaky), seed=1, out_dir=tmp_path)
         log = read_campaign_log(tmp_path / "campaign.jsonl")
         assert all(r.status == "failed" for r in log)
         assert 0 < len(log) <= 3  # aborts once failures exceed 20% of 10
@@ -196,9 +191,8 @@ class TestRunCampaign:
             return 1.0
 
         with pytest.raises(error):
-            run_campaign(
-                matrix, plan, trainer, n=40, seed=1, out_dir=tmp_path, threads=threads
-            )
+            campaign = CampaignConfig(n=40, trainer=trainer, threads=threads)
+            run_campaign(matrix, plan, campaign, seed=1, out_dir=tmp_path)
         assert len(calls) <= 2 * threads
         assert read_campaign_log(tmp_path / "campaign.jsonl") == []
 
@@ -210,18 +204,20 @@ class TestRunCampaign:
                 raise TrainerError("one bad run")
             return 3.0
 
-        records = run_campaign(matrix, plan, mostly_ok, n=10, seed=1, out_dir=tmp_path)
+        campaign = CampaignConfig(n=10, trainer=mostly_ok)
+        records = run_campaign(matrix, plan, campaign, seed=1, out_dir=tmp_path)
         by_status = {s: sum(1 for r in records if r.status == s) for s in ("ok", "failed")}
         assert by_status == {"ok": 9, "failed": 1}
 
     def test_threaded_matches_sequential(self, tmp_path):
         matrix, plan = single_domain_fixture()
-        trainer = OracleTrainer(
-            OracleSpec(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.05, seed=3)
+        trainer = OracleTrainer(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.05, seed=3)
+        seq = run_campaign(
+            matrix, plan, CampaignConfig(n=8, trainer=trainer), seed=2, out_dir=tmp_path / "seq"
         )
-        seq = run_campaign(matrix, plan, trainer, n=8, seed=2, out_dir=tmp_path / "seq")
         par = run_campaign(
-            matrix, plan, trainer, n=8, seed=2, out_dir=tmp_path / "par", threads=4
+            matrix, plan, CampaignConfig(n=8, trainer=trainer, threads=4), seed=2,
+            out_dir=tmp_path / "par",
         )
         assert [r.loss for r in seq] == [r.loss for r in par]
         assert (tmp_path / "seq" / "campaign.jsonl").read_bytes() == (
@@ -232,7 +228,9 @@ class TestRunCampaign:
         matrix, plan = single_domain_fixture()
         quality = {doc_id: float(i) for i, doc_id in enumerate(matrix.doc_ids)}
         trainer = SubsetOracleTrainer(quality, base=5.0)
-        records = run_campaign(matrix, plan, trainer, n=3, seed=4, out_dir=tmp_path)
+        records = run_campaign(
+            matrix, plan, CampaignConfig(n=3, trainer=trainer), seed=4, out_dir=tmp_path
+        )
         for record in records:
             ids = (tmp_path / record.manifest).read_text().split()
             assert record.loss == pytest.approx(
