@@ -163,8 +163,6 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 source, target_model, source_model
             )
 
-    # Rating gaps are imputed after the passes: the first np.median call imports
-    # numpy.ma (about 1 MB), which before them would add to annotate's peak RSS.
     if ratings:
         imputed = impute_missing(matrix, list(ratings))
         if imputed:
@@ -195,8 +193,8 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     plan = cfg.require_plan()
     if args.cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
-    matrix = _load_scored_matrix(cfg, args)
     weights = read_weights(args.weights)
+    matrix = _load_scored_matrix(cfg, args)
     result = select_top_k(matrix, weights, plan)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = cfg.output_dir / "selection.txt"

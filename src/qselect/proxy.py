@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import shutil
 import subprocess
 from collections.abc import Callable, Sequence
@@ -141,8 +140,9 @@ class CommandTrainer:
     """External trainer process.
 
     Invoked as ``<argv...> --manifest M --config C --valset V`` and must
-    print a JSON object with a numeric ``loss`` key on stdout. ``timeout``
-    is in seconds; None waits for the process however long it runs.
+    print a JSON object on stdout whose ``loss`` is a finite JSON number.
+    ``timeout`` is in seconds; None waits for the process however long it
+    runs.
     """
 
     argv: list[str]
@@ -181,13 +181,12 @@ class CommandTrainer:
                 f"trainer exited {proc.returncode}: {proc.stderr.strip()[:500]}"
             )
         try:
-            payload = json.loads(proc.stdout.strip().splitlines()[-1])
-            loss = float(payload["loss"])
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
+            loss = json.loads(proc.stdout.strip().splitlines()[-1])["loss"]
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
             raise TrainerError(f"trainer printed no parsable loss: {exc}") from exc
-        if not math.isfinite(loss):
-            raise TrainerError(f"trainer returned non-finite loss {loss!r}")
-        return loss
+        if not is_finite_number(loss):
+            raise TrainerError(f"trainer loss {loss!r} is not a finite JSON number")
+        return float(loss)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 from .corpus import check_proportions
 from .errors import FieldError, ValidationError
 from .matrix import ScoreMatrix
-from .registry import DEFAULT_DOMAIN_WEIGHTS, REFERENCE_WEIGHT_PCT
+from .registry import DEFAULT_DOMAIN_WEIGHTS
 
 SIMPLEX_TOL = 1e-9
 
@@ -81,11 +81,6 @@ class WeightVector:
             )
         index = {n: i for i, n in enumerate(self.names)}
         return self.values[[index[n] for n in names]]
-
-
-def reference_weights() -> WeightVector:
-    """The published learned weights fixture, projected onto the simplex."""
-    return WeightVector.from_mapping(REFERENCE_WEIGHT_PCT)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,46 @@ sys.path.insert(0, str(Path(__file__).parent))
 from qselect.corpus import Corpus
 from qselect.matrix import ScoreMatrix, rank_normalize
 from qselect.proxy import TrainerRequest
+from qselect.selection import WeightVector
 
 from oracles import ref_hash_bucket, ref_top_ngram_fraction_of_words, ref_word_signals, ref_words
+
+
+# Learned weights (percent) published from the reference full-scale run,
+# criterion 2's fixture. The percentages are as published and sum to 100.30
+# due to rounding; normalize before using them as a weight vector.
+REFERENCE_WEIGHT_PCT: dict[str, float] = {
+    "Educational Value": 5.64,
+    "doc_frac_no_alph_words": 4.93,
+    "Fineweb-edu": 4.93,
+    "lines_uppercase_letter_fraction": 4.88,
+    "Facts and Trivia": 4.77,
+    "doc_frac_chars_top_3gram": 4.73,
+    "lines_ending_with_terminal_punctution_mark": 4.73,
+    "doc_frac_chars_top_2gram": 4.71,
+    "wikipedia_importance": 4.69,
+    "lines_numerical_chars_fraction": 4.60,
+    "doc_num_sentences": 4.58,
+    "math_importance": 4.48,
+    "Reasoning": 4.44,
+    "doc_frac_unique_words": 4.32,
+    "doc_word_count": 4.23,
+    "doc_unigram_entropy": 4.22,
+    "books_importance": 4.14,
+    "Professionalism": 4.05,
+    "Fluency": 4.02,
+    "Readability": 3.93,
+    "Required Expertise": 3.73,
+    "Advertisement": 3.68,
+    "Cleanliness": 1.17,
+    "doc_mean_word_length": 0.65,
+    "Writing Style": 0.05,
+}
+
+
+def reference_weights() -> WeightVector:
+    """The published learned weights, projected onto the simplex."""
+    return WeightVector.from_mapping(REFERENCE_WEIGHT_PCT)
 
 
 class Row(NamedTuple):

@@ -41,12 +41,19 @@ from qselect.selection import (
     SelectionPlan,
     WeightVector,
     aggregate_scores,
-    reference_weights,
     select_top_k,
 )
 from qselect.signals import compute_signals
 
-from conftest import Row, SubsetOracleTrainer, bucket_of, matrix_of, mixed_language_fixture, random_text
+from conftest import (
+    Row,
+    SubsetOracleTrainer,
+    bucket_of,
+    matrix_of,
+    mixed_language_fixture,
+    random_text,
+    reference_weights,
+)
 from oracles import ref_all_signals, ref_dot, ref_spearman, ref_unhashed_log_ratio
 
 

@@ -16,10 +16,10 @@ from qselect.registry import (
     DEFAULT_DOMAIN_WEIGHTS,
     IMPORTANCE_NAMES,
     MODEL_RATER_NAMES,
-    REFERENCE_WEIGHT_PCT,
     SIGNAL_NAMES,
 )
 
+from conftest import REFERENCE_WEIGHT_PCT
 from oracles import ref_fit_bag_model, ref_importance_score
 
 
@@ -596,17 +596,28 @@ class TestSelect:
             ('[{"name": "ch0", "weight": NaN}]', "'ch0' = nan is not a finite number"),
         ],
     )
-    def test_malformed_weights_file(self, tmp_path, capsys, content, cause):
+    def test_malformed_weights_file(self, tmp_path, capsys, monkeypatch, content, cause):
         config = synth_config(tmp_path)
         weights = tmp_path / "weights.json"
         weights.write_text(content)
+        loads = []
+        monkeypatch.setattr(cli, "load_score_store", lambda *args: loads.append(args))
         assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ValidationError"
         assert str(weights) in err["message"] and cause in err["message"]
+        assert loads == []  # refused before the score store is read
 
     def test_missing_weights_file(self, tmp_path, capsys):
         config = synth_config(tmp_path)
+        weights = tmp_path / "nope.json"
+        assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": f"weights file {weights} does not exist"}
+
+    def test_missing_weights_are_reported_before_a_missing_corpus(self, tmp_path, capsys):
+        config = write_config(tmp_path / "cfg.json", corpus={"path": "absent.jsonl"},
+                              plan={"token_budget": 6000})
         weights = tmp_path / "nope.json"
         assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

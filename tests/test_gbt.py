@@ -189,6 +189,32 @@ def rows_per_node(ref, X):
     return counts
 
 
+def fitted_ensemble():
+    X, y = quadratic_data(m=6, n=200, seed=5)
+    y = np.round(y, 2)  # ties in the targets
+    return fit_gradient_boosted(X, y, RegressorHyper(n_trees=30, max_depth=5, min_samples_leaf=3))
+
+
+def stump_ensemble():
+    """Depth-1 trees around a root leaf, a mix that one fit does not produce."""
+    inf = np.inf
+
+    def stump(feature, threshold, low, high):
+        return RegressionTree(
+            feature=np.array([feature, 0, 0]),
+            threshold=np.array([threshold, inf, inf]),
+            left=np.array([1, 1, 2]),
+            right=np.array([2, 1, 2]),
+            value=np.array([0.0, low, high]),
+            depth=1,
+        )
+
+    zero = np.array([0])
+    leaf = RegressionTree(zero, np.array([inf]), zero, zero, np.array([0.75]), depth=0)
+    trees = [stump(0, 0.2, -1.0, 2.0), leaf, stump(1, 0.1, 3.0, -0.5)]
+    return GradientBoostedRegressor(0.5, trees, 0.1)
+
+
 class TestMatchesReference:
     def test_trees_match_node_for_node(self):
         names = ("feature", "threshold", "left", "right", "value")
@@ -213,12 +239,16 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("rows", [1, _PREDICT_CHUNK, 2 * _PREDICT_CHUNK + 37])
     def test_ensemble_predictions_match_reference(self, rows):
-        X, y = quadratic_data(m=6, n=200, seed=5)
-        y = np.round(y, 2)  # ties in the targets
-        hyper = RegressorHyper(n_trees=30, max_depth=5, min_samples_leaf=3)
-        model = fit_gradient_boosted(X, y, hyper)
-        queries = np.random.default_rng(rows).dirichlet(np.ones(6), size=rows)
-        want = np.full(rows, model.base)
-        for tree in model.trees:
-            want += model.learning_rate * ref_tree_predict(as_ref_tree(tree), queries)
-        assert np.array_equal(model.predict(queries), want)
+        for build in (fitted_ensemble, stump_ensemble):
+            model = build()
+            queries = np.random.default_rng(rows).dirichlet(np.ones(6), size=rows)
+            special = (np.arange(rows)[:, None] + np.arange(6)) % 4
+            queries[special == 1] = np.nan
+            queries[special == 2] = np.inf
+            queries[special == 3] = -np.inf
+            root = model.trees[0]
+            queries[0, root.feature[0]] = root.threshold[0]  # on the threshold: goes left
+            want = np.full(rows, model.base)
+            for tree in model.trees:
+                want += model.learning_rate * ref_tree_predict(as_ref_tree(tree), queries)
+            assert np.array_equal(model.predict(queries), want), build.__name__

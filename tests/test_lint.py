@@ -59,11 +59,6 @@ def test_scan_finds_an_unused_import():
 
 BENCH = PACKAGE.parent.parent / "bench"
 
-# Public names kept with no caller in src/qselect or bench/, and why.
-NO_CALLER_NEEDED = {
-    "selection.reference_weights": "criterion 2's published-weights fixture",
-}
-
 
 def _defined(stmt: ast.stmt) -> set[str]:
     """The public names a top-level statement defines."""
@@ -112,7 +107,7 @@ def uncalled_public_names(sources: dict[str, str], callers: list[str]) -> list[s
 def test_every_public_name_has_a_caller():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     callers = [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))]
-    assert uncalled_public_names(sources, callers) == sorted(NO_CALLER_NEEDED)
+    assert uncalled_public_names(sources, callers) == []
 
 
 def test_caller_scan_ignores_a_name_only_its_own_body_loads():

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qselect.errors import MatrixError
 from qselect.matrix import (
     ScoreMatrix,
+    _median,
     correlation_csv,
     impute_missing,
     ingest_ratings,
@@ -15,6 +18,9 @@ from qselect.matrix import (
 
 from conftest import matrix_of_docs
 from oracles import ref_rank_unit, ref_spearman
+
+
+FLOAT_MAX = np.finfo(float).max
 
 
 def matrix_from(columns: dict[str, list[float]]) -> ScoreMatrix:
@@ -122,6 +128,22 @@ class TestIngest:
         flagged = impute_missing(matrix)
         assert flagged == [("d9", "Fluency")]
         assert matrix.raw[9, 0] == 4.0  # median of 0..8
+
+    @given(st.lists(
+        st.sampled_from([0.0, -0.0, 1.0, 2.0, 5e-324, -5e-324, FLOAT_MAX, -FLOAT_MAX,
+                         np.nextafter(FLOAT_MAX, 0.0)])
+        | st.floats(allow_nan=False, allow_infinity=False),
+        min_size=1, max_size=9,
+    ))
+    @example([-0.0])
+    @example([-0.0, -0.0])
+    @example([-5e-324, -0.0])
+    @example([FLOAT_MAX, np.nextafter(FLOAT_MAX, 0.0), 1.0, FLOAT_MAX])
+    @settings(max_examples=500, deadline=None)
+    def test_median_has_the_bits_of_np_median(self, values):
+        values = np.array(values)
+        with np.errstate(over="ignore"):  # two values near the float max overflow alike
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
     def test_strict_column_gap_is_error(self):
         matrix = matrix_of_docs(self.docs(), ["doc_word_count"])

@@ -15,8 +15,9 @@ from qselect.optimizer import (
     write_weights,
 )
 from qselect.proxy import ExperimentRecord, OracleTrainer, oracle_loss, sample_simplex, sample_weights
-from qselect.selection import WeightVector, reference_weights
+from qselect.selection import WeightVector
 
+from conftest import reference_weights
 from oracles import ref_landscape_points
 
 

@@ -279,6 +279,26 @@ class TestCommandTrainer:
         with pytest.raises(TrainerError, match="exited 3"):
             trainer(request)
 
+    @pytest.mark.parametrize(
+        "loss", ["true", '"1.5"', "null", "NaN", "1e400", "1" + "0" * 400, "[1.0]"]
+    )
+    def test_loss_that_is_not_a_finite_json_number_fails_the_record(self, tmp_path, loss):
+        # The bad loss comes from the second experiment only: that record fails
+        # and the campaign goes on.
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import sys\n"
+            "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+            f"bad = {loss!r}\n"
+            "print('{\"loss\": %s}' % (bad if 'exp-0001' in args['--manifest'] else '2'))\n"
+        )
+        matrix, plan = single_domain_fixture()
+        campaign = CampaignConfig(n=5, trainer=CommandTrainer(["python3", str(script)]))
+        records = run_campaign(matrix, plan, campaign, seed=1, out_dir=tmp_path)
+        assert [r.status for r in records] == ["ok", "failed", "ok", "ok", "ok"]
+        assert [r.loss for r in records] == [2.0, None, 2.0, 2.0, 2.0]
+        assert "is not a finite JSON number" in records[1].metadata["error"]
+
     def test_garbage_output_raises(self, tmp_path):
         script = tmp_path / "noise.py"
         script.write_text("print('not json at all')\n")

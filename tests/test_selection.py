@@ -8,11 +8,10 @@ from qselect.selection import (
     SelectionPlan,
     WeightVector,
     aggregate_scores,
-    reference_weights,
     select_top_k,
 )
 
-from conftest import Row, matrix_of
+from conftest import Row, matrix_of, reference_weights
 from oracles import ref_dot
 
 
