@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import check_encodable, load_corpus, numbered_lines, synthesize_corpus, write_corpus
-from .errors import ValidationError, is_finite_number
+from .errors import ValidationError, is_finite_number, require_file
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
@@ -65,9 +65,7 @@ def _read_annotations(paths: list[Path]) -> dict[str, dict[str, float]]:
     the same document by the same rater replaces the earlier one."""
     ratings: dict[str, dict[str, float]] = {}
     for path in paths:
-        if not path.exists():
-            raise ValidationError(f"ratings file {path} does not exist")
-        for line_no, line in numbered_lines(path):
+        for line_no, line in numbered_lines(require_file(path, "ratings file")):
             try:
                 line = line.decode("utf-8")
                 if not line.strip():
@@ -88,13 +86,11 @@ def _read_annotations(paths: list[Path]) -> dict[str, dict[str, float]]:
 
 
 def _corpus_path(cfg: RunConfig, args: argparse.Namespace) -> Path:
-    """The ``--corpus`` path, else the config's ``corpus.path``; it must exist."""
+    """The ``--corpus`` path, else the config's ``corpus.path``; it must be a file."""
     path = Path(args.corpus) if args.corpus else cfg.corpus_path
     if path is None:
         raise ValidationError("config has no corpus.path")
-    if not path.exists():
-        raise ValidationError(f"corpus file {path} does not exist")
-    return path
+    return require_file(path, "corpus file")
 
 
 def _load_logged(path: Path, cfg: RunConfig):
@@ -115,8 +111,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     imp = cfg.scores.importance
     if imp is not None:
         for target_path in imp.targets.values():
-            if not target_path.exists():
-                raise ValidationError(f"importance target corpus {target_path} missing")
+            require_file(target_path, "importance target corpus")
 
     corpus = _load_logged(_corpus_path(cfg, args), cfg)
     check_store_ids(corpus.ids)
@@ -224,9 +219,7 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .proxy import read_campaign_log
 
     log_path = Path(args.log) if args.log else cfg.output_dir / "campaign.jsonl"
-    if not log_path.exists():
-        raise ValidationError(f"campaign log {log_path} does not exist")
-    records = read_campaign_log(log_path)
+    records = read_campaign_log(require_file(log_path, "campaign log"))
     model = fit_regressor(records, cfg.optimizer.hyper)
     outcome = search_optimal(model, cfg.optimizer, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

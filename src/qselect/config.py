@@ -15,7 +15,8 @@ and ``key: range`` gives the values a number may take:
     trainer    {type: "oracle", w_star: {score: weight}, base?, sigma?}
                or {type: "command", argv: [str], timeout?: seconds > 0}
   optimizer?   {trees?, depth?, learning_rate?, subsample?, min_samples_leaf?,
-                candidates?: >= top_k, top_k?: >= 1, concentration?: > 0,
+                candidates?: >= top_k (swept a block at a time, in flat memory),
+                top_k?: >= 1, concentration?: > 0,
                 normalization?: "rank"|"zscore", grid?: >= 2}
   synthesis?   {doc_count, domain_mix?, latent_name?, token_mean?, token_sigma?,
                 channels?: {name: {loading?, noise?, offset?, scale?}}}
@@ -44,7 +45,7 @@ from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .corpus import CorpusSchema, SynthesisSpec, check_encodable
-from .errors import FieldError, ValidationError
+from .errors import FieldError, ValidationError, require_file
 from .gbt import RegressorHyper
 from .importance import DEFAULT_BUCKET_COUNT
 from .optimizer import OptimizerConfig
@@ -241,9 +242,7 @@ def parse_config(raw: dict, base_dir: Path) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file {path} does not exist")
+    path = require_file(Path(path), "config file")
     try:
         raw = json.loads(path.read_bytes().decode("utf-8"))
     except ValueError as exc:  # UTF-8 and JSON errors are ValueErrors

@@ -1,6 +1,8 @@
-"""Exception hierarchy and the JSON number check shared across the package."""
+"""Exception hierarchy, and the input-file and JSON number checks shared
+across the package."""
 
 import sys
+from pathlib import Path
 
 
 def is_finite_number(value: object) -> bool:
@@ -46,3 +48,12 @@ class TrainerError(QselectError):
 
 class CampaignError(QselectError):
     """A proxy campaign could not complete (e.g. too many trainer failures)."""
+
+
+def require_file(path: Path, what: str, hint: str = "") -> Path:
+    """``path``, if it names a file (or a link to one); else a ValidationError
+    naming ``what`` and the path, followed by ``hint``."""
+    if not path.is_file():
+        problem = "is not a file" if path.exists() else "does not exist"
+        raise ValidationError(f"{what} {path} {problem}{hint}")
+    return path

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import FieldError, ValidationError
 
 _MIN_GAIN = 1e-12
-_PREDICT_CHUNK = 8192  # rows per block: at 16 features a block is 1 MB, which stays in L2
+BLOCK_ROWS = 8192  # rows per block: at 16 features a block is 1 MB, which stays in L2
 
 
 @dataclass(frozen=True)
@@ -115,14 +115,14 @@ class RegressionTree:
 
 
 def _blocks(X: np.ndarray):
-    """Cut the C-contiguous ``X`` into blocks of ``_PREDICT_CHUNK`` rows.
+    """Cut the C-contiguous ``X`` into blocks of ``BLOCK_ROWS`` rows.
 
     Yields each block's row slice, the block, and each of its rows' offset
     in the raveled block.
     """
     n, m = X.shape
-    for start in range(0, n, _PREDICT_CHUNK):
-        block = X[start : start + _PREDICT_CHUNK]
+    for start in range(0, n, BLOCK_ROWS):
+        block = X[start : start + BLOCK_ROWS]
         yield slice(start, start + block.shape[0]), block, np.arange(0, block.size, m)
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, CorpusSchema
-from .errors import MatrixError, ValidationError
+from .errors import MatrixError, ValidationError, require_file
 from .registry import IMPORTANCE_NAMES, SIGNAL_NAMES, canonical_order
 
 # Columns that must be complete before normalization; everything else is
@@ -166,8 +166,7 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
     import zipfile  # numpy imports it lazily as well
 
     path = store_path(corpus_path)
-    if not path.exists():
-        raise ValidationError(f"score store {path} does not exist; run annotate first")
+    require_file(path, "score store", "; run annotate first")
     try:
         store = np.load(path, allow_pickle=False)
         if not isinstance(store, np.lib.npyio.NpzFile):

@@ -2,8 +2,11 @@
 
 Fits the boosted-trees regressor mapping weight vectors to validation
 loss, scores a dense set of simplex candidates, and averages the top-k
-candidates into the final weight vector. Also exports a 2-D PCA view of
-the predicted loss surface over the weight space.
+candidates into the final weight vector. The sweep streams its candidates:
+it draws, predicts and ranks one block of rows at a time and keeps only the
+best k so far, so its memory does not grow with the number of candidates.
+Also exports a 2-D PCA view of the predicted loss surface over the weight
+space.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import FieldError, ValidationError, is_finite_number
-from .gbt import GradientBoostedRegressor, RegressorHyper, fit_gradient_boosted
+from .errors import FieldError, ValidationError, is_finite_number, require_file
+from .gbt import BLOCK_ROWS, GradientBoostedRegressor, RegressorHyper, fit_gradient_boosted
 from .proxy import ExperimentRecord, sample_simplex
 from .selection import WeightVector
 
@@ -123,12 +126,24 @@ def search_optimal(model: RegressorModel, settings: OptimizerConfig, seed: int) 
     the lowest predicted loss (ties resolved by draw order), which is more
     robust than trusting the single best cell of a piecewise-constant
     model.
+
+    The candidates are drawn, predicted and ranked one ``BLOCK_ROWS`` block
+    at a time, so memory stays flat however many there are. The sweep keeps
+    the best k so far, in rank order: it ranks each block by a stable sort,
+    appends the block's best k to the kept rows, and keeps the best k of
+    those by a second stable sort. Ties stay in draw order, so the kept rows
+    end as the first k of a stable sort of every prediction.
     """
-    m = len(model.score_names)
-    candidates = sample_simplex(m, settings.candidates, seed, settings.concentration)
-    preds = model.booster.predict(candidates)
-    best = np.argsort(preds, kind="stable")[: settings.top_k]
-    mean = candidates[best].mean(axis=0)
+    m, k = len(model.score_names), settings.top_k
+    kept, kept_preds = np.empty((0, m)), np.empty(0)
+    for block in sample_simplex(m, settings.candidates, seed, settings.concentration, BLOCK_ROWS):
+        preds = model.booster.predict(block)
+        top = np.argsort(preds, kind="stable")[:k]
+        rows = np.concatenate([kept, block[top]])
+        preds = np.concatenate([kept_preds, preds[top]])
+        best = np.argsort(preds, kind="stable")[:k]
+        kept, kept_preds = rows[best], preds[best]
+    mean = kept.mean(axis=0)
     w_star = WeightVector(model.score_names, mean / mean.sum())
     return SearchOutcome(w_star, model.predict(w_star))
 
@@ -167,8 +182,7 @@ def read_weights(path: str | Path) -> WeightVector:
     Accepts the report object or a bare list; every weight must be a JSON
     number, and no name may be listed twice.
     """
-    if not Path(path).exists():
-        raise ValidationError(f"weights file {path} does not exist")
+    require_file(Path(path), "weights file")
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)

@@ -15,7 +15,7 @@ import json
 import logging
 import shutil
 import subprocess
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
@@ -68,21 +68,36 @@ class ProxyConfig:
                 raise FieldError(name, "must be positive")
 
 
-def sample_simplex(m: int, n: int, seed: int, concentration: float = 1.0) -> np.ndarray:
-    """Draw n points from the Dirichlet over the m-simplex, (n, m) array."""
+def sample_simplex(
+    m: int, n: int, seed: int, concentration: float = 1.0, block: int | None = None
+) -> Iterator[np.ndarray]:
+    """Draw n points from the Dirichlet over the m-simplex, one generator
+    seeded with ``seed`` drawing them in order.
+
+    The draws come as (rows, m) arrays of ``block`` rows, the last one
+    shorter (one array of all n rows when ``block`` is None). numpy draws a
+    Dirichlet row by row, so the blocks stacked are the bits of one draw of
+    all n rows, whatever the block size.
+    """
     if m < 1 or n < 1:
         raise ValidationError("m and n must be at least 1")
     if concentration <= 0:
         raise ValidationError("concentration must be positive")
-    if m == 1:
-        return np.ones((n, 1))
     rng = np.random.default_rng(seed)
-    return rng.dirichlet(np.full(m, concentration), size=n)
+    alpha = np.full(m, concentration)
+    block = block or n
+
+    def draws() -> Iterator[np.ndarray]:
+        for start in range(0, n, block):
+            rows = min(block, n - start)
+            yield np.ones((rows, 1)) if m == 1 else rng.dirichlet(alpha, size=rows)
+
+    return draws()
 
 
 def sample_weights(names: Sequence[str], n: int, seed: int) -> list[WeightVector]:
     """n weight vectors over ``names`` from the flat Dirichlet prior."""
-    draws = sample_simplex(len(names), n, seed)
+    (draws,) = sample_simplex(len(names), n, seed)
     return [WeightVector(tuple(names), row) for row in draws]
 
 
@@ -140,9 +155,9 @@ class CommandTrainer:
     """External trainer process.
 
     Invoked as ``<argv...> --manifest M --config C --valset V`` and must
-    print a JSON object on stdout whose ``loss`` is a finite JSON number.
-    ``timeout`` is in seconds; None waits for the process however long it
-    runs.
+    print a JSON object on stdout, in UTF-8, whose ``loss`` is a finite JSON
+    number; anything else fails the experiment. ``timeout`` is in seconds;
+    None waits for the process however long it runs.
     """
 
     argv: list[str]
@@ -171,18 +186,15 @@ class CommandTrainer:
             request.valset,
         ]
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=self.timeout
-            )
+            proc = subprocess.run(argv, capture_output=True, timeout=self.timeout)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise TrainerError(f"trainer invocation failed: {exc}") from exc
         if proc.returncode != 0:
-            raise TrainerError(
-                f"trainer exited {proc.returncode}: {proc.stderr.strip()[:500]}"
-            )
+            stderr = proc.stderr.decode("utf-8", errors="replace")
+            raise TrainerError(f"trainer exited {proc.returncode}: {stderr.strip()[:500]}")
         try:
-            loss = json.loads(proc.stdout.strip().splitlines()[-1])["loss"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+            loss = json.loads(proc.stdout.decode("utf-8").strip().splitlines()[-1])["loss"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:  # UTF-8 and JSON errors are ValueErrors
             raise TrainerError(f"trainer printed no parsable loss: {exc}") from exc
         if not is_finite_number(loss):
             raise TrainerError(f"trainer loss {loss!r} is not a finite JSON number")

@@ -31,6 +31,7 @@ from qselect.matrix import (
     store_path,
 )
 from qselect.registry import PRRC_NAMES, SIGNAL_NAMES, canonical_order
+from qselect.selection import WeightVector
 from qselect.signals import compute_signals
 from qselect.tokens import tokenize
 
@@ -428,6 +429,27 @@ def ref_landscape_points(mean, components, projections, predict_rows, grid):
             w = mean + a * components[0] + b * components[1]
             points.append((float(a), float(b), float(predict_rows(w[None, :])[0])))
     return points
+
+
+def ref_search_optimal(model, settings, seed):
+    """The whole-matrix sweep: draw every candidate in one Dirichlet call,
+    predict them all at once, and average the first ``top_k`` of a stable
+    sort of the predictions. Returns (w_star values, predicted loss at w_star).
+
+    This is the sweep ``qselect.optimizer.search_optimal`` ran before it
+    streamed the candidates a block at a time; it must give the same bits.
+    """
+    m, n = len(model.score_names), settings.candidates
+    if m == 1:
+        candidates = np.ones((n, 1))
+    else:
+        rng = np.random.default_rng(seed)
+        candidates = rng.dirichlet(np.full(m, settings.concentration), size=n)
+    preds = model.booster.predict(candidates)
+    best = np.argsort(preds, kind="stable")[: settings.top_k]
+    mean = candidates[best].mean(axis=0)
+    values = mean / mean.sum()
+    return values, model.predict(WeightVector(model.score_names, values))
 
 
 # --- Gradient-boosted trees: the per-feature search and active-mask predict ---

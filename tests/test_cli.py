@@ -403,7 +403,7 @@ class TestAnnotate:
         assert run_cli("annotate", "--config", str(config)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "ValidationError"
-        assert "ghost.jsonl missing" in err["message"]
+        assert "ghost.jsonl does not exist" in err["message"]
         assert computed == []
         assert not (tmp_path / "out" / "annotated.jsonl").exists()
 
@@ -977,6 +977,32 @@ class TestErrorSurface:
             err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
             assert err == {"error": "ValidationError",
                            "message": f"corpus file {path} does not exist"}
+
+
+@pytest.mark.parametrize(
+    "what, name, scores, argv",
+    [
+        ("config file", "dir", None, ["annotate", "--config", "{d}"]),
+        ("corpus file", "dir", None, ["annotate", "--config", "{c}", "--corpus", "{d}"]),
+        ("ratings file", "dir", {"ratings": {"files": ["dir"]}}, ["annotate", "--config", "{c}"]),
+        ("importance target corpus", "dir", {"importance": {"targets": {"books": "dir"}}},
+         ["annotate", "--config", "{c}"]),
+        ("weights file", "dir", None, ["select", "--config", "{c}", "--weights", "{d}"]),
+        ("score store", "corpus.scores.npz", None, ["correlate", "--config", "{c}"]),
+        ("campaign log", "dir", None, ["fit", "--config", "{c}", "--log", "{d}"]),
+    ],
+    ids=["config", "corpus", "ratings", "importance-target", "weights", "score-store", "log"],
+)
+def test_input_that_is_a_directory_is_refused(tmp_path, capsys, what, name, scores, argv):
+    directory = tmp_path / name
+    directory.mkdir()
+    write_corpus_fixture(tmp_path / "corpus.jsonl")
+    config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"},
+                          plan={"token_budget": 100}, scores=scores or {})
+    assert run_cli(*(arg.format(c=config, d=directory) for arg in argv)) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    hint = "; run annotate first" if what == "score store" else ""
+    assert err == {"error": "ValidationError", "message": f"{what} {directory} is not a file{hint}"}
 
 
 @pytest.mark.parametrize("command", ["select", "campaign", "correlate"])

@@ -4,7 +4,7 @@ from oracles import RefTree, ref_grow_tree, ref_tree_predict
 
 from qselect.errors import ValidationError
 from qselect.gbt import (
-    _PREDICT_CHUNK,
+    BLOCK_ROWS,
     GradientBoostedRegressor,
     RegressionTree,
     RegressorHyper,
@@ -237,7 +237,7 @@ class TestMatchesReference:
         assert settings == {(d, k) for d in range(1, 7) for k in (1, 3, 7)}
         assert small_nodes > 0
 
-    @pytest.mark.parametrize("rows", [1, _PREDICT_CHUNK, 2 * _PREDICT_CHUNK + 37])
+    @pytest.mark.parametrize("rows", [1, BLOCK_ROWS, 2 * BLOCK_ROWS + 37])
     def test_ensemble_predictions_match_reference(self, rows):
         for build in (fitted_ensemble, stump_ensemble):
             model = build()

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qselect.proxy import ExperimentRecord, OracleTrainer, oracle_loss, sample_s
 from qselect.selection import WeightVector
 
 from conftest import reference_weights
-from oracles import ref_landscape_points
+from oracles import ref_landscape_points, ref_search_optimal
 
 
 def quadratic_records(names, w_star_values, n=256, seed=0, sigma=0.0, base=1.0):
@@ -101,7 +102,7 @@ class TestSearchOptimal:
         records, _ = quadratic_records(names, [0.5, 0.3, 0.2], n=64)
         model = fit_regressor(records)
         outcome = search_optimal(model, OptimizerConfig(candidates=5000, top_k=1), seed=8)
-        candidates = sample_simplex(3, 5000, 8)
+        (candidates,) = sample_simplex(3, 5000, 8)
         preds = model.booster.predict(candidates)
         best = candidates[np.argmin(preds)]
         assert np.array_equal(outcome.w_star.values, best / best.sum())
@@ -116,6 +117,84 @@ class TestSearchOptimal:
         cands = sample_weights(names, 2000, seed=12)
         mean_loss = float(np.mean([model.predict(w) for w in cands]))
         assert outcome.predicted_loss_at_star <= mean_loss
+
+
+NAMES_M16 = [f"s{j:02d}" for j in range(16)]
+
+
+@pytest.fixture(scope="module")
+def model_m16():
+    records, _ = quadratic_records(NAMES_M16, np.random.default_rng(16).dirichlet(np.ones(16)), n=64)
+    return fit_regressor(records, RegressorHyper(n_trees=20))
+
+
+class TestStreamedSweep:
+    """The block-by-block sweep gives the bits of the whole-matrix sweep."""
+
+    def assert_matches_whole_sweep(self, model, settings, seed):
+        outcome = search_optimal(model, settings, seed)
+        values, loss = ref_search_optimal(model, settings, seed)
+        assert outcome.w_star.values.tobytes() == values.tobytes()
+        assert repr(outcome.predicted_loss_at_star) == repr(loss)
+        return outcome
+
+    @pytest.mark.parametrize(
+        "candidates, top_k",
+        [(20_001, 100), (5000, 100), (20_001, 20_001), (5000, 5000), (20_001, 1)],
+        ids=["three-blocks", "under-one-block", "k-all-blocks", "k-all-one-block", "k-one"],
+    )
+    def test_matches_whole_matrix_sweep(self, model_m16, candidates, top_k):
+        settings = OptimizerConfig(candidates=candidates, top_k=top_k)
+        self.assert_matches_whole_sweep(model_m16, settings, seed=21)
+
+    @pytest.mark.parametrize("top_k", [300, 12_000])
+    def test_two_valued_model_keeps_ties_in_draw_order(self, top_k):
+        # One split: every prediction is one of two values, so the best k
+        # tie (at k = 12,000, across both values), and only stable sorts keep
+        # them in draw order.
+        records, _ = quadratic_records(NAMES_M16, np.full(16, 1 / 16), n=64)
+        model = fit_regressor(records, RegressorHyper(n_trees=1, max_depth=1))
+        settings = OptimizerConfig(candidates=20_001, top_k=top_k)
+        self.assert_matches_whole_sweep(model, settings, seed=26)
+
+    def test_low_concentration(self, model_m16):
+        settings = OptimizerConfig(candidates=20_001, concentration=0.05)
+        self.assert_matches_whole_sweep(model_m16, settings, seed=22)
+
+    def test_one_score(self):
+        records = [
+            ExperimentRecord(f"exp-{i:04d}", {"a": 1.0}, 1.0 + 0.01 * i, "ok", "")
+            for i in range(20)
+        ]
+        model = fit_regressor(records)
+        outcome = self.assert_matches_whole_sweep(model, OptimizerConfig(candidates=9000), seed=23)
+        assert outcome.w_star.values.tolist() == [1.0]
+
+    def test_constant_model_averages_the_first_k_draws(self):
+        names = [f"s{j}" for j in range(6)]
+        records, _ = quadratic_records(names, [1 / 6] * 6, n=20)
+        for r in records:
+            r.loss = 2.5
+        model = fit_regressor(records)
+        settings = OptimizerConfig(candidates=20_001, top_k=300)
+        outcome = self.assert_matches_whole_sweep(model, settings, seed=24)
+        (draws,) = sample_simplex(6, 300, 24)
+        mean = draws.mean(axis=0)
+        assert outcome.w_star.values.tobytes() == (mean / mean.sum()).tobytes()
+
+    def test_memory_does_not_grow_with_candidates(self, model_m16):
+        # The whole-matrix sweep held every candidate: 16 doubles a row, so
+        # 44.8 MB more at 400k candidates than at 50k.
+        def peak(candidates):
+            tracemalloc.start()
+            try:
+                search_optimal(model_m16, OptimizerConfig(candidates=candidates), seed=25)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # warm up lazy imports and caches
+        assert peak(400_000) - peak(50_000) <= 1 << 20
 
 
 class TestRankWeights:

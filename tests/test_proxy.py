@@ -61,22 +61,33 @@ class TestProxyConfig:
 
 class TestSampleWeights:
     def test_degenerate_simplex(self):
-        draws = sample_simplex(1, 5, seed=0)
+        (draws,) = sample_simplex(1, 5, seed=0)
         assert np.all(draws == 1.0)
 
     def test_simplex_membership(self):
-        draws = sample_simplex(6, 2000, seed=1)
+        (draws,) = sample_simplex(6, 2000, seed=1)
         assert (draws >= 0).all()
         assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-9)
 
     def test_flat_dirichlet_mean(self):
-        draws = sample_simplex(5, 10_000, seed=2)
+        (draws,) = sample_simplex(5, 10_000, seed=2)
         assert np.allclose(draws.mean(axis=0), 0.2, atol=0.01)
 
     def test_deterministic_per_seed(self):
-        a = sample_simplex(4, 10, seed=3)
-        b = sample_simplex(4, 10, seed=3)
+        (a,) = sample_simplex(4, 10, seed=3)
+        (b,) = sample_simplex(4, 10, seed=3)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("concentration", [1.0, 0.5, 0.05])
+    def test_blocks_are_the_bits_of_one_draw(self, concentration):
+        # The sweep draws its candidates a block at a time; a numpy whose
+        # Dirichlet stream depended on the block size would change them.
+        (whole,) = sample_simplex(16, 20_001, 9, concentration)
+        blocks = list(sample_simplex(16, 20_001, 9, concentration, block=8192))
+        assert [len(b) for b in blocks] == [8192, 8192, 3617]
+        assert np.vstack(blocks).tobytes() == whole.tobytes()
+        rng = np.random.default_rng(9)
+        assert whole.tobytes() == rng.dirichlet(np.full(16, concentration), 20_001).tobytes()
 
     def test_named_wrapper(self):
         ws = sample_weights(["a", "b", "c"], 4, seed=5)
@@ -298,6 +309,30 @@ class TestCommandTrainer:
         assert [r.status for r in records] == ["ok", "failed", "ok", "ok", "ok"]
         assert [r.loss for r in records] == [2.0, None, 2.0, 2.0, 2.0]
         assert "is not a finite JSON number" in records[1].metadata["error"]
+
+    @pytest.mark.parametrize(
+        "stream, code, message",
+        [("stdout", 0, "printed no parsable loss: 'utf-8' codec can't decode byte 0xff"),
+         ("stderr", 3, "exited 3: \ufffdbroken")],
+        ids=["stdout-exit-0", "stderr-exit-3"],
+    )
+    def test_output_that_is_not_utf8_fails_the_record(self, tmp_path, stream, code, message):
+        # The second experiment's trainer writes a byte that is not UTF-8.
+        script = tmp_path / "trainer.py"
+        script.write_text(
+            "import sys\n"
+            "args = dict(zip(sys.argv[1::2], sys.argv[2::2]))\n"
+            "if 'exp-0001' not in args['--manifest']:\n"
+            "    print('{\"loss\": 2}')\n"
+            "    sys.exit(0)\n"
+            f"sys.{stream}.buffer.write(b'\\xffbroken\\n{{\"loss\": 1.0}}\\n')\n"
+            f"sys.exit({code})\n"
+        )
+        matrix, plan = single_domain_fixture()
+        campaign = CampaignConfig(n=5, trainer=CommandTrainer(["python3", str(script)]))
+        records = run_campaign(matrix, plan, campaign, seed=1, out_dir=tmp_path)
+        assert [r.status for r in records] == ["ok", "failed", "ok", "ok", "ok"]
+        assert message in records[1].metadata["error"]
 
     def test_garbage_output_raises(self, tmp_path):
         script = tmp_path / "noise.py"
