@@ -149,14 +149,11 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         # The source corpus is hashed once; every target scores it by gathering at its buckets.
         source = hash_corpus(tokens, imp.bucket_count, cfg.seed)
         del tokens  # free the word ids before the targets are read
-        source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
+        source_model = fit_bag_model(source, imp.smoothing)
         for target, target_path in imp.targets.items():
-            target_model = fit_bag_model(
-                _load_logged(target_path, cfg).texts, imp.bucket_count, cfg.seed, imp.smoothing
-            )
-            matrix.raw[:, column(f"{target}_importance")] = importance_scores(
-                source, target_model, source_model
-            )
+            hashed = hash_corpus(tokenize(_load_logged(target_path, cfg).texts), imp.bucket_count, cfg.seed)
+            target_model = fit_bag_model(hashed, imp.smoothing)
+            matrix.raw[:, column(f"{target}_importance")] = importance_scores(source, target_model, source_model)
 
     if ratings:
         imputed = impute_missing(matrix, list(ratings))
@@ -172,7 +169,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _load_scored_matrix(cfg: RunConfig, args: argparse.Namespace) -> ScoreMatrix:
-    """The normalized matrix of the corpus's score store; the JSONL is not parsed."""
+    """The imputed matrix of the corpus's score store; the JSONL is not parsed."""
     corpus_path = _corpus_path(cfg, args)
     matrix = load_score_store(corpus_path, cfg.corpus)
     if not matrix.n_docs:
@@ -180,7 +177,7 @@ def _load_scored_matrix(cfg: RunConfig, args: argparse.Namespace) -> ScoreMatrix
     if not matrix.score_names:
         raise ValidationError("corpus documents carry no scores; run annotate first")
     impute_missing(matrix)
-    return rank_normalize(matrix, cfg.optimizer.normalization)
+    return matrix
 
 
 def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -189,7 +186,7 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
     weights = read_weights(args.weights)
-    matrix = _load_scored_matrix(cfg, args)
+    matrix = rank_normalize(_load_scored_matrix(cfg, args), cfg.optimizer.normalization)
     result = select_top_k(matrix, weights, plan)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = cfg.output_dir / "selection.txt"
@@ -206,7 +203,7 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValidationError(f"--threads must be at least 1 (0 uses campaign.threads), got {args.threads}")
     campaign = replace(cfg.campaign, threads=args.threads or cfg.campaign.threads)
     plan = cfg.require_plan()
-    matrix = _load_scored_matrix(cfg, args)
+    matrix = rank_normalize(_load_scored_matrix(cfg, args), cfg.optimizer.normalization)
     cfg.require_trainer()
     records = run_campaign(matrix, plan, campaign, seed=cfg.seed, out_dir=cfg.output_dir)
     ok = sum(1 for r in records if r.status == "ok")

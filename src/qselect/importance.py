@@ -11,17 +11,17 @@ Each corpus is hashed in one pass over its word ids (``hash_corpus`` of
 ``tokens.tokenize``): each vocabulary word and each distinct adjacent
 word pair is hashed once, in batches, and the buckets are scattered into
 one flat int32 array, each text's unigrams then its bigrams, with a
-feature count per text. A model is the ``bincount`` of those buckets.
-Scoring gathers ``log p`` and ``log q`` at every bucket of the corpus
-once per target and subtracts them, then sums each text's slice, in
-feature order.
+feature count per text. A model is one smoothed log probability per
+bucket, from one ``bincount`` of those buckets. Scoring subtracts the
+two models once per bucket, gathers that difference once per feature of
+the corpus, then sums each text's slice, in feature order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from hashlib import blake2b
 from itertools import islice, repeat
 
@@ -136,69 +136,41 @@ def hash_corpus(tokens: Tokens, bucket_count: int, seed: int) -> HashedCorpus:
     return HashedCorpus(buckets, n_feats, bucket_count, seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HashedBagModel:
-    """Bucketed feature counts with additive smoothing."""
+    """Smoothed log probability of each bucket, under the hash seed that
+    put features in them; the bucket count is ``len(log_probs)``."""
 
-    bucket_count: int
+    log_probs: np.ndarray  # float64, one per bucket
     seed: int
-    smoothing: float = 1.0
-    counts: np.ndarray = field(init=False)
-    _log_probs: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.bucket_count < 2:
-            raise ValidationError("bucket_count must be at least 2")
-        if self.smoothing <= 0:
-            raise ValidationError("smoothing must be positive")
-        self.counts = np.zeros(self.bucket_count, dtype=np.int64)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    def log_probs(self) -> np.ndarray:
-        """Smoothed per-bucket log probabilities (cached)."""
-        if self._log_probs is None:
-            denom = self.total + self.smoothing * self.bucket_count
-            self._log_probs = np.log((self.counts + self.smoothing) / denom)
-        return self._log_probs
 
 
-def fit_bag_model(
-    corpus: Iterable[str] | HashedCorpus,
-    bucket_count: int = DEFAULT_BUCKET_COUNT,
-    seed: int = 0,
-    smoothing: float = 1.0,
-) -> HashedBagModel:
-    """Count hashed features over texts, or over a corpus already hashed
-    with the same bucket count and seed.
+def fit_bag_model(corpus: HashedCorpus, smoothing: float) -> HashedBagModel:
+    """The additively smoothed bag model of a hashed corpus.
 
     Raises on an empty corpus (a model fit on nothing would silently
     score everything 0 against itself).
     """
-    model = HashedBagModel(bucket_count=bucket_count, seed=seed, smoothing=smoothing)
-    if not isinstance(corpus, HashedCorpus):
-        corpus = hash_corpus(tokenize(corpus), bucket_count, seed)
-    _check_compatible(model, corpus)
+    if not smoothing > 0:  # NaN too
+        raise ValidationError("smoothing must be positive")
     if not len(corpus.lengths):
         raise ValidationError("cannot fit a bag model on an empty corpus")
-    model.counts = np.bincount(corpus.buckets, minlength=bucket_count)
-    return model
+    counts = np.bincount(corpus.buckets, minlength=corpus.bucket_count)
+    log_probs = np.log((counts + smoothing) / (int(counts.sum()) + smoothing * corpus.bucket_count))
+    return HashedBagModel(log_probs, corpus.seed)
 
 
-def _check_compatible(p: HashedBagModel | HashedCorpus, q: HashedBagModel | HashedCorpus) -> None:
-    if p.bucket_count != q.bucket_count:
-        raise ValidationError(
-            f"bucket_count mismatch: {p.bucket_count} vs {q.bucket_count}"
-        )
-    if p.seed != q.seed:
-        raise ValidationError(f"hash seed mismatch: {p.seed} vs {q.seed}")
+def _check_compatible(corpus: HashedCorpus, p: HashedBagModel, q: HashedBagModel) -> None:
+    """Refuse a corpus and models whose features land in different buckets."""
+    counts = sorted({corpus.bucket_count, len(p.log_probs), len(q.log_probs)})
+    seeds = sorted({corpus.seed, p.seed, q.seed})
+    if len(counts) > 1:
+        raise ValidationError(f"bucket_count mismatch: {counts}")
+    if len(seeds) > 1:
+        raise ValidationError(f"hash seed mismatch: {seeds}")
 
 
-def importance_scores(
-    corpus: HashedCorpus, p: HashedBagModel, q: HashedBagModel
-) -> list[float]:
+def importance_scores(corpus: HashedCorpus, p: HashedBagModel, q: HashedBagModel) -> np.ndarray:
     """Each text's sum over its hashed features of log p - log q (nats).
 
     Zero-feature texts score 0. ``p``, ``q`` and the corpus must share
@@ -206,18 +178,16 @@ def importance_scores(
     Each sum is numpy's sum of that text's slice alone, so a text scores
     the same bits whatever corpus it is hashed with.
     """
-    _check_compatible(p, q)
-    _check_compatible(p, corpus)
-    log_p, log_q = p.log_probs(), q.log_probs()
-    scores: list[float] = []
+    _check_compatible(corpus, p, q)
+    delta = p.log_probs - q.log_probs
+    scores = np.empty(len(corpus.lengths))
     for texts, span in blocks(corpus.lengths):
-        buckets = corpus.buckets[span]
-        delta = log_p[buckets] - log_q[buckets]
+        feats = delta[corpus.buckets[span]]
         ends = np.cumsum(corpus.lengths[texts]).tolist()
-        scores.extend(float(delta[start:end].sum()) for start, end in zip([0, *ends], ends))
+        scores[texts] = [feats[start:end].sum() for start, end in zip([0, *ends], ends)]
     return scores
 
 
 def importance_score(text: str, p: HashedBagModel, q: HashedBagModel) -> float:
     """One text's importance: ``importance_scores`` of a one-text corpus."""
-    return importance_scores(hash_corpus(tokenize([text]), p.bucket_count, p.seed), p, q)[0]
+    return float(importance_scores(hash_corpus(tokenize([text]), len(p.log_probs), p.seed), p, q)[0])

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number
+from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number, require_file
 from .matrix import ScoreMatrix
 from .selection import SelectionPlan, WeightVector, select_top_k
 
@@ -170,9 +170,9 @@ class CommandTrainer:
             raise FieldError("timeout", f"must be positive, got {self.timeout!r}")
 
     def probe(self) -> None:
-        exe = self.argv[0]
-        if shutil.which(exe) is None and not Path(exe).exists():
-            raise TrainerError(f"trainer executable {exe!r} not found")
+        """Fail unless ``argv[0]`` names an executable file, on PATH or by path."""
+        if shutil.which(self.argv[0]) is None:
+            raise TrainerError(f"trainer executable {self.argv[0]!r} not found")
 
     def __call__(self, request: TrainerRequest) -> float:
         config_json = json.dumps(asdict(request.proxy_config), sort_keys=True)
@@ -305,10 +305,17 @@ def _read_log_to_resume(path: Path, planned: dict[str, WeightVector]) -> list[Ex
     return records
 
 
-def probe_trainer(trainer: Trainer) -> None:
-    """Fail fast if the trainer clearly cannot run."""
+def probe_trainer(trainer: Trainer, score_names: Sequence[str]) -> None:
+    """Fail fast if the trainer clearly cannot run on these scores."""
     if isinstance(trainer, CommandTrainer):
         trainer.probe()
+    elif isinstance(trainer, OracleTrainer):
+        planted, names = set(trainer.w_star.names), set(score_names)
+        if planted != names:
+            raise ValidationError(
+                f"campaign.trainer.w_star must name the corpus's scores: "
+                f"missing={sorted(names - planted)}, unknown={sorted(planted - names)}"
+            )
     elif not callable(trainer):
         raise TrainerError(f"trainer {trainer!r} is not callable")
 
@@ -335,7 +342,7 @@ def run_campaign(
     finish unlogged.
     """
     n, trainer = campaign.n, campaign.trainer
-    probe_trainer(trainer)
+    probe_trainer(trainer, matrix.score_names)
     out_dir = Path(out_dir)
     manifest_dir = out_dir / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
@@ -345,13 +352,17 @@ def run_campaign(
     existing: dict[str, ExperimentRecord] = {}
     if log_path.exists():
         planned = {f"exp-{i:04d}": w for i, w in enumerate(weight_vectors)}
-        for record in _read_log_to_resume(log_path, planned):
+        for record in _read_log_to_resume(require_file(log_path, "campaign log"), planned):
             existing[record.experiment_id] = record
     pending = [
         (i, f"exp-{i:04d}")
         for i in range(n)
         if f"exp-{i:04d}" not in existing
     ]
+    for _, experiment_id in pending:
+        manifest_path = manifest_dir / f"{experiment_id}.txt"
+        if manifest_path.exists():
+            require_file(manifest_path, "manifest path")
 
     def run_one(index: int, experiment_id: str) -> ExperimentRecord:
         w = weight_vectors[index]
@@ -371,24 +382,11 @@ def run_campaign(
             "selected": len(result.selected_ids),
         }
         try:
-            loss = trainer(request)
+            loss, status = float(trainer(request)), "ok"
         except TrainerError as exc:
-            return ExperimentRecord(
-                experiment_id,
-                w.as_mapping(),
-                None,
-                "failed",
-                str(manifest_path.relative_to(out_dir)),
-                {**metadata, "error": str(exc)},
-            )
-        return ExperimentRecord(
-            experiment_id,
-            w.as_mapping(),
-            float(loss),
-            "ok",
-            str(manifest_path.relative_to(out_dir)),
-            metadata,
-        )
+            loss, status, metadata = None, "failed", {**metadata, "error": str(exc)}
+        manifest = str(manifest_path.relative_to(out_dir))
+        return ExperimentRecord(experiment_id, w.as_mapping(), loss, status, manifest, metadata)
 
     failures = sum(1 for r in existing.values() if r.status == "failed")
     failure_budget = _MAX_FAILURE_RATE * n

@@ -94,7 +94,7 @@ def ngram_repetition(text):
 
 def bucket_of(model, feature):
     """The bucket ``model`` hashes ``feature`` to."""
-    return ref_hash_bucket(feature, model.seed, model.bucket_count)
+    return ref_hash_bucket(feature, model.seed, len(model.log_probs))
 
 
 class SubsetOracleTrainer:

@@ -251,7 +251,7 @@ def ref_features(text):
 
 def ref_fit_bag_model(texts, bucket_count, seed, smoothing=1.0):
     """Bag model counted one feature at a time (an empty corpus raises)."""
-    model = HashedBagModel(bucket_count=bucket_count, seed=seed, smoothing=smoothing)
+    counts = np.zeros(bucket_count, dtype=np.int64)
     bucket_cache = {}
     n_docs = 0
     for text in texts:
@@ -262,10 +262,11 @@ def ref_fit_bag_model(texts, bucket_count, seed, smoothing=1.0):
                 bucket = ref_hash_bucket(feat, seed, bucket_count)
                 if len(bucket_cache) < 1_000_000:
                     bucket_cache[feat] = bucket
-            model.counts[bucket] += 1
+            counts[bucket] += 1
     if n_docs == 0:
         raise ValidationError("cannot fit a bag model on an empty corpus")
-    return model
+    total = int(counts.sum())
+    return HashedBagModel(np.log((counts + smoothing) / (total + smoothing * bucket_count)), seed)
 
 
 def ref_importance_score(text, p, q):
@@ -273,11 +274,11 @@ def ref_importance_score(text, p, q):
     if not feats:
         return 0.0
     buckets = np.fromiter(
-        (ref_hash_bucket(f, p.seed, p.bucket_count) for f in feats),
+        (ref_hash_bucket(f, p.seed, len(p.log_probs)) for f in feats),
         dtype=np.int64,
         count=len(feats),
     )
-    delta = p.log_probs()[buckets] - q.log_probs()[buckets]
+    delta = p.log_probs[buckets] - q.log_probs[buckets]
     return float(delta.sum())
 
 
@@ -773,10 +774,11 @@ def ref_annotate(cfg, corpus_path, out_path):
     if imp is not None:
         texts = [doc.text for doc in docs]
         source = hash_corpus(tokenize(texts), imp.bucket_count, cfg.seed)
-        source_model = fit_bag_model(source, imp.bucket_count, cfg.seed, imp.smoothing)
+        source_model = fit_bag_model(source, imp.smoothing)
         for target, target_path in imp.targets.items():
             target_texts = [doc.text for doc in ref_load_corpus(target_path, cfg.corpus)]
-            target_model = fit_bag_model(target_texts, imp.bucket_count, cfg.seed, imp.smoothing)
+            hashed = hash_corpus(tokenize(target_texts), imp.bucket_count, cfg.seed)
+            target_model = fit_bag_model(hashed, imp.smoothing)
             matrix.raw[:, names.index(f"{target}_importance")] = importance_scores(
                 source, target_model, source_model
             )

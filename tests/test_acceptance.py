@@ -19,7 +19,7 @@ import pytest
 from qselect.cli import main as cli_main
 from qselect.corpus import ScoreChannel, SynthesisSpec, synthesize_corpus
 from qselect.gbt import RegressorHyper
-from qselect.importance import features, fit_bag_model, importance_score
+from qselect.importance import features, fit_bag_model, hash_corpus, importance_score
 from qselect.matrix import ScoreMatrix, rank_normalize, spearman_matrix
 from qselect.optimizer import (
     OptimizerConfig,
@@ -44,6 +44,7 @@ from qselect.selection import (
     select_top_k,
 )
 from qselect.signals import compute_signals
+from qselect.tokens import tokenize
 
 from conftest import (
     Row,
@@ -163,8 +164,8 @@ class TestCriterion4Importance:
 
         gen = np.random.default_rng(42)
         p_texts, q_texts, score_texts = texts(gen, 40), texts(gen, 40), texts(gen, 120)
-        p = fit_bag_model(p_texts, bucket_count=buckets, seed=seed)
-        q = fit_bag_model(q_texts, bucket_count=buckets, seed=seed)
+        p = fit_bag_model(hash_corpus(tokenize(p_texts), buckets, seed), smoothing=1.0)
+        q = fit_bag_model(hash_corpus(tokenize(q_texts), buckets, seed), smoothing=1.0)
         feats = set()
         for t in p_texts + q_texts + score_texts:
             feats.update(features(t))

@@ -772,6 +772,41 @@ class TestCampaignAndFit:
         assert "exp-0000 is not an experiment of this campaign" in err["message"]
         assert (tmp_path / "out" / "campaign.jsonl").read_bytes() == log
 
+    def test_directory_at_log_path_fails_before_any_experiment(self, tmp_path, capsys):
+        config = self.oracle_config(tmp_path, n=8)
+        log = tmp_path / "out" / "campaign.jsonl"
+        log.mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli("campaign", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": f"campaign log {log} is not a file"}
+        assert not any((tmp_path / "out" / "manifests").iterdir())
+
+    def test_directory_at_manifest_path_fails_before_any_experiment(self, tmp_path, capsys):
+        config = self.oracle_config(tmp_path, n=8)
+        blocked = tmp_path / "out" / "manifests" / "exp-0003.txt"
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert run_cli("campaign", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": f"manifest path {blocked} is not a file"}
+        assert [p.name for p in (tmp_path / "out" / "manifests").iterdir()] == ["exp-0003.txt"]
+        assert not (tmp_path / "out" / "campaign.jsonl").exists()
+
+    def test_oracle_w_star_must_name_the_corpus_scores(self, tmp_path, capsys):
+        config = self.oracle_config(tmp_path, n=8)
+        raw = json.loads(config.read_text())
+        raw["campaign"]["trainer"]["w_star"] = {"x": 1.0}
+        config.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert run_cli("campaign", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message":
+                       "campaign.trainer.w_star must name the corpus's scores: "
+                       "missing=['ch0', 'ch1', 'ch2'], unknown=['x']"}
+        assert not (tmp_path / "out" / "manifests").exists()
+        assert not (tmp_path / "out" / "campaign.jsonl").exists()
+
     def test_fit_with_grid_1_fails_before_writing(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path)
         assert run_cli("campaign", "--config", str(config)) == 0
@@ -895,6 +930,11 @@ class TestCorrelate:
         first = (tmp_path / "out" / "spearman.csv").read_bytes()
         run_cli("correlate", "--config", str(config))
         assert (tmp_path / "out" / "spearman.csv").read_bytes() == first
+
+    def test_ranks_raw_scores_without_normalizing(self, tmp_path, capsys, monkeypatch):
+        config = synth_config(tmp_path)
+        monkeypatch.setattr(cli, "rank_normalize", None)
+        assert run_cli("correlate", "--config", str(config)) == 0
 
 
 class TestErrorSurface:

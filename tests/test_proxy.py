@@ -255,6 +255,20 @@ class TestCommandTrainer:
         with pytest.raises(TrainerError, match="not found"):
             trainer.probe()
 
+    @pytest.mark.parametrize("exe", ["tdir", "plain.sh", ""], ids=["directory", "not-executable", "empty"])
+    def test_probe_refuses_what_cannot_start(self, tmp_path, monkeypatch, exe):
+        # Each names an existing path subprocess cannot start: every
+        # experiment would fail, so the campaign stops before its first.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tdir").mkdir()
+        (tmp_path / "plain.sh").write_text("#!/bin/sh\necho '{\"loss\": 1}'\n")
+        for path in (exe, str(tmp_path / exe)):
+            matrix, plan = single_domain_fixture()
+            campaign = CampaignConfig(n=10, trainer=CommandTrainer([path]))
+            with pytest.raises(TrainerError, match="not found"):
+                run_campaign(matrix, plan, campaign, seed=1, out_dir=tmp_path / "out")
+            assert not (tmp_path / "out").exists()
+
     def test_invokes_and_parses_loss(self, tmp_path):
         script = tmp_path / "fake_trainer.py"
         script.write_text(

@@ -53,8 +53,10 @@ def write_config(tmp_path, **sections):
 
 
 def loaded(config, corpus):
+    """The matrix ``select`` and ``campaign`` work on: the store, imputed and normalized."""
     cfg = cli.load_config(config)
-    return cli._load_scored_matrix(cfg, argparse.Namespace(corpus=str(corpus)))
+    matrix = cli._load_scored_matrix(cfg, argparse.Namespace(corpus=str(corpus)))
+    return cli.rank_normalize(matrix, cfg.optimizer.normalization)
 
 
 def assert_same_matrix(got, want):
