@@ -17,10 +17,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import check_encodable, load_corpus, numbered_lines, synthesize_corpus, write_corpus
-from .errors import ValidationError, is_finite_number, require_file
+from .errors import ValidationError, is_finite_number, require_directory, require_file
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
@@ -138,6 +140,9 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         low = {r: c for r, c in coverage.items() if c < min_cov}
         if low:
             raise ValidationError(f"rating coverage below {min_cov}: {low}")
+        unobserved = [r for r in sorted(ratings) if np.isnan(matrix.raw[:, column(r)]).all()]
+        if unobserved and matrix.n_docs:
+            raise ValidationError(f"raters {unobserved} rate no document of the corpus")
 
     # The source corpus is tokenized once, for its signals and its hashing.
     tokens = tokenize(corpus.texts) if cfg.scores.signals or imp is not None else None
@@ -186,7 +191,7 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
     weights = read_weights(args.weights)
-    matrix = rank_normalize(_load_scored_matrix(cfg, args), cfg.optimizer.normalization)
+    matrix = rank_normalize(_load_scored_matrix(cfg, args))
     result = select_top_k(matrix, weights, plan)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     manifest = cfg.output_dir / "selection.txt"
@@ -202,8 +207,9 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.threads < 0:
         raise ValidationError(f"--threads must be at least 1 (0 uses campaign.threads), got {args.threads}")
     campaign = replace(cfg.campaign, threads=args.threads or cfg.campaign.threads)
+    require_directory(cfg.output_dir / "manifests", "manifest directory")
     plan = cfg.require_plan()
-    matrix = rank_normalize(_load_scored_matrix(cfg, args), cfg.optimizer.normalization)
+    matrix = rank_normalize(_load_scored_matrix(cfg, args))
     cfg.require_trainer()
     records = run_campaign(matrix, plan, campaign, seed=cfg.seed, out_dir=cfg.output_dir)
     ok = sum(1 for r in records if r.status == "ok")
@@ -242,6 +248,10 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Export the Spearman correlation matrix of all scores as CSV."""
     matrix = _load_scored_matrix(cfg, args)
+    if matrix.n_docs < 2:
+        raise ValidationError(
+            f"corpus {_corpus_path(cfg, args)} has one valid document; correlation needs at least 2"
+        )
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))
@@ -388,6 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "cost":
             return cmd_cost(args)
         cfg = load_config(args.config)
+        require_directory(cfg.output_dir, "output_dir")
         handler = {
             "annotate": cmd_annotate,
             "select": cmd_select,

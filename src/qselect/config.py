@@ -16,8 +16,7 @@ and ``key: range`` gives the values a number may take:
                or {type: "command", argv: [str], timeout?: seconds > 0}
   optimizer?   {trees?, depth?, learning_rate?, subsample?, min_samples_leaf?,
                 candidates?: >= top_k (swept a block at a time, in flat memory),
-                top_k?: >= 1, concentration?: > 0,
-                normalization?: "rank"|"zscore", grid?: >= 2}
+                top_k?: >= 1, concentration?: > 0, grid?: >= 2}
   synthesis?   {doc_count, domain_mix?, latent_name?, token_mean?, token_sigma?,
                 channels?: {name: {loading?, noise?, offset?, scale?}}}
 
@@ -42,7 +41,7 @@ from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from .corpus import CorpusSchema, SynthesisSpec, check_encodable
 from .errors import FieldError, ValidationError, require_file
@@ -155,10 +154,6 @@ def _value(hint, value: object, path: str, base_dir: Path):
         return _checked(path, WeightVector.from_mapping, mapping)
     if is_dataclass(hint):
         return _build(hint, value, path, base_dir)
-    if origin is Literal:
-        if value not in args:
-            raise ValidationError(f"{path}: expected one of {list(args)}, got {value!r}")
-        return value
     if origin in (list, tuple):
         if not isinstance(value, list):
             raise ValidationError(f"{path}: expected a list, got {value!r}")

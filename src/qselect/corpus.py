@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import CorpusError, FieldError, ValidationError, is_finite_number
+from .errors import FieldError, ValidationError, is_finite_number
 from .registry import DEFAULT_DOMAINS, DEFAULT_DOMAIN_WEIGHTS
 
 if TYPE_CHECKING:
@@ -209,7 +209,7 @@ def read_corpus(
             continue
         doc_id = record[0]
         if doc_id in seen_ids:
-            raise CorpusError(f"duplicate document id {doc_id!r} at line {line_no}")
+            raise ValidationError(f"{path}:{line_no}: duplicate document id {doc_id!r}")
         seen_ids.add(doc_id)
         if report is not None:
             report.records_ok += 1

@@ -1,5 +1,5 @@
-"""Exception hierarchy, and the input-file and JSON number checks shared
-across the package."""
+"""Exception hierarchy, and the input-file, output-directory and JSON number
+checks shared across the package."""
 
 import sys
 from pathlib import Path
@@ -34,10 +34,6 @@ class FieldError(ValidationError):
         self.problem = problem
 
 
-class CorpusError(QselectError):
-    """Corpus-level contract violation, e.g. duplicate document ids."""
-
-
 class MatrixError(QselectError):
     """Score matrix construction or ingestion failure."""
 
@@ -57,3 +53,13 @@ def require_file(path: Path, what: str, hint: str = "") -> Path:
         problem = "is not a file" if path.exists() else "does not exist"
         raise ValidationError(f"{what} {path} {problem}{hint}")
     return path
+
+
+def require_directory(path: Path, what: str) -> None:
+    """Refuse ``path`` with a ValidationError naming ``what``, the path and
+    the file in its way, unless it is a directory or can be made one."""
+    for part in (path, *path.parents):
+        if part.is_dir():
+            return
+        if part.exists() or part.is_symlink():
+            raise ValidationError(f"{what} {path}: {part} is not a directory")

@@ -3,9 +3,9 @@
 Each row carries its document's id, domain and token estimate beside the
 scores, so selection needs nothing but the matrix. Raw scores live on
 wildly different scales (counts, entropies, log ratios, 0-5 ratings), so
-columns are rank-normalized to [0, 1] before weighting; a z-score mode
-exists for comparison. Model-based ratings arrive as one map,
-``{rater: {doc_id: value}}``, written into the matrix one column per
+columns are rank-normalized to [0, 1] before weighting, the one scale on
+which weights are learned and applied. Model-based ratings arrive as one
+map, ``{rater: {doc_id: value}}``, written into the matrix one column per
 rater; they may have gaps, which are imputed to the column median
 (flagged). Signals and importance scores are computed locally and must
 be complete.
@@ -316,30 +316,18 @@ def _rank_unit(col: np.ndarray) -> np.ndarray:
     return (_average_ranks(col) - 1.0) / (n - 1.0)
 
 
-def rank_normalize(matrix: ScoreMatrix, method: str = "rank") -> ScoreMatrix:
-    """Return a copy of the matrix (sharing its arrays) with normalized columns.
-
-    ``rank`` maps each column to average-tie ranks scaled to [0, 1] (a
-    single-document matrix maps to 0.5); ``zscore`` is the comparison mode
-    and standardizes to mean 0, sd 1 (constant columns map to 0).
-    """
+def rank_normalize(matrix: ScoreMatrix) -> ScoreMatrix:
+    """Return a copy of the matrix (sharing its arrays) whose normalized
+    columns are the raw ones' average-tie ranks scaled to [0, 1]; a
+    single-document matrix maps to 0.5."""
     if matrix.n_docs == 0:
         raise MatrixError("cannot normalize an empty matrix")
     if np.isnan(matrix.raw).any():
         raise MatrixError("matrix has missing cells; impute before normalizing")
-    if method == "rank":
-        normalized = np.column_stack(
-            [_rank_unit(matrix.raw[:, j]) for j in range(len(matrix.score_names))]
-        )
-    elif method == "zscore":
-        mean = matrix.raw.mean(axis=0)
-        std = matrix.raw.std(axis=0)
-        std[std == 0.0] = 1.0
-        normalized = (matrix.raw - mean) / std
-    else:
-        raise ValidationError(f"unknown normalization method {method!r}")
     result = copy.copy(matrix)
-    result.normalized = normalized
+    result.normalized = np.column_stack(
+        [_rank_unit(matrix.raw[:, j]) for j in range(len(matrix.score_names))]
+    )
     return result
 
 

@@ -16,7 +16,6 @@ import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -34,14 +33,12 @@ MIN_RECORDS = 16
 class OptimizerConfig:
     """The fit's settings: the regressor's hyperparameters, the sweep's
     ``candidates`` Dirichlet draws (at ``concentration``) of which the best
-    ``top_k`` are averaged, the score normalization, and the landscape's
-    ``grid`` points per axis."""
+    ``top_k`` are averaged, and the landscape's ``grid`` points per axis."""
 
     hyper: RegressorHyper = field(default_factory=RegressorHyper)
     candidates: int = 100_000
     top_k: int = 100
     concentration: float = 1.0
-    normalization: Literal["rank", "zscore"] = "rank"
     grid: int = 41
 
     def __post_init__(self) -> None:

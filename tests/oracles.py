@@ -828,7 +828,7 @@ def ref_synth(cfg, out_path):
     ref_write_score_store(out_path, docs, schema)
 
 
-def ref_load_scored_matrix(path, schema, normalization):
+def ref_load_scored_matrix(path, schema):
     """The JSONL load the score store replaced: parse every line, build the
     raw matrix from the documents' scores maps, impute, normalize."""
     docs = ref_load_corpus(path, schema)
@@ -839,4 +839,4 @@ def ref_load_scored_matrix(path, schema, normalization):
         raise ValidationError("corpus documents carry no scores; run annotate first")
     matrix = ref_from_documents(docs, names)
     impute_missing(matrix)
-    return rank_normalize(matrix, normalization)
+    return rank_normalize(matrix)

@@ -14,7 +14,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from qselect.cli import main as cli_main
 from qselect.corpus import ScoreChannel, SynthesisSpec, synthesize_corpus

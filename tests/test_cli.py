@@ -1045,6 +1045,72 @@ def test_input_that_is_a_directory_is_refused(tmp_path, capsys, what, name, scor
     assert err == {"error": "ValidationError", "message": f"{what} {directory} is not a file{hint}"}
 
 
+def file_at_output_dir(tmp_path):
+    write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"})
+    return ["annotate", "--config", str(config)], f"output_dir {out}: {out} is not a directory"
+
+
+def file_at_manifest_directory(tmp_path):
+    trainer = {"type": "oracle", "w_star": {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2}}
+    config = synth_config(tmp_path, n_docs=60, budget=500, extra={"campaign": {"n": 2, "trainer": trainer}})
+    manifests = tmp_path / "out" / "manifests"
+    manifests.write_text("")
+    return (
+        ["campaign", "--config", str(config)],
+        f"manifest directory {manifests}: {manifests} is not a directory",
+    )
+
+
+def duplicate_document_id(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"id": "a", "text": "alpha.", "domain": "C4"}\n' * 2)
+    config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"})
+    return ["annotate", "--config", str(config)], f"{corpus}:2: duplicate document id 'a'"
+
+
+def one_document_store(tmp_path):
+    write_corpus_fixture(tmp_path / "corpus.jsonl", n=1)
+    config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"})
+    assert run_cli("annotate", "--config", str(config)) == 0
+    annotated = tmp_path / "out" / "annotated.jsonl"
+    return (
+        ["correlate", "--config", str(config), "--corpus", str(annotated)],
+        f"corpus {annotated} has one valid document; correlation needs at least 2",
+    )
+
+
+def rater_with_no_observed_value(tmp_path):
+    write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+    write_ratings(tmp_path / "ratings.jsonl", ["ghost"], ["Fluency"])
+    config = write_config(
+        tmp_path / "cfg.json",
+        corpus={"path": "corpus.jsonl"},
+        scores={"signals": True, "ratings": {"files": ["ratings.jsonl"], "min_coverage": 0}},
+    )
+    return ["annotate", "--config", str(config)], "raters ['Fluency'] rate no document of the corpus"
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [file_at_output_dir, file_at_manifest_directory, duplicate_document_id, one_document_store,
+     rater_with_no_observed_value],
+)
+def test_input_fault_exits_1_naming_its_place_before_any_work(tmp_path, capsys, monkeypatch, setup):
+    argv, message = setup(tmp_path)
+    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+    tokenized = []
+    monkeypatch.setattr(cli, "tokenize", lambda *args: tokenized.append(args))
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValidationError", "message": message}
+    assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+    assert tokenized == []
+
+
 @pytest.mark.parametrize("command", ["select", "campaign", "correlate"])
 def test_downstream_rejected_line_is_logged(tmp_path, capsys, caplog, command):
     # An edited corpus no longer matches its score store; annotate logs the

@@ -17,8 +17,8 @@ MISTAKES = {
     "float-for-int": ({"optimizer": {"trees": 5.9}}, "optimizer.trees"),
     "unknown-optimizer-key": ({"optimizer": {"tree": 5}}, "optimizer.tree"),
     "unknown-top-level-key": ({"optimiser": {"trees": 5}}, "optimiser"),
-    "normalization-not-allowed": (
-        {"optimizer": {"normalization": "bogus"}},
+    "removed-optimizer-normalization": (
+        {"optimizer": {"normalization": "rank"}},
         "optimizer.normalization",
     ),
     "bool-for-int": ({"seed": True}, "seed"),
@@ -159,7 +159,7 @@ def test_every_documented_key_is_accepted(tmp_path):
         },
         "optimizer": {
             "trees": 5, "depth": 2, "learning_rate": 0.1, "subsample": 1, "min_samples_leaf": 2,
-            "candidates": 500, "top_k": 5, "concentration": 0.5, "normalization": "zscore", "grid": 3,
+            "candidates": 500, "top_k": 5, "concentration": 0.5, "grid": 3,
         },
         "synthesis": {
             "doc_count": 10, "domain_mix": {"Books": 1.0}, "latent_name": "q",
@@ -181,7 +181,6 @@ def test_every_documented_key_is_accepted(tmp_path):
     hyper = cfg.optimizer.hyper
     assert (hyper.n_trees, hyper.max_depth, hyper.learning_rate) == (5, 2, 0.1)
     assert (hyper.subsample, hyper.min_samples_leaf, hyper.seed) == (1, 2, 7)
-    assert cfg.optimizer.normalization == "zscore"
     assert cfg.synthesis.channels["c"].scale == 2
 
 

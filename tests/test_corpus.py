@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from collections import Counter
 
@@ -8,7 +9,6 @@ import pytest
 from qselect.corpus import (
     Corpus,
     CorpusSchema,
-    ReadReport,
     ScoreChannel,
     SynthesisSpec,
     apportion,
@@ -17,7 +17,7 @@ from qselect.corpus import (
     synthesize_corpus,
     write_corpus,
 )
-from qselect.errors import CorpusError, ValidationError
+from qselect.errors import ValidationError
 from qselect.matrix import ScoreMatrix
 from qselect.registry import DEFAULT_DOMAIN_WEIGHTS
 
@@ -104,7 +104,7 @@ class TestReadCorpus:
                 '{"id":"d1","text":"b","domain":"C4"}',
             ],
         )
-        with pytest.raises(CorpusError, match="duplicate"):
+        with pytest.raises(ValidationError, match=re.escape(f"{f}:2: duplicate document id 'd1'")):
             load_corpus(f)
 
     def test_char_ratio_estimator(self, tmp_path):

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or its tests imports a name it never uses.
 
 An ``ast`` scan, since no linter is a dependency. A name counts as used
 if it is loaded anywhere in the module, or named in a string that parses
@@ -11,11 +11,21 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qselect"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "qselect"
 
 
 def _names_in(tree: ast.AST) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _names_in_string(text: str) -> set[str]:
+    """The names of ``text`` read as an expression; none if it is not one,
+    or holds a lone surrogate, which ``ast.parse`` cannot encode."""
+    try:
+        return _names_in(ast.parse(text.strip(), mode="eval"))
+    except (SyntaxError, UnicodeEncodeError):
+        return set()
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -34,14 +44,13 @@ def unused_imports(source: str) -> list[tuple[int, str]]:
     used = _names_in(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                used |= _names_in(ast.parse(node.value.strip(), mode="eval"))
-            except SyntaxError:
-                pass
+            used |= _names_in_string(node.value)
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")), ids=lambda path: path.name
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -52,6 +61,7 @@ def test_scan_finds_an_unused_import():
         "import numpy as np\n"
         "from .x import kept  # noqa: F401\n"
         "X: 'np.ndarray'\n"
+        "Y = '\\ud800'\n"
         "@dataclass\nclass A:\n    pass\n"
     )
     assert unused_imports(source) == [(1, "field")]
@@ -81,10 +91,7 @@ def _loaded(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute):
             loaded.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                loaded |= _names_in(ast.parse(node.value.strip(), mode="eval"))
-            except SyntaxError:
-                pass
+            loaded |= _names_in_string(node.value)
     return loaded
 
 

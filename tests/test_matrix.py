@@ -73,12 +73,6 @@ class TestRankNormalize:
             got = rank_normalize(matrix_from({"s": col.tolist()})).normalized[:, 0]
             assert got.tolist() == ref_rank_unit(col.tolist())
 
-    def test_zscore_mode(self, rng):
-        col = rng.normal(size=30)
-        m = rank_normalize(matrix_from({"s": col.tolist()}), method="zscore")
-        assert abs(m.normalized[:, 0].mean()) < 1e-12
-        assert m.normalized[:, 0].std() == pytest.approx(1.0)
-
     def test_missing_cells_rejected(self):
         m = matrix_from({"s": [1.0, float("nan")]})
         with pytest.raises(MatrixError, match="missing"):

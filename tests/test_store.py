@@ -56,7 +56,7 @@ def loaded(config, corpus):
     """The matrix ``select`` and ``campaign`` work on: the store, imputed and normalized."""
     cfg = cli.load_config(config)
     matrix = cli._load_scored_matrix(cfg, argparse.Namespace(corpus=str(corpus)))
-    return cli.rank_normalize(matrix, cfg.optimizer.normalization)
+    return cli.rank_normalize(matrix)
 
 
 def assert_same_matrix(got, want):
@@ -69,21 +69,19 @@ def assert_same_matrix(got, want):
 
 
 @pytest.mark.parametrize("estimator", ["whitespace", "char_ratio"])
-@pytest.mark.parametrize("normalization", ["rank", "zscore"])
-def test_store_matches_jsonl_load(tmp_path, capsys, estimator, normalization):
+def test_store_matches_jsonl_load(tmp_path, capsys, estimator):
     for seed in range(30):
         corpus = write_scored_corpus(tmp_path / f"c{seed}.jsonl", seed)
         config = write_config(
             tmp_path,
             corpus={"path": corpus.name, "token_estimator": estimator},
-            optimizer={"normalization": normalization},
         )
         assert cli.main(["annotate", "--config", str(config)]) == 0
         annotated = tmp_path / "out" / "annotated.jsonl"
         got = loaded(config, annotated)
         schema = CorpusSchema(token_estimator=estimator)
-        assert_same_matrix(got, ref_load_scored_matrix(corpus, schema, normalization))
-        assert_same_matrix(got, ref_load_scored_matrix(annotated, schema, normalization))
+        assert_same_matrix(got, ref_load_scored_matrix(corpus, schema))
+        assert_same_matrix(got, ref_load_scored_matrix(annotated, schema))
 
 
 @pytest.mark.parametrize("estimator", ["whitespace", "char_ratio"])
@@ -96,7 +94,7 @@ def test_synth_store_matches_jsonl_load(tmp_path, capsys, estimator):
     )
     assert cli.main(["synth", "--config", str(config)]) == 0
     synth = tmp_path / "out" / "synth.jsonl"
-    want = ref_load_scored_matrix(synth, CorpusSchema(token_estimator=estimator), "rank")
+    want = ref_load_scored_matrix(synth, CorpusSchema(token_estimator=estimator))
     assert_same_matrix(loaded(config, synth), want)
 
 
@@ -105,7 +103,7 @@ def test_annotate_with_signals_writes_matching_store(tmp_path, capsys):
     config = write_config(tmp_path, corpus={"path": "c.jsonl"}, scores={"signals": True})
     assert cli.main(["annotate", "--config", str(config)]) == 0
     annotated = tmp_path / "out" / "annotated.jsonl"
-    want = ref_load_scored_matrix(annotated, CorpusSchema(), "rank")
+    want = ref_load_scored_matrix(annotated, CorpusSchema())
     assert_same_matrix(loaded(config, annotated), want)
 
 
