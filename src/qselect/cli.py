@@ -22,7 +22,13 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import check_encodable, load_corpus, numbered_lines, synthesize_corpus, write_corpus
-from .errors import ValidationError, is_finite_number, require_directory, require_file
+from .errors import (
+    ValidationError,
+    is_finite_number,
+    require_directory,
+    require_file,
+    require_output_file,
+)
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
@@ -247,6 +253,10 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Export the Spearman correlation matrix of all scores as CSV."""
+    out_path = require_output_file(
+        Path(args.output) if args.output else cfg.output_dir / "spearman.csv", "output"
+    )
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     matrix = _load_scored_matrix(cfg, args)
     if matrix.n_docs < 2:
         raise ValidationError(
@@ -255,8 +265,6 @@ def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = Path(args.output) if args.output else cfg.output_dir / "spearman.csv"
     out_path.write_text(correlation_csv(matrix.score_names, rho), encoding="utf-8")
     print(json.dumps({"scores": len(matrix.score_names), "output": str(out_path)}))
     return 0
@@ -299,8 +307,10 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     unknown = sorted(set(cfg.synthesis.domain_mix) - set(cfg.corpus.domains))
     if unknown:
         raise ValidationError(f"synthesis.domain_mix: domains {unknown} are not in corpus.domains")
+    out_path = require_output_file(
+        Path(args.output) if args.output else cfg.output_dir / "synth.jsonl", "output"
+    )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    out_path = Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
     counts, corpus = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)
     matrix = ScoreMatrix.from_documents(corpus)
     write_corpus(corpus, out_path, matrix)

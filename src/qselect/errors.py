@@ -58,8 +58,25 @@ def require_file(path: Path, what: str, hint: str = "") -> Path:
 def require_directory(path: Path, what: str) -> None:
     """Refuse ``path`` with a ValidationError naming ``what``, the path and
     the file in its way, unless it is a directory or can be made one."""
-    for part in (path, *path.parents):
+    _refuse_non_directory((path, *path.parents), f"{what} {path}")
+
+
+def require_output_file(path: Path, what: str) -> Path:
+    """``path``, with its missing parent directories made; a ValidationError
+    naming ``what`` and the path if a directory stands at it, or something
+    other than a directory where one of its parents goes."""
+    if path.is_dir():
+        raise ValidationError(f"{what} {path} is a directory")
+    _refuse_non_directory(path.parents, f"{what} {path}")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _refuse_non_directory(parts, named: str) -> None:
+    """Raise a ValidationError naming ``named`` and the first of ``parts``
+    that exists and is not a directory, unless a directory comes first."""
+    for part in parts:
         if part.is_dir():
             return
         if part.exists() or part.is_symlink():
-            raise ValidationError(f"{what} {path}: {part} is not a directory")
+            raise ValidationError(f"{named}: {part} is not a directory")

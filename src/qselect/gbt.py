@@ -22,6 +22,25 @@ ensemble takes the rows a fixed-size block at a time and walks each block
 through every tree, adding the trees' shrunken leaf values in tree order:
 one block stays in cache across all the trees, where walking the whole
 matrix tree by tree would read it once per tree.
+
+A block walk may also take a cutoff and drop the rows sure to predict
+above it (exact early exit for additive ensembles, as in Cambazoglu et al.,
+WSDM 2010). After t trees a row's prediction is at least its partial sum
+plus R, the sum over the remaining trees of ``learning_rate`` times the
+tree's least leaf: rounding is monotone, so no remaining tree adds less
+than its term of R. Every ``PRUNE_EVERY`` trees the walk drops each row
+whose partial sum plus R, less a margin, is above the cutoff, keeps the
+survivors compact, and reads ``inf`` for the dropped rows. The margin is
+``4 (n_trees + 1) eps M``, where M is ``|base|`` plus each tree's largest
+``|learning_rate * leaf|``. No sum of the walk or of the bound is larger
+than 2M, so each float addition is off by at most ``eps M``, and at most
+``2 n_trees + 1`` of them lie between the bound and a finished prediction:
+those still ahead of the row, those that summed R, and the two of the
+comparison. The margin covers them twice over. It is absolute because a
+bound near 0 can have sums near M behind it, which a margin relative to
+the bound would not cover. A kept row adds every tree in tree order, one
+elementwise addition at a time, whichever rows beside it were dropped, so
+its prediction has the bits ``predict`` gives it.
 """
 
 from __future__ import annotations
@@ -34,6 +53,7 @@ from .errors import FieldError, ValidationError
 
 _MIN_GAIN = 1e-12
 BLOCK_ROWS = 8192  # rows per block: at 16 features a block is 1 MB, which stays in L2
+PRUNE_EVERY = 10  # trees between a cutoff walk's checks of its bound
 
 
 @dataclass(frozen=True)
@@ -97,8 +117,8 @@ class RegressionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(X)
         out = np.empty(X.shape[0])
-        for rows, block, row_base in _blocks(X):
-            out[rows] = self._walk(block, row_base)
+        for rows, block in _blocks(X):
+            out[rows] = self._walk(block, _row_offsets(block))
         return out
 
     def _walk(self, block: np.ndarray, row_base: np.ndarray) -> np.ndarray:
@@ -115,15 +135,16 @@ class RegressionTree:
 
 
 def _blocks(X: np.ndarray):
-    """Cut the C-contiguous ``X`` into blocks of ``BLOCK_ROWS`` rows.
-
-    Yields each block's row slice, the block, and each of its rows' offset
-    in the raveled block.
-    """
-    n, m = X.shape
-    for start in range(0, n, BLOCK_ROWS):
+    """Cut the C-contiguous ``X`` into blocks of ``BLOCK_ROWS`` rows; yields
+    each block's row slice and the block."""
+    for start in range(0, X.shape[0], BLOCK_ROWS):
         block = X[start : start + BLOCK_ROWS]
-        yield slice(start, start + block.shape[0]), block, np.arange(0, block.size, m)
+        yield slice(start, start + block.shape[0]), block
+
+
+def _row_offsets(block: np.ndarray) -> np.ndarray:
+    """Each row's offset in the raveled C-contiguous ``block``."""
+    return np.arange(0, block.size, block.shape[1])
 
 
 def _best_split(
@@ -226,6 +247,12 @@ class GradientBoostedRegressor:
         self.base = base
         self.trees = trees
         self.learning_rate = learning_rate
+        # floors[t] is the least the trees from t on can add, less the
+        # rounding margin (see the module docstring).
+        least = learning_rate * np.array([tree.value.min() for tree in trees])
+        most = learning_rate * np.array([np.abs(tree.value).max() for tree in trees])
+        margin = 4 * (len(trees) + 1) * np.finfo(float).eps * (abs(base) + most.sum())
+        self._floors = np.cumsum(least[::-1])[::-1] - margin
 
     @property
     def n_trees(self) -> int:
@@ -233,11 +260,30 @@ class GradientBoostedRegressor:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        out = np.full(X.shape[0], self.base)
-        for rows, block, row_base in _blocks(X):
-            block_out = out[rows]
-            for tree in self.trees:
-                block_out += self.learning_rate * tree._walk(block, row_base)
+        out = np.empty(X.shape[0])
+        for rows, block in _blocks(X):
+            out[rows] = self.predict_block(block)
+        return out
+
+    def predict_block(self, block: np.ndarray, cutoff: float | None = None) -> np.ndarray:
+        """The prediction of each row of the C-contiguous float64 ``block``;
+        with a ``cutoff``, ``inf`` for each row dropped as sure to predict
+        above it (see the module docstring for the bound and its margin)."""
+        n = block.shape[0]
+        sums = np.full(n, self.base)
+        row_base = _row_offsets(block)
+        kept = None  # the surviving rows' indices in block, once any check ran
+        for t, tree in enumerate(self.trees):
+            if cutoff is not None and t and t % PRUNE_EVERY == 0:
+                keep = sums <= cutoff - self._floors[t]
+                kept = np.flatnonzero(keep) if kept is None else kept[keep]
+                block, sums = block[keep], sums[keep]
+                row_base = row_base[: sums.size]
+            sums += self.learning_rate * tree._walk(block, row_base)
+        if kept is None:
+            return sums
+        out = np.full(n, np.inf)
+        out[kept] = sums
         return out
 
 
@@ -256,7 +302,7 @@ def fit_gradient_boosted(
     if np.ptp(y) == 0.0:
         return GradientBoostedRegressor(float(y[0]), [], hyper.learning_rate)
     base = float(y.mean())
-    model = GradientBoostedRegressor(base, [], hyper.learning_rate)
+    trees = []
 
     rng = np.random.default_rng(hyper.seed)
     n = y.size
@@ -271,5 +317,5 @@ def fit_gradient_boosted(
         residual = y[idx] - pred[idx]
         tree = _grow_tree(X[idx], residual, hyper.max_depth, hyper.min_samples_leaf)
         pred += hyper.learning_rate * tree.predict(X)
-        model.trees.append(tree)
-    return model
+        trees.append(tree)
+    return GradientBoostedRegressor(base, trees, hyper.learning_rate)

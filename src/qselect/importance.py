@@ -12,9 +12,10 @@ Each corpus is hashed in one pass over its word ids (``hash_corpus`` of
 word pair is hashed once, in batches, and the buckets are scattered into
 one flat int32 array, each text's unigrams then its bigrams, with a
 feature count per text. A model is one smoothed log probability per
-bucket, from one ``bincount`` of those buckets. Scoring subtracts the
-two models once per bucket, gathers that difference once per feature of
-the corpus, then sums each text's slice, in feature order.
+bucket, from one ``bincount`` of those buckets. Scoring gathers both
+models at each feature's bucket and subtracts there, so a one-text call
+costs its features and not the model's buckets, then sums each text's
+slice, in feature order.
 """
 
 from __future__ import annotations
@@ -179,10 +180,10 @@ def importance_scores(corpus: HashedCorpus, p: HashedBagModel, q: HashedBagModel
     the same bits whatever corpus it is hashed with.
     """
     _check_compatible(corpus, p, q)
-    delta = p.log_probs - q.log_probs
     scores = np.empty(len(corpus.lengths))
     for texts, span in blocks(corpus.lengths):
-        feats = delta[corpus.buckets[span]]
+        buckets = corpus.buckets[span]
+        feats = p.log_probs[buckets] - q.log_probs[buckets]
         ends = np.cumsum(corpus.lengths[texts]).tolist()
         scores[texts] = [feats[start:end].sum() for start, end in zip([0, *ends], ends)]
     return scores

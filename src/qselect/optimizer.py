@@ -130,11 +130,23 @@ def search_optimal(model: RegressorModel, settings: OptimizerConfig, seed: int) 
     appends the block's best k to the kept rows, and keeps the best k of
     those by a second stable sort. Ties stay in draw order, so the kept rows
     end as the first k of a stable sort of every prediction.
+
+    Once k rows are kept, each block walks the trees with the k-th best
+    kept prediction as its cutoff (``GradientBoostedRegressor.
+    predict_block``). Every 10th tree a row is dropped, and reads ``inf``,
+    when its partial sum plus the remaining trees' least shrunken leaves,
+    less an absolute margin of ``4 (n_trees + 1) eps`` times the largest
+    sum the walk can reach, is above the cutoff: the margin covers every
+    rounding between that bound and the finished prediction, so a dropped
+    row would rank after every kept row. A row that survives adds every
+    tree in tree order, so its bits are the bits ``predict`` gives it, and
+    the sweep keeps the rows and bits it would keep without the cutoff.
     """
     m, k = len(model.score_names), settings.top_k
     kept, kept_preds = np.empty((0, m)), np.empty(0)
     for block in sample_simplex(m, settings.candidates, seed, settings.concentration, BLOCK_ROWS):
-        preds = model.booster.predict(block)
+        cutoff = kept_preds[-1] if kept_preds.size == k else None
+        preds = model.booster.predict_block(block, cutoff)
         top = np.argsort(preds, kind="stable")[:k]
         rows = np.concatenate([kept, block[top]])
         preds = np.concatenate([kept_preds, preds[top]])

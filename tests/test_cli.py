@@ -1111,6 +1111,44 @@ def test_input_fault_exits_1_naming_its_place_before_any_work(tmp_path, capsys, 
     assert tokenized == []
 
 
+def correlate_argv(tmp_path):
+    write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+    config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"})
+    assert run_cli("annotate", "--config", str(config)) == 0
+    return ["correlate", "--config", str(config), "--corpus", str(tmp_path / "out" / "annotated.jsonl")]
+
+
+def synth_argv(tmp_path):
+    return ["synth", "--config", str(synth_config(tmp_path, n_docs=60, budget=500))]
+
+
+@pytest.mark.parametrize("command", [correlate_argv, synth_argv], ids=["correlate", "synth"])
+class TestOutputPath:
+    def test_missing_parent_is_made(self, tmp_path, command):
+        target = tmp_path / "new" / "dir" / "output.jsonl"
+        assert run_cli(*command(tmp_path), "--output", str(target)) == 0
+        assert target.is_file()
+
+    @pytest.mark.parametrize("in_the_way", ["file-at-parent", "directory-at-target"])
+    def test_blocked_output_is_refused_before_any_work(self, tmp_path, capsys, command, in_the_way):
+        argv = command(tmp_path)
+        blocker = tmp_path / "new"
+        if in_the_way == "file-at-parent":
+            blocker.write_text("a file, not a directory\n")
+            target = blocker / "dir" / "output.jsonl"
+            message = f"output {target}: {blocker} is not a directory"
+        else:
+            blocker.mkdir()
+            target = blocker
+            message = f"output {target} is a directory"
+        before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+        capsys.readouterr()
+        assert run_cli(*argv, "--output", str(target)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": message}
+        assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
 @pytest.mark.parametrize("command", ["select", "campaign", "correlate"])
 def test_downstream_rejected_line_is_logged(tmp_path, capsys, caplog, command):
     # An edited corpus no longer matches its score store; annotate logs the

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 from qselect.errors import ValidationError
-from qselect.gbt import RegressorHyper
+from qselect.gbt import GradientBoostedRegressor, RegressionTree, RegressorHyper
 from qselect.optimizer import (
     OptimizerConfig,
+    RegressorModel,
     fit_regressor,
     pca_landscape,
     rank_weights,
@@ -128,8 +130,35 @@ def model_m16():
     return fit_regressor(records, RegressorHyper(n_trees=20))
 
 
+@functools.cache
+def hundred_tree_model(m, seed):
+    if m == 1:
+        records = [
+            ExperimentRecord(f"exp-{i:04d}", {"a": 1.0}, 1.0 + 0.01 * (i % 7), "ok", "")
+            for i in range(32)
+        ]
+    else:
+        names = [f"s{j:02d}" for j in range(m)]
+        w = np.random.default_rng(seed).dirichlet(np.ones(m))
+        records, _ = quadratic_records(names, w, n=128, seed=seed, sigma=0.01)
+    return fit_regressor(records, RegressorHyper(seed=seed))
+
+
+def stump(feature, threshold, low, high):
+    """A depth-1 tree: ``low`` where x[feature] <= threshold, else ``high``."""
+    return RegressionTree(np.array([feature, 0, 0]), np.array([threshold, np.inf, np.inf]),
+                          np.array([1, 1, 2]), np.array([2, 1, 2]), np.array([0.0, low, high]), 1)
+
+
+def leaf(value):
+    """A depth-0 tree: ``value`` everywhere."""
+    zero = np.array([0])
+    return RegressionTree(zero, np.array([np.inf]), zero, zero, np.array([value]), 0)
+
+
 class TestStreamedSweep:
-    """The block-by-block sweep gives the bits of the whole-matrix sweep."""
+    """The block-by-block sweep, cutoff walk included, gives the bits of the
+    whole-matrix sweep."""
 
     def assert_matches_whole_sweep(self, model, settings, seed):
         outcome = search_optimal(model, settings, seed)
@@ -181,6 +210,81 @@ class TestStreamedSweep:
         (draws,) = sample_simplex(6, 300, 24)
         mean = draws.mean(axis=0)
         assert outcome.w_star.values.tobytes() == (mean / mean.sum()).tobytes()
+
+    @pytest.mark.parametrize("concentration", [1.0, 0.05])
+    @pytest.mark.parametrize("top_k", [1, 100, 20_001], ids=["k-one", "k-100", "k-all"])
+    @pytest.mark.parametrize("m, seed", [(1, 30), (3, 31), (3, 32), (16, 33), (16, 34)])
+    def test_cutoff_sweep_matches_whole_sweep(self, m, seed, top_k, concentration):
+        # 100 trees, so the walk checks its bound nine times per block.
+        settings = OptimizerConfig(candidates=20_001, top_k=top_k, concentration=concentration)
+        self.assert_matches_whole_sweep(hundred_tree_model(m, seed), settings, seed)
+
+    @pytest.mark.parametrize("top_k", [300, 12_000])
+    def test_tied_predictions(self, top_k):
+        # Stumps fit on weights rounded to tenths: few distinct predictions,
+        # each shared by many draws, some across the cutoff.
+        names = ["a", "b", "c"]
+        records, _ = quadratic_records(names, [0.5, 0.3, 0.2], n=64, seed=3)
+        for r in records:
+            r.weights = {name: round(w, 1) for name, w in r.weights.items()}
+        model = fit_regressor(records, RegressorHyper(n_trees=40, max_depth=1))
+        settings = OptimizerConfig(candidates=20_001, top_k=top_k)
+        (draws,) = sample_simplex(3, 20_001, 27)
+        assert np.unique(model.booster.predict(draws)).size < 200
+        self.assert_matches_whole_sweep(model, settings, seed=27)
+
+    @pytest.mark.parametrize("cancel", [False, True], ids=["large-base", "near-zero"])
+    def test_leaves_below_an_ulp(self, cancel):
+        # The first ten trees are stumps on the first weight worth 0 or 1 ulp
+        # of 2**20 each, so the draws spread over 11 levels and every block
+        # holds draws below the cutoff. The other trees add 0.4 ulp (leaf
+        # times the learning rate 0.5), which vanishes when added to a sum
+        # near 2**20, so each row ends 36 ulp below its partial sum plus the
+        # remaining least leaves at the first check: only an absolute margin
+        # keeps the best rows. With cancel, the base is 0, a tree adds 2**20
+        # after the first check and the last one takes it away, so the bound
+        # sits near 0.
+        ulp = 2.0**-32  # of 2**20
+        steps = [stump(0, 0.002 * (i + 1), 0.0, 2 * ulp) for i in range(10)]
+        vanishing = leaf(0.8 * ulp)
+        if cancel:
+            trees, base = steps + [leaf(2.0**21)] + [vanishing] * 88 + [leaf(-(2.0**21))], 0.0
+        else:
+            trees, base = steps + [vanishing] * 90, 2.0**20
+        model = RegressorModel(("a", "b", "c"), GradientBoostedRegressor(base, trees, 0.5), 0.0)
+        self.assert_matches_whole_sweep(model, OptimizerConfig(candidates=20_001), seed=28)
+
+    def test_no_top_k_row_is_dropped(self, monkeypatch):
+        # A fit-sweep-like model: 256 noisy records over 16 scores, 100
+        # trees, the best 100 of 100k candidates.
+        names = [f"s{j:02d}" for j in range(16)]
+        w = np.random.default_rng(35).dirichlet(np.ones(16))
+        records, _ = quadratic_records(names, w, n=256, seed=35, sigma=0.002)
+        model = fit_regressor(records, RegressorHyper(seed=35))
+        settings = OptimizerConfig()
+        walked, preds = [], []
+        walk, predict_block = RegressionTree._walk, GradientBoostedRegressor.predict_block
+
+        def counted_walk(tree, block, row_base):
+            walked.append(len(block))
+            return walk(tree, block, row_base)
+
+        def recorded_predict_block(booster, block, cutoff=None):
+            preds.append(predict_block(booster, block, cutoff))
+            return preds[-1]
+
+        monkeypatch.setattr(RegressionTree, "_walk", counted_walk)
+        monkeypatch.setattr(GradientBoostedRegressor, "predict_block", recorded_predict_block)
+        search_optimal(model, settings, seed=36)
+        monkeypatch.undo()
+        preds = np.concatenate(preds)[: settings.candidates]  # then w*'s own prediction
+        (candidates,) = sample_simplex(16, settings.candidates, 36)
+        whole = model.booster.predict(candidates)
+        top = np.argsort(whole, kind="stable")[: settings.top_k]
+        assert np.isfinite(preds[top]).all()
+        survived = np.isfinite(preds)
+        assert preds[survived].tobytes() == whole[survived].tobytes()
+        assert sum(walked) < 0.6 * settings.candidates * model.booster.n_trees
 
     def test_memory_does_not_grow_with_candidates(self, model_m16):
         # The whole-matrix sweep held every candidate: 16 doubles a row, so
