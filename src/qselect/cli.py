@@ -40,6 +40,7 @@ from .matrix import (
     load_score_store,
     rank_normalize,
     spearman_matrix,
+    store_path,
     write_score_store,
 )
 from .optimizer import fit_regressor, pca_landscape, read_weights, search_optimal, write_weights
@@ -111,11 +112,20 @@ def _load_logged(path: Path, cfg: RunConfig):
     return corpus
 
 
+def _require_corpus_output(path: Path) -> Path:
+    """``path`` for a corpus JSONL, refused like the score store written
+    beside it if something stands in the way (``require_output_file``)."""
+    require_output_file(path, "output")
+    require_output_file(store_path(path), "output")
+    return path
+
+
 def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Compute signals and importance scores, merge ratings, write the
     annotated corpus."""
     from .signals import corpus_signals
 
+    out_path = _require_corpus_output(cfg.output_dir / "annotated.jsonl")
     imp = cfg.scores.importance
     if imp is not None:
         for target_path in imp.targets.values():
@@ -171,7 +181,6 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         if imputed:
             logger.warning("imputed %d missing rating cells to column medians", len(imputed))
 
-    out_path = cfg.output_dir / "annotated.jsonl"
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out_path, matrix, names)
     write_score_store(out_path, matrix, cfg.corpus)
@@ -228,12 +237,15 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .proxy import read_campaign_log
 
     log_path = Path(args.log) if args.log else cfg.output_dir / "campaign.jsonl"
+    weights_path = require_output_file(cfg.output_dir / "weights.json", "output")
+    landscape_path = require_output_file(cfg.output_dir / "landscape.csv", "output")
     records = read_campaign_log(require_file(log_path, "campaign log"))
-    model = fit_regressor(records, cfg.optimizer.hyper)
+    try:
+        model = fit_regressor(records, cfg.optimizer.hyper)
+    except ValidationError as exc:
+        raise ValidationError(f"campaign log {log_path}: {exc}") from None
     outcome = search_optimal(model, cfg.optimizer, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    weights_path = cfg.output_dir / "weights.json"
-    landscape_path = cfg.output_dir / "landscape.csv"
     write_weights(weights_path, outcome.w_star, seed=cfg.seed)
     landscape = pca_landscape(records, model, cfg.optimizer)
     landscape.write_csv(landscape_path)
@@ -265,6 +277,7 @@ def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(correlation_csv(matrix.score_names, rho), encoding="utf-8")
     print(json.dumps({"scores": len(matrix.score_names), "output": str(out_path)}))
     return 0
@@ -307,12 +320,13 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     unknown = sorted(set(cfg.synthesis.domain_mix) - set(cfg.corpus.domains))
     if unknown:
         raise ValidationError(f"synthesis.domain_mix: domains {unknown} are not in corpus.domains")
-    out_path = require_output_file(
-        Path(args.output) if args.output else cfg.output_dir / "synth.jsonl", "output"
+    out_path = _require_corpus_output(
+        Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     counts, corpus = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)
     matrix = ScoreMatrix.from_documents(corpus)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out_path, matrix)
     write_score_store(out_path, matrix, cfg.corpus)
     print(json.dumps({"documents": sum(counts.values()), "per_domain": counts, "output": str(out_path)}))

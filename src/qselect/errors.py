@@ -62,13 +62,12 @@ def require_directory(path: Path, what: str) -> None:
 
 
 def require_output_file(path: Path, what: str) -> Path:
-    """``path``, with its missing parent directories made; a ValidationError
-    naming ``what`` and the path if a directory stands at it, or something
-    other than a directory where one of its parents goes."""
+    """``path``, unless a directory stands at it, or something other than a
+    directory where one of its parents goes: then a ValidationError naming
+    ``what`` and the path. Nothing is made; the writer makes the parents."""
     if path.is_dir():
         raise ValidationError(f"{what} {path} is a directory")
     _refuse_non_directory(path.parents, f"{what} {path}")
-    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 

@@ -7,12 +7,18 @@ axis-aligned threshold that maximizes the reduction in sum of squared
 errors: the exact greedy search, not a histogram one. Everything is
 deterministic given the seed and the input order.
 
-Split search sorts each feature's rows once per tree (a stable argsort, one
-row of an (m, n) index array per feature). A node scores every split of
-every feature in one 2-D pass of running sums, and its children keep the
-parent's sorted rows that fall on their side, which is the order a fresh
-stable sort would give. A node's value is its row sum over its row count,
-the sum its split search uses.
+Split search sorts each feature's rows once per fit (a stable argsort, one
+row of an (m, n) index array per feature, as in XGBoost's exact greedy
+search). A tree takes the sorted rows that lie in its subsample, and a
+child the parent's sorted rows that fall on its side. Both are in
+ascending row order, so each is the order a fresh stable sort would give.
+A child builds its sorted rows only when it goes on to split; a leaf needs
+only its rows. A node scores every split of every feature in one 2-D pass
+of running sums and takes one row-major ``argmax`` over the (features,
+positions) gains: the first feature with the greatest gain wins, at its
+first position with it. No gain is NaN, since ``optimizer.fit_regressor``
+refuses losses whose sums of squares could overflow. A node's value is its
+row sum over its row count, the sum its split search uses.
 
 Prediction walks every row the same number of steps, the tree's depth: a
 leaf loops to itself, so a row that reaches a shallow leaf stays on it.
@@ -40,7 +46,8 @@ comparison. The margin covers them twice over. It is absolute because a
 bound near 0 can have sums near M behind it, which a margin relative to
 the bound would not cover. A kept row adds every tree in tree order, one
 elementwise addition at a time, whichever rows beside it were dropped, so
-its prediction has the bits ``predict`` gives it.
+its prediction has the bits ``predict`` gives it. For the same reason a
+walk may stop after some trees and resume from its partial sums later.
 """
 
 from __future__ import annotations
@@ -148,96 +155,150 @@ def _row_offsets(block: np.ndarray) -> np.ndarray:
 
 
 def _best_split(
-    y_sorted: np.ndarray, x_sorted: np.ndarray, total_sum: float, total_sq: float, min_leaf: int
+    y_sorted: np.ndarray,
+    x_sorted: np.ndarray,
+    total_sum: float,
+    total_sq: float,
+    min_leaf: int,
+    counts: tuple[np.ndarray, np.ndarray],
 ) -> tuple[int, int] | None:
     """Find the (feature, position) split maximizing SSE reduction.
 
     ``y_sorted`` and ``x_sorted`` hold the node's targets and values with
-    each feature's rows in stable sorted order, one feature per row. A split
-    after position i sends that feature's first i + 1 rows left; the
-    threshold is the last left-hand value, so the routing rule x <= threshold
-    partitions training and prediction points alike. The first feature with
-    the greatest gain wins. Returns None when no split clears the minimum
-    gain.
+    each feature's rows in stable sorted order, one feature per row;
+    ``y_sorted`` is squared in place. ``counts`` holds the left and right row
+    counts of each position, as floats. A split after position i sends that
+    feature's first i + 1 rows left; the threshold is the last left-hand
+    value, so the routing rule x <= threshold partitions training and
+    prediction points alike. The first feature with the greatest gain wins,
+    at its first position with that gain. Returns None when no split clears
+    the minimum gain.
     """
     n = y_sorted.shape[1]
+    left_n, right_n = counts
     total_sse = total_sq - total_sum * total_sum / n
-    csum = y_sorted.cumsum(axis=1)[:, :-1]
-    csq = (y_sorted * y_sorted).cumsum(axis=1)[:, :-1]
-    left_n = np.arange(1, n)
-    valid = (x_sorted[:, :-1] < x_sorted[:, 1:]) & (
-        (left_n >= min_leaf) & (n - left_n >= min_leaf)
-    )
-    left_sse = csq - csum**2 / left_n
-    right_sum = total_sum - csum
-    right_sse = (total_sq - csq) - right_sum**2 / (n - left_n)
-    gain = np.where(valid, total_sse - left_sse - right_sse, -np.inf)
-    position = gain.argmax(axis=1)
-    best = gain[np.arange(gain.shape[0]), position]
-    clears = best > _MIN_GAIN
-    if not clears.any():
+    csum = y_sorted[:, :-1].cumsum(axis=1)
+    np.multiply(y_sorted, y_sorted, out=y_sorted)
+    csq = y_sorted[:, :-1].cumsum(axis=1)
+    # gain = (total_sse - left_sse) - right_sse, where
+    # left_sse = csq - csum**2 / left_n and
+    # right_sse = (total_sq - csq) - (total_sum - csum)**2 / right_n,
+    # one operation at a time, in place.
+    right = total_sum - csum
+    right *= right
+    right /= right_n
+    csum *= csum
+    csum /= left_n
+    gain = np.subtract(csq, csum, out=csum)  # left_sse
+    right_sse = np.subtract(total_sq, csq, out=csq)
+    right_sse -= right
+    np.subtract(total_sse, gain, out=gain)
+    gain -= right_sse
+    np.copyto(gain, -np.inf, where=~(x_sorted[:, :-1] < x_sorted[:, 1:]))
+    gain[:, : min_leaf - 1] = -np.inf  # fewer than min_leaf rows on the left
+    gain[:, n - min_leaf :] = -np.inf  # or on the right
+    best = int(gain.argmax())  # row-major: the first feature wins a tie, at its first position
+    if not gain.flat[best] > _MIN_GAIN:
         return None
-    j = int(np.where(clears, best, -np.inf).argmax())
-    return j, int(position[j])
+    return divmod(best, n - 1)
+
+
+class _TreeGrower:
+    """What every tree of one boosted fit shares: each feature's rows in
+    stable sorted order with their values, sorted once, and the row counts
+    of each split position for each node size met so far."""
+
+    def __init__(self, X: np.ndarray, max_depth: int, min_leaf: int) -> None:
+        self.order = np.argsort(X.T, axis=1, kind="stable")
+        self.x_sorted = np.take_along_axis(X.T, self.order, axis=1)
+        self.max_depth = max_depth
+        self.min_leaf = min_leaf
+        self._counts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _split_counts(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        counts = self._counts.get(n)
+        if counts is None:
+            left_n = np.arange(1.0, n)
+            counts = self._counts[n] = (left_n, n - left_n)
+        return counts
+
+    def grow(self, y: np.ndarray, sample: np.ndarray | None = None) -> RegressionTree:
+        """Grow one tree greedily on the rows ``sample`` (ascending indices;
+        every row if None), whose targets are ``y``, one per sampled row.
+
+        A node keeps its rows in ascending order (for its sums and value)
+        and, per feature, in sorted order. The sample's sorted rows are the
+        fit's sorted rows that lie in the sample, and a child's are its
+        parent's that fall on its side: each equals a fresh stable sort,
+        since the sample and the parent's rows are in ascending order. A
+        child builds them only when it splits.
+        """
+        order, x_sorted = self.order, self.x_sorted
+        if sample is not None:
+            in_sample = np.zeros(order.shape[1], dtype=bool)
+            in_sample[sample] = True
+            local = np.cumsum(in_sample) - 1  # each sampled row's index in the sample
+            keep = in_sample[order]
+            order = local[order[keep]].reshape(order.shape[0], -1)
+            x_sorted = x_sorted[keep].reshape(order.shape[0], -1)
+        max_depth, min_leaf = self.max_depth, self.min_leaf
+        n = y.size
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+        depth_reached = 0
+
+        def grow_node(rows, order, x_sorted, side, depth) -> int:
+            """Grow the node of ``rows``, whose parent's sorted rows are
+            ``order`` and ``x_sorted``; ``side`` marks the node's rows among
+            them (None at the root)."""
+            nonlocal depth_reached
+            node = len(feature)
+            y_node = y[rows]
+            total = y_node.sum()
+            feature.append(0)
+            threshold.append(np.inf)
+            left.append(node)
+            right.append(node)
+            value.append(float(total / rows.size))  # the bits of np.mean
+            depth_reached = max(depth_reached, depth)
+            if depth >= max_depth or rows.size < 2 * min_leaf or y_node.max() == y_node.min():
+                return node
+            if side is not None:
+                keep = side[order]
+                order = order[keep].reshape(order.shape[0], -1)
+                x_sorted = x_sorted[keep].reshape(order.shape[0], -1)
+            split = _best_split(
+                y[order], x_sorted, total, float(y_node @ y_node), min_leaf,
+                self._split_counts(rows.size),
+            )
+            if split is None:
+                return node
+            j, i = split
+            goes_left = np.zeros(n, dtype=bool)
+            goes_left[order[j, : i + 1]] = True
+            feature[node] = j
+            threshold[node] = float(x_sorted[j, i])
+            for side_nodes, child in ((left, goes_left), (right, ~goes_left)):
+                side_nodes[node] = grow_node(rows[child[rows]], order, x_sorted, child, depth + 1)
+            return node
+
+        grow_node(np.arange(n), order, x_sorted, None, 0)
+        return RegressionTree(
+            np.asarray(feature, dtype=np.intp),
+            np.asarray(threshold),
+            np.asarray(left, dtype=np.intp),
+            np.asarray(right, dtype=np.intp),
+            np.asarray(value),
+            depth_reached,
+        )
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> RegressionTree:
-    """Grow one tree greedily on all rows of ``X``.
-
-    Each feature's rows are stable-sorted once. A node keeps its rows in
-    ascending order (for its sums and value) and, per feature, in that
-    sorted order; a child takes the parent's sorted rows that fall on its
-    side, which equals a stable sort of the child's rows.
-    """
-    n = y.size
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    depth_reached = 0
-
-    def grow(rows: np.ndarray, order: np.ndarray, x_sorted: np.ndarray, depth: int) -> int:
-        nonlocal depth_reached
-        node = len(feature)
-        y_node = y[rows]
-        total = y_node.sum()
-        feature.append(0)
-        threshold.append(np.inf)
-        left.append(node)
-        right.append(node)
-        value.append(float(total / rows.size))  # the bits of np.mean
-        depth_reached = max(depth_reached, depth)
-        if depth >= max_depth or rows.size < 2 * min_leaf or y_node.max() == y_node.min():
-            return node
-        split = _best_split(y[order], x_sorted, total, float(y_node @ y_node), min_leaf)
-        if split is None:
-            return node
-        j, i = split
-        goes_left = np.zeros(n, dtype=bool)
-        goes_left[order[j, : i + 1]] = True
-        feature[node] = j
-        threshold[node] = float(x_sorted[j, i])
-        for side, child in ((left, goes_left), (right, ~goes_left)):
-            keep = child[order]
-            side[node] = grow(
-                rows[child[rows]],
-                order[keep].reshape(order.shape[0], -1),
-                x_sorted[keep].reshape(order.shape[0], -1),
-                depth + 1,
-            )
-        return node
-
-    order = np.argsort(X.T, axis=1, kind="stable")
-    grow(np.arange(n), order, np.take_along_axis(X.T, order, axis=1), 0)
-    return RegressionTree(
-        np.asarray(feature, dtype=np.intp),
-        np.asarray(threshold),
-        np.asarray(left, dtype=np.intp),
-        np.asarray(right, dtype=np.intp),
-        np.asarray(value),
-        depth_reached,
-    )
+    """Grow one tree greedily on all rows of ``X``."""
+    return _TreeGrower(X, max_depth, min_leaf).grow(y)
 
 
 class GradientBoostedRegressor:
@@ -265,21 +326,35 @@ class GradientBoostedRegressor:
             out[rows] = self.predict_block(block)
         return out
 
-    def predict_block(self, block: np.ndarray, cutoff: float | None = None) -> np.ndarray:
+    def predict_block(
+        self,
+        block: np.ndarray,
+        cutoff: float | None = None,
+        *,
+        sums: np.ndarray | None = None,
+        start: int = 0,
+        stop: int | None = None,
+    ) -> np.ndarray:
         """The prediction of each row of the C-contiguous float64 ``block``;
         with a ``cutoff``, ``inf`` for each row dropped as sure to predict
-        above it (see the module docstring for the bound and its margin)."""
+        above it (see the module docstring for the bound and its margin).
+
+        The walk adds trees ``start`` to ``stop`` (the last by default) to
+        ``sums``, each row's sum of the trees before ``start`` (``base`` by
+        default), so a walk stopped early can be resumed with the bits of an
+        unbroken one.
+        """
         n = block.shape[0]
-        sums = np.full(n, self.base)
+        sums = np.full(n, self.base) if sums is None else np.array(sums, dtype=np.float64)
         row_base = _row_offsets(block)
         kept = None  # the surviving rows' indices in block, once any check ran
-        for t, tree in enumerate(self.trees):
+        for t in range(start, self.n_trees if stop is None else stop):
             if cutoff is not None and t and t % PRUNE_EVERY == 0:
                 keep = sums <= cutoff - self._floors[t]
                 kept = np.flatnonzero(keep) if kept is None else kept[keep]
                 block, sums = block[keep], sums[keep]
                 row_base = row_base[: sums.size]
-            sums += self.learning_rate * tree._walk(block, row_base)
+            sums += self.learning_rate * self.trees[t]._walk(block, row_base)
         if kept is None:
             return sums
         out = np.full(n, np.inf)
@@ -308,14 +383,14 @@ def fit_gradient_boosted(
     n = y.size
     sample_size = max(1, int(round(hyper.subsample * n)))
     pred = np.full(n, base)
+    grower = _TreeGrower(X, hyper.max_depth, hyper.min_samples_leaf)
     for _ in range(hyper.n_trees):
         if sample_size < n:
             idx = rng.choice(n, size=sample_size, replace=False)
             idx.sort()
+            tree = grower.grow(y[idx] - pred[idx], idx)
         else:
-            idx = np.arange(n)
-        residual = y[idx] - pred[idx]
-        tree = _grow_tree(X[idx], residual, hyper.max_depth, hyper.min_samples_leaf)
+            tree = grower.grow(y - pred)
         pred += hyper.learning_rate * tree.predict(X)
         trees.append(tree)
     return GradientBoostedRegressor(base, trees, hyper.learning_rate)

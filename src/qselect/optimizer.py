@@ -20,13 +20,21 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FieldError, ValidationError, is_finite_number, require_file
-from .gbt import BLOCK_ROWS, GradientBoostedRegressor, RegressorHyper, fit_gradient_boosted
+from .gbt import (
+    BLOCK_ROWS,
+    PRUNE_EVERY,
+    GradientBoostedRegressor,
+    RegressorHyper,
+    fit_gradient_boosted,
+)
 from .proxy import ExperimentRecord, sample_simplex
 from .selection import WeightVector
 
 logger = logging.getLogger(__name__)
 
 MIN_RECORDS = 16
+LOSS_SCALE = 1e150  # the most that the record count times a loss's magnitude may be
+SEED_ROWS = 4  # a block with no cutoff yet finishes SEED_ROWS * top_k rows first to seed one
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,27 @@ def _records_to_arrays(
     return names, X, y
 
 
+def _require_bounded_losses(records: Sequence[ExperimentRecord], y: np.ndarray) -> None:
+    """Refuse the first successful record whose loss is above ``LOSS_SCALE /
+    n`` in magnitude, n being the number of successful records.
+
+    Within it, the sum of the losses is finite, and so is every sum that a
+    split search squares and every running sum of squares it takes, for
+    residuals up to 1e4 times a loss: each stays below (1e4 * 1e150)**2 =
+    1e308, under the float maximum. A larger loss can overflow them; the
+    gains then turn NaN, no split clears, and the fit's error is infinite.
+    """
+    limit = LOSS_SCALE / y.size
+    over = np.flatnonzero(~(np.abs(y) <= limit))
+    if over.size:
+        record = [r for r in records if r.status == "ok"][over[0]]
+        raise ValidationError(
+            f"record {record.experiment_id} has loss {record.loss!r}; the fit needs every loss "
+            f"within {LOSS_SCALE:g} / {y.size} records = {limit:g} of 0, so that its sums of "
+            "squares stay finite"
+        )
+
+
 def fit_regressor(
     records: Sequence[ExperimentRecord], hyper: RegressorHyper | None = None
 ) -> RegressorModel:
@@ -98,6 +127,7 @@ def fit_regressor(
     """
     hyper = hyper or RegressorHyper()
     names, X, y = _records_to_arrays(records)
+    _require_bounded_losses(records, y)
     order = np.lexsort(np.vstack([y[None, :], X.T])[::-1])
     X, y = X[order], y[order]
     if np.ptp(y) == 0.0:
@@ -141,12 +171,19 @@ def search_optimal(model: RegressorModel, settings: OptimizerConfig, seed: int) 
     row would rank after every kept row. A row that survives adds every
     tree in tree order, so its bits are the bits ``predict`` gives it, and
     the sweep keeps the rows and bits it would keep without the cutoff.
+
+    The first block has no kept rows, so it seeds its own cutoff: every row
+    walks the first ``PRUNE_EVERY`` trees, the ``SEED_ROWS * k`` rows with
+    the least partial sums finish, and the k-th best of their predictions is
+    the cutoff for the block's other rows, which resume their walks where
+    they stopped. That cutoff is at least the final k-th best prediction,
+    the k-th best of all candidates, these among them; so a row it drops
+    ranks after k rows that are kept, as a row dropped by a kept cutoff does.
     """
     m, k = len(model.score_names), settings.top_k
     kept, kept_preds = np.empty((0, m)), np.empty(0)
     for block in sample_simplex(m, settings.candidates, seed, settings.concentration, BLOCK_ROWS):
-        cutoff = kept_preds[-1] if kept_preds.size == k else None
-        preds = model.booster.predict_block(block, cutoff)
+        preds = _block_predictions(model.booster, block, kept_preds, k)
         top = np.argsort(preds, kind="stable")[:k]
         rows = np.concatenate([kept, block[top]])
         preds = np.concatenate([kept_preds, preds[top]])
@@ -155,6 +192,31 @@ def search_optimal(model: RegressorModel, settings: OptimizerConfig, seed: int) 
     mean = kept.mean(axis=0)
     w_star = WeightVector(model.score_names, mean / mean.sum())
     return SearchOutcome(w_star, model.predict(w_star))
+
+
+def _block_predictions(
+    booster: GradientBoostedRegressor, block: np.ndarray, kept_preds: np.ndarray, k: int
+) -> np.ndarray:
+    """The predictions of a block of candidates, with ``inf`` for the rows
+    dropped as sure to rank after the best k: by the k-th of ``kept_preds``,
+    the best predictions kept from earlier blocks in rank order, once k are
+    kept, and before that by a cutoff the block seeds itself (see
+    ``search_optimal``). A model too small to check its bound, or a block
+    too small to hold the seed rows, walks in full."""
+    if kept_preds.size == k:
+        return booster.predict_block(block, kept_preds[-1])
+    seeds = SEED_ROWS * k
+    if booster.n_trees <= PRUNE_EVERY or seeds >= block.shape[0]:
+        return booster.predict_block(block)
+    partial = booster.predict_block(block, stop=PRUNE_EVERY)
+    seed_rows = np.argpartition(partial, seeds - 1)[:seeds]
+    seed_preds = booster.predict_block(block[seed_rows], sums=partial[seed_rows], start=PRUNE_EVERY)
+    partial[seed_rows] = np.inf  # finished: the cutoff walk drops them at its first check
+    preds = booster.predict_block(
+        block, np.partition(seed_preds, k - 1)[k - 1], sums=partial, start=PRUNE_EVERY
+    )
+    preds[seed_rows] = seed_preds
+    return preds
 
 
 def rank_weights(w: WeightVector) -> list[dict]:

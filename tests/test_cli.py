@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1147,6 +1148,99 @@ class TestOutputPath:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "ValidationError", "message": message}
         assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+def write_fit_log(path, losses, seed=0):
+    """A campaign log over scores a, b and c; ``losses`` maps each record's
+    weights to its loss."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(3), size=len(losses))
+    records = (
+        {"experiment_id": f"exp-{i:04d}", "weights": dict(zip("abc", w.tolist())),
+         "loss": loss(w), "status": "ok", "manifest": "", "metadata": {}}
+        for i, (w, loss) in enumerate(zip(weights, losses))
+    )
+    path.write_text("".join(json.dumps(record) + "\n" for record in records))
+    return weights
+
+
+SMALL_FIT = {"trees": 20, "candidates": 2000, "top_k": 10, "grid": 5}
+
+
+def fit_argv(tmp_path):
+    log = tmp_path / "campaign.jsonl"
+    write_fit_log(log, [lambda w: 1.0 + w[0]] * 20)
+    config = write_config(tmp_path / "cfg.json", optimizer=SMALL_FIT)
+    return ["fit", "--config", str(config), "--log", str(log)]
+
+
+def annotate_argv(tmp_path):
+    write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
+    return ["annotate", "--config", str(write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"}))]
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [(fit_argv, "weights.json"), (fit_argv, "landscape.csv"), (annotate_argv, "annotated.jsonl"),
+     (annotate_argv, "annotated.scores.npz"), (synth_argv, "synth.scores.npz")],
+    ids=["fit-weights", "fit-landscape", "annotate-corpus", "annotate-store", "synth-store"],
+)
+def test_directory_at_an_artifact_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, artifact):
+    argv = command(tmp_path)
+    blocker = tmp_path / "out" / artifact
+    blocker.mkdir(parents=True)
+    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+    for module, name in [(proxy, "read_campaign_log"), (cli, "load_corpus"), (cli, "synthesize_corpus")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValidationError", "message": f"output {blocker} is a directory"}
+    assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
+class TestFitLossBound:
+    """A loss whose square could overflow the split search's sums is refused
+    before the fit, naming the log and the first record at fault."""
+
+    def run_fit(self, tmp_path, capsys, losses):
+        log = tmp_path / "campaign.jsonl"
+        weights = write_fit_log(log, losses)
+        config = write_config(tmp_path / "cfg.json", optimizer=SMALL_FIT)
+        before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would make this exit 2
+            code = run_cli("fit", "--config", str(config), "--log", str(log))
+        if code:
+            assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+        return code, capsys.readouterr(), log, weights
+
+    def test_losses_near_1e200_are_refused(self, tmp_path, capsys):
+        code, out, log, weights = self.run_fit(tmp_path, capsys, [lambda w: 1e200 * (1 + w[0])] * 40)
+        assert code == 1
+        assert out.out == ""
+        err = json.loads(out.err.strip().splitlines()[-1])
+        assert err == {
+            "error": "ValidationError",
+            "message": f"campaign log {log}: record exp-0000 has loss {float(1e200 * (1 + weights[0, 0]))!r}; "
+            "the fit needs every loss within 1e+150 / 40 records = 2.5e+148 of 0, so that its "
+            "sums of squares stay finite",
+        }
+
+    def test_the_first_record_past_the_bound_is_named(self, tmp_path, capsys):
+        losses = [lambda w: 1.0 + w[0]] * 20
+        losses[3] = losses[7] = lambda w: -1e149
+        code, out, log, _ = self.run_fit(tmp_path, capsys, losses)
+        assert code == 1
+        message = json.loads(out.err.strip().splitlines()[-1])["message"]
+        assert message.startswith(f"campaign log {log}: record exp-0003 has loss -1e+149;")
+
+    def test_a_loss_at_the_bound_is_fitted(self, tmp_path, capsys):
+        losses = [lambda w: 1.0 + w[0]] * 20
+        losses[5] = lambda w: 1e150 / 20
+        code, out, _, _ = self.run_fit(tmp_path, capsys, losses)
+        assert code == 0
+        assert np.isfinite(json.loads(out.out)["in_sample_rmse"])
 
 
 @pytest.mark.parametrize("command", ["select", "campaign", "correlate"])

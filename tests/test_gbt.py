@@ -252,3 +252,59 @@ class TestMatchesReference:
             for tree in model.trees:
                 want += model.learning_rate * ref_tree_predict(as_ref_tree(tree), queries)
             assert np.array_equal(model.predict(queries), want), build.__name__
+
+
+def ref_boosted_trees(X, y, hyper):
+    """The trees of ``fit_gradient_boosted``'s loop, each grown by the
+    oracle on its subsample's rows: the same draws, residuals and updates."""
+    if np.ptp(y) == 0.0:
+        return []
+    rng = np.random.default_rng(hyper.seed)
+    n = y.size
+    sample_size = max(1, int(round(hyper.subsample * n)))
+    pred = np.full(n, float(y.mean()))
+    trees = []
+    for _ in range(hyper.n_trees):
+        if sample_size < n:
+            idx = rng.choice(n, size=sample_size, replace=False)
+            idx.sort()
+        else:
+            idx = np.arange(n)
+        ref = ref_grow_tree(X[idx], y[idx] - pred[idx], hyper.max_depth, hyper.min_samples_leaf)
+        pred += hyper.learning_rate * ref_tree_predict(ref, X)
+        trees.append(ref)
+    return trees
+
+
+def random_fit_input(trial):
+    """Rows rounded to tenths, with a constant column and a copy of the
+    first column when there are three or more, and targets rounded to
+    tenths: ties within a feature and, at equal gains, between features."""
+    rng = np.random.default_rng(2000 + trial)
+    n = int(rng.integers(2, 301))
+    m = int(rng.integers(1, 21))
+    X = np.round(rng.random((n, m)), 1)
+    if m >= 3:
+        X[:, rng.integers(1, m)] = 0.5
+        X[:, m - 1] = X[:, 0]
+    y = np.round(rng.normal(size=n), 1)
+    hyper = RegressorHyper(
+        n_trees=int(rng.integers(1, 9)),
+        max_depth=int(rng.integers(1, 6)),
+        min_samples_leaf=int(rng.integers(1, 6)),
+        subsample=float(rng.uniform(0.3, 1.0)),
+        seed=trial,
+    )
+    return X, y, hyper
+
+
+def test_boosted_fit_matches_reference_ensemble():
+    names = ("feature", "threshold", "left", "right", "value")
+    for trial in range(60):
+        X, y, hyper = random_fit_input(trial)
+        model = fit_gradient_boosted(X, y, hyper)
+        want = ref_boosted_trees(X, y, hyper)
+        assert model.n_trees == len(want), trial
+        for got, ref in zip(model.trees, want):
+            for name, values in zip(names, self_looping(ref)):
+                assert np.array_equal(getattr(got, name), values), (trial, name)

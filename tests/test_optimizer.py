@@ -5,8 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qselect import optimizer
 from qselect.errors import ValidationError
-from qselect.gbt import GradientBoostedRegressor, RegressionTree, RegressorHyper
+from qselect.gbt import (
+    BLOCK_ROWS,
+    PRUNE_EVERY,
+    GradientBoostedRegressor,
+    RegressionTree,
+    RegressorHyper,
+)
 from qselect.optimizer import (
     OptimizerConfig,
     RegressorModel,
@@ -128,6 +135,14 @@ NAMES_M16 = [f"s{j:02d}" for j in range(16)]
 def model_m16():
     records, _ = quadratic_records(NAMES_M16, np.random.default_rng(16).dirichlet(np.ones(16)), n=64)
     return fit_regressor(records, RegressorHyper(n_trees=20))
+
+
+@functools.cache
+def sixteen_score_model(n_trees):
+    names = [f"s{j:02d}" for j in range(16)]
+    w = np.random.default_rng(40).dirichlet(np.ones(16))
+    records, _ = quadratic_records(names, w, n=128, seed=40, sigma=0.01)
+    return fit_regressor(records, RegressorHyper(n_trees=n_trees, seed=40))
 
 
 @functools.cache
@@ -254,6 +269,78 @@ class TestStreamedSweep:
         model = RegressorModel(("a", "b", "c"), GradientBoostedRegressor(base, trees, 0.5), 0.0)
         self.assert_matches_whole_sweep(model, OptimizerConfig(candidates=20_001), seed=28)
 
+    @pytest.mark.parametrize(
+        "n_trees, candidates, top_k, concentration",
+        [
+            (100, 5000, 100, 1.0),
+            (100, 20_001, BLOCK_ROWS // 4 - 1, 1.0),
+            (100, 20_001, BLOCK_ROWS // 4, 1.0),
+            (100, 5000, 5000, 1.0),
+            (0, 20_001, 100, 1.0),
+            (PRUNE_EVERY - 1, 20_001, 100, 1.0),
+            (PRUNE_EVERY, 20_001, 100, 1.0),
+            (PRUNE_EVERY + 1, 20_001, 100, 1.0),
+            (100, 20_001, 100, 0.05),
+        ],
+        ids=["one-block", "seeds-all-but-four-rows", "seeds-fill-the-block", "k-all",
+             "zero-trees", "trees-below-prune-every", "trees-at-prune-every",
+             "trees-above-prune-every", "low-concentration"],
+    )
+    def test_seeded_first_block_matches_whole_sweep(self, n_trees, candidates, top_k, concentration):
+        # The first block has no kept rows: it finishes its SEED_ROWS * k rows
+        # of least partial sums first and takes the k-th best as its cutoff,
+        # unless the model or the block is too small for that.
+        settings = OptimizerConfig(candidates=candidates, top_k=top_k, concentration=concentration)
+        model = sixteen_score_model(n_trees)
+        assert model.booster.n_trees == n_trees
+        self.assert_matches_whole_sweep(model, settings, seed=41)
+
+    @pytest.mark.parametrize("k", [2, 5, 10, 50, 100, 300, 1000])
+    @pytest.mark.parametrize("head", ["fitted", "flat"])
+    def test_first_block_keeps_every_row_up_to_its_kth_best(self, head, k):
+        # The invariant the seeded cutoff must keep: no row predicting at most
+        # the block's k-th best is dropped, and every kept row has predict's
+        # bits. With a flat head, the first PRUNE_EVERY trees are leaves, so
+        # the partial sums tie and the seed rows are any 4k rows of the block.
+        booster = sixteen_score_model(100).booster
+        if head == "flat":
+            trees = [leaf(0.0)] * PRUNE_EVERY + booster.trees
+            booster = GradientBoostedRegressor(booster.base, trees, booster.learning_rate)
+        (block,) = sample_simplex(16, BLOCK_ROWS, 42)
+        whole = booster.predict(block)
+        preds = optimizer._block_predictions(booster, block, np.empty(0), k)
+        kept = np.isfinite(preds)
+        assert kept[whole <= np.partition(whole, k - 1)[k - 1]].all()
+        assert preds[kept].tobytes() == whole[kept].tobytes()
+        assert not kept.all()
+
+    def test_a_late_row_between_the_seeds_kth_and_k_minus_first_is_kept(self):
+        # After the first PRUNE_EVERY trees the seed rows are the block's best:
+        # the k - 1 rows at the least partial sum, then rows at the next. One
+        # more tree lifts the worst row to between the two. Only a cutoff of
+        # at least the k-th best seed keeps it.
+        head = sixteen_score_model(100).booster.trees[:PRUNE_EVERY]
+        (block,) = sample_simplex(16, BLOCK_ROWS, 43)
+        partial = GradientBoostedRegressor(1.0, head, 0.05).predict(block)
+        low, high = np.unique(partial)[:2]
+        k = int((partial == low).sum()) + 1
+        assert 2 <= k and optimizer.SEED_ROWS * k < BLOCK_ROWS
+        row = int(partial.argmax())
+        x = block[row, 0]
+        inf = np.inf
+        lift = RegressionTree(  # (low + high) / 2 - partial[row] at x[0] == x, else 0
+            np.array([0, 0, 0, 0, 0]), np.array([np.nextafter(x, -inf), inf, x, inf, inf]),
+            np.array([1, 1, 3, 3, 4]), np.array([2, 1, 4, 3, 4]),
+            np.array([0.0, 0.0, 0.0, ((low + high) / 2 - partial[row]) / 0.05, 0.0]), 2,
+        )
+        booster = GradientBoostedRegressor(1.0, head + [lift], 0.05)
+        whole = booster.predict(block)
+        assert (whole == partial).sum() == BLOCK_ROWS - 1 and low < whole[row] < high
+        preds = optimizer._block_predictions(booster, block, np.empty(0), k)
+        assert preds[row] == whole[row]
+        model = RegressorModel(tuple(NAMES_M16), booster, 0.0)
+        self.assert_matches_whole_sweep(model, OptimizerConfig(candidates=BLOCK_ROWS, top_k=k), 43)
+
     def test_no_top_k_row_is_dropped(self, monkeypatch):
         # A fit-sweep-like model: 256 noisy records over 16 scores, 100
         # trees, the best 100 of 100k candidates.
@@ -262,29 +349,34 @@ class TestStreamedSweep:
         records, _ = quadratic_records(names, w, n=256, seed=35, sigma=0.002)
         model = fit_regressor(records, RegressorHyper(seed=35))
         settings = OptimizerConfig()
-        walked, preds = [], []
-        walk, predict_block = RegressionTree._walk, GradientBoostedRegressor.predict_block
+        walked, preds, walked_by_block = [], [], []
+        walk, block_predictions = RegressionTree._walk, optimizer._block_predictions
 
         def counted_walk(tree, block, row_base):
             walked.append(len(block))
             return walk(tree, block, row_base)
 
-        def recorded_predict_block(booster, block, cutoff=None):
-            preds.append(predict_block(booster, block, cutoff))
+        def recorded_block_predictions(*args):
+            preds.append(block_predictions(*args))
+            walked_by_block.append(sum(walked))
             return preds[-1]
 
         monkeypatch.setattr(RegressionTree, "_walk", counted_walk)
-        monkeypatch.setattr(GradientBoostedRegressor, "predict_block", recorded_predict_block)
+        monkeypatch.setattr(optimizer, "_block_predictions", recorded_block_predictions)
         search_optimal(model, settings, seed=36)
         monkeypatch.undo()
-        preds = np.concatenate(preds)[: settings.candidates]  # then w*'s own prediction
+        preds = np.concatenate(preds)
         (candidates,) = sample_simplex(16, settings.candidates, 36)
         whole = model.booster.predict(candidates)
         top = np.argsort(whole, kind="stable")[: settings.top_k]
         assert np.isfinite(preds[top]).all()
         survived = np.isfinite(preds)
         assert preds[survived].tobytes() == whole[survived].tobytes()
-        assert sum(walked) < 0.6 * settings.candidates * model.booster.n_trees
+        # The first block seeds its own cutoff, so it walks under half of its
+        # row-tree pairs; the whole sweep walks under a quarter of them.
+        n_trees = model.booster.n_trees
+        assert walked_by_block[0] < 0.5 * BLOCK_ROWS * n_trees
+        assert walked_by_block[-1] < 0.25 * settings.candidates * n_trees
 
     def test_memory_does_not_grow_with_candidates(self, model_m16):
         # The whole-matrix sweep held every candidate: 16 doubles a row, so
