@@ -5,6 +5,10 @@ flags, exits 0 on success, 1 on validation errors, and 2 on runtime
 failures, and writes a machine-readable error object to stderr when it
 fails. All randomness derives from the config's root seed, which is
 recorded in the outputs, so reruns are byte-identical.
+
+Each command names its artifacts to ``errors.require_outputs`` before any
+work and hands their writers to ``errors.publish`` after it, so a refused
+or failed command leaves the output tree as it was.
 """
 
 from __future__ import annotations
@@ -22,13 +26,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import check_encodable, load_corpus, numbered_lines, synthesize_corpus, write_corpus
-from .errors import (
-    ValidationError,
-    is_finite_number,
-    require_directory,
-    require_file,
-    require_output_file,
-)
+from .errors import ValidationError, is_finite_number, publish, require_file, require_outputs
 from .importance import fit_bag_model, hash_corpus, importance_scores
 from .importance import importance_score  # noqa: F401  (kept bound for bench/tracer.py)
 from .matrix import (
@@ -45,6 +43,7 @@ from .matrix import (
 )
 from .optimizer import fit_regressor, pca_landscape, read_weights, search_optimal, write_weights
 from .proxy import (
+    campaign_outputs,
     flops_infer_structural,
     flops_train,
     flops_train_structural,
@@ -112,12 +111,19 @@ def _load_logged(path: Path, cfg: RunConfig):
     return corpus
 
 
-def _require_corpus_output(path: Path) -> Path:
-    """``path`` for a corpus JSONL, refused like the score store written
-    beside it if something stands in the way (``require_output_file``)."""
-    require_output_file(path, "output")
-    require_output_file(store_path(path), "output")
-    return path
+def _corpus_writers(path: Path, corpus, matrix: ScoreMatrix, cfg: RunConfig, added=()) -> dict:
+    """``publish``'s writers of the corpus JSONL ``path`` and of the score
+    store beside it, which hashes the JSONL's temp, written just before."""
+    staged: list[Path] = []
+
+    def write_jsonl(temp: Path) -> None:
+        staged.append(temp)
+        write_corpus(corpus, temp, matrix, added)
+
+    return {
+        path: write_jsonl,
+        store_path(path): lambda temp: write_score_store(temp, staged[0], matrix, cfg.corpus),
+    }
 
 
 def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -125,7 +131,8 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     annotated corpus."""
     from .signals import corpus_signals
 
-    out_path = _require_corpus_output(cfg.output_dir / "annotated.jsonl")
+    out_path = cfg.output_dir / "annotated.jsonl"
+    require_outputs([out_path, store_path(out_path)])
     imp = cfg.scores.importance
     if imp is not None:
         for target_path in imp.targets.values():
@@ -181,9 +188,7 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         if imputed:
             logger.warning("imputed %d missing rating cells to column medians", len(imputed))
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_corpus(corpus, out_path, matrix, names)
-    write_score_store(out_path, matrix, cfg.corpus)
+    publish(_corpus_writers(out_path, corpus, matrix, cfg, names))
     print(json.dumps({"annotated": len(corpus), "scores": names, "output": str(out_path)}))
     return 0
 
@@ -205,14 +210,12 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     plan = cfg.require_plan()
     if args.cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
+    manifest, report = cfg.output_dir / "selection.txt", cfg.output_dir / "selection.json"
+    require_outputs([manifest, report])
     weights = read_weights(args.weights)
     matrix = rank_normalize(_load_scored_matrix(cfg, args))
     result = select_top_k(matrix, weights, plan)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    manifest = cfg.output_dir / "selection.txt"
-    report_path = cfg.output_dir / "selection.json"
-    result.write_manifest(manifest)
-    result.write_report(report_path, seed=cfg.seed)
+    publish({manifest: result.write_manifest, report: lambda temp: result.write_report(temp, seed=cfg.seed)})
     print(json.dumps({"selected": len(result.selected_ids), "manifest": str(manifest)}))
     return 0
 
@@ -222,7 +225,7 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     if args.threads < 0:
         raise ValidationError(f"--threads must be at least 1 (0 uses campaign.threads), got {args.threads}")
     campaign = replace(cfg.campaign, threads=args.threads or cfg.campaign.threads)
-    require_directory(cfg.output_dir / "manifests", "manifest directory")
+    require_outputs(campaign_outputs(cfg.output_dir, campaign.n))
     plan = cfg.require_plan()
     matrix = rank_normalize(_load_scored_matrix(cfg, args))
     cfg.require_trainer()
@@ -237,18 +240,19 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
     from .proxy import read_campaign_log
 
     log_path = Path(args.log) if args.log else cfg.output_dir / "campaign.jsonl"
-    weights_path = require_output_file(cfg.output_dir / "weights.json", "output")
-    landscape_path = require_output_file(cfg.output_dir / "landscape.csv", "output")
+    weights_path, landscape_path = cfg.output_dir / "weights.json", cfg.output_dir / "landscape.csv"
+    require_outputs([weights_path, landscape_path])
     records = read_campaign_log(require_file(log_path, "campaign log"))
     try:
         model = fit_regressor(records, cfg.optimizer.hyper)
     except ValidationError as exc:
         raise ValidationError(f"campaign log {log_path}: {exc}") from None
     outcome = search_optimal(model, cfg.optimizer, cfg.seed)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    write_weights(weights_path, outcome.w_star, seed=cfg.seed)
     landscape = pca_landscape(records, model, cfg.optimizer)
-    landscape.write_csv(landscape_path)
+    publish({
+        weights_path: lambda temp: write_weights(temp, outcome.w_star, seed=cfg.seed),
+        landscape_path: landscape.write_csv,
+    })
     print(
         json.dumps(
             {
@@ -265,10 +269,8 @@ def cmd_fit(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Export the Spearman correlation matrix of all scores as CSV."""
-    out_path = require_output_file(
-        Path(args.output) if args.output else cfg.output_dir / "spearman.csv", "output"
-    )
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    out_path = Path(args.output) if args.output else cfg.output_dir / "spearman.csv"
+    require_outputs([out_path])
     matrix = _load_scored_matrix(cfg, args)
     if matrix.n_docs < 2:
         raise ValidationError(
@@ -277,8 +279,8 @@ def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(correlation_csv(matrix.score_names, rho), encoding="utf-8")
+    csv = correlation_csv(matrix.score_names, rho)
+    publish({out_path: lambda temp: temp.write_text(csv, encoding="utf-8")})
     print(json.dumps({"scores": len(matrix.score_names), "output": str(out_path)}))
     return 0
 
@@ -320,15 +322,11 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     unknown = sorted(set(cfg.synthesis.domain_mix) - set(cfg.corpus.domains))
     if unknown:
         raise ValidationError(f"synthesis.domain_mix: domains {unknown} are not in corpus.domains")
-    out_path = _require_corpus_output(
-        Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
-    )
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    out_path = Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
+    require_outputs([out_path, store_path(out_path)])
     counts, corpus = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)
     matrix = ScoreMatrix.from_documents(corpus)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_corpus(corpus, out_path, matrix)
-    write_score_store(out_path, matrix, cfg.corpus)
+    publish(_corpus_writers(out_path, corpus, matrix, cfg))
     print(json.dumps({"documents": sum(counts.values()), "per_domain": counts, "output": str(out_path)}))
     return 0
 
@@ -422,7 +420,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "cost":
             return cmd_cost(args)
         cfg = load_config(args.config)
-        require_directory(cfg.output_dir, "output_dir")
         handler = {
             "annotate": cmd_annotate,
             "select": cmd_select,

@@ -1,7 +1,9 @@
-"""Exception hierarchy, and the input-file, output-directory and JSON number
-checks shared across the package."""
+"""Exception hierarchy, the input-file and JSON number checks shared across
+the package, and every command's output boundary: ``require_outputs``, ``publish``."""
 
+import os
 import sys
+from collections.abc import Callable, Iterable, Mapping
 from pathlib import Path
 
 
@@ -55,27 +57,31 @@ def require_file(path: Path, what: str, hint: str = "") -> Path:
     return path
 
 
-def require_directory(path: Path, what: str) -> None:
-    """Refuse ``path`` with a ValidationError naming ``what``, the path and
-    the file in its way, unless it is a directory or can be made one."""
-    _refuse_non_directory((path, *path.parents), f"{what} {path}")
+def require_outputs(paths: Iterable[Path]) -> None:
+    """Refuse an artifact path with a directory at it, or a non-directory at
+    its nearest existing ancestor, naming the path. Nothing is made."""
+    for path in paths:
+        if path.is_dir():
+            raise ValidationError(f"output {path} is a directory")
+        for part in path.parents:
+            if part.is_dir():
+                break
+            if part.exists() or part.is_symlink():
+                raise ValidationError(f"output {path}: {part} is not a directory")
 
 
-def require_output_file(path: Path, what: str) -> Path:
-    """``path``, unless a directory stands at it, or something other than a
-    directory where one of its parents goes: then a ValidationError naming
-    ``what`` and the path. Nothing is made; the writer makes the parents."""
-    if path.is_dir():
-        raise ValidationError(f"{what} {path} is a directory")
-    _refuse_non_directory(path.parents, f"{what} {path}")
-    return path
-
-
-def _refuse_non_directory(parts, named: str) -> None:
-    """Raise a ValidationError naming ``named`` and the first of ``parts``
-    that exists and is not a directory, unless a directory comes first."""
-    for part in parts:
-        if part.is_dir():
-            return
-        if part.exists() or part.is_symlink():
-            raise ValidationError(f"{named}: {part} is not a directory")
+def publish(writers: Mapping[Path, Callable[[Path], object]]) -> None:
+    """Call each artifact's writer on a hidden sibling temp (same suffix, parents
+    made), then rename every temp into place: a failed write leaves the old
+    artifacts, or none, and no temp."""
+    temps: list[Path] = []
+    try:
+        for path, write in writers.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            temps.append(path.with_name(f".tmp-{path.name}"))
+            write(temps[-1])
+        for path, temp in zip(writers, temps):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            temp.unlink(missing_ok=True)

@@ -134,8 +134,8 @@ def check_store_ids(doc_ids: Iterable[str]) -> None:
             raise ValidationError(f"doc id {doc_id!r} ends in NUL, which a score store cannot hold")
 
 
-def write_score_store(corpus_path: str | Path, matrix: ScoreMatrix, schema: CorpusSchema) -> None:
-    """Write the score store of the corpus file ``corpus_path``, written from ``matrix``.
+def write_score_store(path: Path, corpus_path: Path, matrix: ScoreMatrix, schema: CorpusSchema) -> None:
+    """Write at ``path`` the score store of the corpus file ``corpus_path``, written from ``matrix``.
 
     The store holds the raw matrix a reader of the file under ``schema``
     would build: a file with no lines carries no score names.
@@ -143,7 +143,7 @@ def write_score_store(corpus_path: str | Path, matrix: ScoreMatrix, schema: Corp
     check_store_ids(matrix.doc_ids)
     names = matrix.score_names if matrix.n_docs else []
     np.savez(
-        store_path(corpus_path),
+        path,
         ids=np.array(matrix.doc_ids, dtype=str),
         domains=matrix.domains,
         tokens=matrix.tokens,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number, require_file
+from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number
 from .matrix import ScoreMatrix
 from .selection import SelectionPlan, WeightVector, select_top_k
 
@@ -320,6 +320,12 @@ def probe_trainer(trainer: Trainer, score_names: Sequence[str]) -> None:
         raise TrainerError(f"trainer {trainer!r} is not callable")
 
 
+def campaign_outputs(out_dir: Path, n: int) -> list[Path]:
+    """The log, then the manifest path of each of the n experiments, of a
+    campaign in ``out_dir``."""
+    return [out_dir / "campaign.jsonl", *(out_dir / "manifests" / f"exp-{i:04d}.txt" for i in range(n))]
+
+
 def run_campaign(
     matrix: ScoreMatrix,
     plan: SelectionPlan,
@@ -339,34 +345,25 @@ def run_campaign(
     experiment order regardless of worker count. On any exception (the
     budget's CampaignError, or anything but a TrainerError from the
     trainer) queued experiments are cancelled, and those already running
-    finish unlogged.
+    finish unlogged. The caller checks ``campaign_outputs`` first.
     """
     n, trainer = campaign.n, campaign.trainer
     probe_trainer(trainer, matrix.score_names)
     out_dir = Path(out_dir)
-    manifest_dir = out_dir / "manifests"
-    manifest_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "campaign.jsonl"
+    log_path, *manifest_paths = campaign_outputs(out_dir, n)
 
     weight_vectors = sample_weights(matrix.score_names, n, seed)
     existing: dict[str, ExperimentRecord] = {}
     if log_path.exists():
         planned = {f"exp-{i:04d}": w for i, w in enumerate(weight_vectors)}
-        for record in _read_log_to_resume(require_file(log_path, "campaign log"), planned):
+        for record in _read_log_to_resume(log_path, planned):
             existing[record.experiment_id] = record
-    pending = [
-        (i, f"exp-{i:04d}")
-        for i in range(n)
-        if f"exp-{i:04d}" not in existing
-    ]
-    for _, experiment_id in pending:
-        manifest_path = manifest_dir / f"{experiment_id}.txt"
-        if manifest_path.exists():
-            require_file(manifest_path, "manifest path")
+    pending = [(i, f"exp-{i:04d}") for i in range(n) if f"exp-{i:04d}" not in existing]
+    (out_dir / "manifests").mkdir(parents=True, exist_ok=True)
 
     def run_one(index: int, experiment_id: str) -> ExperimentRecord:
         w = weight_vectors[index]
-        manifest_path = manifest_dir / f"{experiment_id}.txt"
+        manifest_path = manifest_paths[index]
         result = select_top_k(matrix, w, plan)
         result.write_manifest(manifest_path)
         request = TrainerRequest(

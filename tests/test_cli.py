@@ -13,6 +13,7 @@ from qselect import cli, proxy
 from qselect import signals as signals_module
 from qselect.cli import main
 from qselect.errors import ValidationError
+from qselect.optimizer import Landscape
 from qselect.registry import (
     DEFAULT_DOMAIN_WEIGHTS,
     IMPORTANCE_NAMES,
@@ -26,6 +27,11 @@ from oracles import ref_fit_bag_model, ref_importance_score
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def tree(root: Path) -> dict:
+    """Every path under ``root``: True for a directory, else the file's bytes."""
+    return {path: path.is_dir() or path.read_bytes() for path in root.rglob("*")}
 
 
 def write_config(path: Path, **overrides):
@@ -777,22 +783,23 @@ class TestCampaignAndFit:
         config = self.oracle_config(tmp_path, n=8)
         log = tmp_path / "out" / "campaign.jsonl"
         log.mkdir(parents=True)
+        before = tree(tmp_path)
         capsys.readouterr()
         assert run_cli("campaign", "--config", str(config)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "ValidationError", "message": f"campaign log {log} is not a file"}
-        assert not any((tmp_path / "out" / "manifests").iterdir())
+        assert err == {"error": "ValidationError", "message": f"output {log} is a directory"}
+        assert tree(tmp_path) == before
 
     def test_directory_at_manifest_path_fails_before_any_experiment(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path, n=8)
         blocked = tmp_path / "out" / "manifests" / "exp-0003.txt"
         blocked.mkdir(parents=True)
+        before = tree(tmp_path)
         capsys.readouterr()
         assert run_cli("campaign", "--config", str(config)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "ValidationError", "message": f"manifest path {blocked} is not a file"}
-        assert [p.name for p in (tmp_path / "out" / "manifests").iterdir()] == ["exp-0003.txt"]
-        assert not (tmp_path / "out" / "campaign.jsonl").exists()
+        assert err == {"error": "ValidationError", "message": f"output {blocked} is a directory"}
+        assert tree(tmp_path) == before
 
     def test_oracle_w_star_must_name_the_corpus_scores(self, tmp_path, capsys):
         config = self.oracle_config(tmp_path, n=8)
@@ -1051,17 +1058,18 @@ def file_at_output_dir(tmp_path):
     out = tmp_path / "out"
     out.write_text("a file, not a directory\n")
     config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"})
-    return ["annotate", "--config", str(config)], f"output_dir {out}: {out} is not a directory"
+    return ["annotate", "--config", str(config)], f"output {out / 'annotated.jsonl'}: {out} is not a directory"
 
 
 def file_at_manifest_directory(tmp_path):
     trainer = {"type": "oracle", "w_star": {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2}}
     config = synth_config(tmp_path, n_docs=60, budget=500, extra={"campaign": {"n": 2, "trainer": trainer}})
     manifests = tmp_path / "out" / "manifests"
+    manifests.parent.mkdir()
     manifests.write_text("")
     return (
         ["campaign", "--config", str(config)],
-        f"manifest directory {manifests}: {manifests} is not a directory",
+        f"output {manifests / 'exp-0000.txt'}: {manifests} is not a directory",
     )
 
 
@@ -1101,14 +1109,14 @@ def rater_with_no_observed_value(tmp_path):
 )
 def test_input_fault_exits_1_naming_its_place_before_any_work(tmp_path, capsys, monkeypatch, setup):
     argv, message = setup(tmp_path)
-    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+    before = tree(tmp_path)
     tokenized = []
     monkeypatch.setattr(cli, "tokenize", lambda *args: tokenized.append(args))
     capsys.readouterr()
     assert run_cli(*argv) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "ValidationError", "message": message}
-    assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+    assert tree(tmp_path) == before
     assert tokenized == []
 
 
@@ -1142,12 +1150,12 @@ class TestOutputPath:
             blocker.mkdir()
             target = blocker
             message = f"output {target} is a directory"
-        before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+        before = tree(tmp_path)
         capsys.readouterr()
         assert run_cli(*argv, "--output", str(target)) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err == {"error": "ValidationError", "message": message}
-        assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+        assert tree(tmp_path) == before
 
 
 def write_fit_log(path, losses, seed=0):
@@ -1178,24 +1186,93 @@ def annotate_argv(tmp_path):
     return ["annotate", "--config", str(write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"}))]
 
 
+def select_argv(tmp_path):
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps([{"name": f"ch{j}", "weight": 1} for j in range(3)]))
+    return ["select", "--config", str(synth_config(tmp_path, n_docs=60, budget=500)), "--weights", str(weights)]
+
+
+def campaign_argv(tmp_path):
+    trainer = {"type": "oracle", "w_star": {"ch0": 0.5, "ch1": 0.3, "ch2": 0.2}}
+    return ["campaign", "--config",
+            str(synth_config(tmp_path, n_docs=60, budget=500, extra={"campaign": {"n": 2, "trainer": trainer}}))]
+
+
 @pytest.mark.parametrize(
     "command, artifact",
     [(fit_argv, "weights.json"), (fit_argv, "landscape.csv"), (annotate_argv, "annotated.jsonl"),
-     (annotate_argv, "annotated.scores.npz"), (synth_argv, "synth.scores.npz")],
-    ids=["fit-weights", "fit-landscape", "annotate-corpus", "annotate-store", "synth-store"],
+     (annotate_argv, "annotated.scores.npz"), (synth_argv, "synth.scores.npz"),
+     (select_argv, "selection.txt"), (select_argv, "selection.json"), (correlate_argv, "spearman.csv"),
+     (campaign_argv, "campaign.jsonl")],
+    ids=["fit-weights", "fit-landscape", "annotate-corpus", "annotate-store", "synth-store",
+         "select-manifest", "select-report", "correlate", "campaign-log"],
 )
 def test_directory_at_an_artifact_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, artifact):
     argv = command(tmp_path)
     blocker = tmp_path / "out" / artifact
     blocker.mkdir(parents=True)
-    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
-    for module, name in [(proxy, "read_campaign_log"), (cli, "load_corpus"), (cli, "synthesize_corpus")]:
+    before = tree(tmp_path)
+    for module, name in [(proxy, "read_campaign_log"), (cli, "load_corpus"), (cli, "synthesize_corpus"),
+                         (cli, "load_score_store")]:
         monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
     capsys.readouterr()
     assert run_cli(*argv) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err == {"error": "ValidationError", "message": f"output {blocker} is a directory"}
-    assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+    assert tree(tmp_path) == before
+
+
+def test_correlate_refused_with_output_elsewhere_makes_no_directory(tmp_path, capsys):
+    write_corpus_fixture(tmp_path / "corpus.jsonl", n=1)
+    write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"}, output_dir="data")
+    assert run_cli("annotate", "--config", str(tmp_path / "cfg.json")) == 0
+    config = write_config(tmp_path / "cfg2.json", corpus={"path": "data/annotated.jsonl"}, output_dir="out2")
+    before = tree(tmp_path)
+    capsys.readouterr()
+    assert run_cli("correlate", "--config", str(config), "--output", str(tmp_path / "elsewhere" / "s.csv")) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["message"].endswith("has one valid document; correlation needs at least 2")
+    assert tree(tmp_path) == before
+
+
+def test_synth_with_output_elsewhere_makes_no_output_dir(tmp_path):
+    config = synth_config(tmp_path, n_docs=60, budget=500)
+    assert run_cli("synth", "--config", str(config), "--output", str(tmp_path / "data" / "c.jsonl")) == 0
+    assert sorted(path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*")) == [
+        "cfg.json", "data", "data/c.jsonl", "data/c.scores.npz", "synth.jsonl", "synth.scores.npz"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, rerun, target, temps",
+    [
+        (fit_argv, lambda tmp_path: write_config(tmp_path / "cfg.json", seed=2, optimizer=SMALL_FIT),
+         (Landscape, "write_csv"), [".tmp-weights.json"]),
+        (annotate_argv, lambda tmp_path: write_corpus_fixture(tmp_path / "corpus.jsonl", n=6),
+         (cli, "write_score_store"), [".tmp-annotated.jsonl"]),
+    ],
+    ids=["fit", "annotate"],
+)
+def test_failed_write_leaves_the_previous_artifacts(tmp_path, capsys, monkeypatch, command, rerun, target, temps):
+    argv = command(tmp_path)
+    assert run_cli(*argv) == 0
+    before = tree(tmp_path / "out")
+    rerun(tmp_path)  # the next run's artifacts would differ
+    staged = []
+
+    def fail(*args):
+        staged.append({path.name: path.read_bytes() for path in (tmp_path / "out").glob(".*")})
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(*target, fail)
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "OSError", "message": "No space left on device"}
+    assert [sorted(written) for written in staged] == [temps]
+    for name, data in staged[0].items():  # the new artifact differs from the one it would replace
+        assert data != before[tmp_path / "out" / name.removeprefix(".tmp-")]
+    assert tree(tmp_path / "out") == before
 
 
 class TestFitLossBound:
@@ -1206,13 +1283,13 @@ class TestFitLossBound:
         log = tmp_path / "campaign.jsonl"
         weights = write_fit_log(log, losses)
         config = write_config(tmp_path / "cfg.json", optimizer=SMALL_FIT)
-        before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+        before = tree(tmp_path)
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warning would make this exit 2
             code = run_cli("fit", "--config", str(config), "--log", str(log))
         if code:
-            assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
+            assert tree(tmp_path) == before
         return code, capsys.readouterr(), log, weights
 
     def test_losses_near_1e200_are_refused(self, tmp_path, capsys):

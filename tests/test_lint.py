@@ -127,3 +127,35 @@ def test_caller_scan_ignores_a_name_only_its_own_body_loads():
         "def _private():\n    pass\n",
     }
     assert uncalled_public_names(sources, ["import m\nm.used()\n"]) == ["m.loop"]
+
+
+def path_placing_calls(source: str) -> list[tuple[int, str]]:
+    """``(line, call)`` of each ``mkdir`` or ``os.replace`` call in ``source``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            func = node.func
+            if func.attr == "mkdir" or (func.attr == "replace" and isinstance(func.value, ast.Name)
+                                        and func.value.id == "os"):
+                calls.append((node.lineno, ast.unparse(node)))
+    return sorted(calls)
+
+
+def test_only_errors_places_output_paths():
+    # Every artifact is placed by errors.publish; a campaign makes its manifests/
+    # directory itself, since it writes the manifests during the run.
+    calls = {path.name: [call for _, call in path_placing_calls(path.read_text(encoding="utf-8"))]
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"}
+    assert {name: found for name, found in calls.items() if found} == {
+        "proxy.py": ["(out_dir / 'manifests').mkdir(parents=True, exist_ok=True)"]
+    }
+
+
+def test_path_scan_finds_mkdir_and_os_replace():
+    source = (
+        "import os\n"
+        "out.parent.mkdir(parents=True)\n"
+        "text.replace('a', 'b')\n"
+        "os.replace(tmp, out)\n"
+    )
+    assert path_placing_calls(source) == [(2, "out.parent.mkdir(parents=True)"), (4, "os.replace(tmp, out)")]
