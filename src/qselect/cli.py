@@ -18,6 +18,7 @@ import json
 import logging
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -205,11 +206,26 @@ def _load_scored_matrix(cfg: RunConfig, args: argparse.Namespace) -> ScoreMatrix
     return matrix
 
 
+def _check_domains(key: str, domains: Iterable[str], cfg: RunConfig) -> None:
+    """Refuse domains that ``cfg.corpus.domains`` does not list: the reader
+    keeps no document of theirs."""
+    unknown = sorted(set(domains) - set(cfg.corpus.domains))
+    if unknown:
+        raise ValidationError(f"{key}: domains {unknown} are not in corpus.domains")
+
+
+def _plan(cfg: RunConfig, cc_only: bool = False) -> SelectionPlan:
+    """The config's plan, or its CommonCrawl-only form, over domains the corpus can hold."""
+    plan = cfg.require_plan()
+    if cc_only:
+        plan = SelectionPlan.cc_only(plan.token_budget)
+    _check_domains("plan.domain_targets", plan.domain_targets, cfg)
+    return plan
+
+
 def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Select a token-budgeted, domain-proportional subset under weights."""
-    plan = cfg.require_plan()
-    if args.cc_only:
-        plan = SelectionPlan.cc_only(plan.token_budget)
+    plan = _plan(cfg, args.cc_only)
     manifest, report = cfg.output_dir / "selection.txt", cfg.output_dir / "selection.json"
     require_outputs([manifest, report])
     weights = read_weights(args.weights)
@@ -226,7 +242,7 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
         raise ValidationError(f"--threads must be at least 1 (0 uses campaign.threads), got {args.threads}")
     campaign = replace(cfg.campaign, threads=args.threads or cfg.campaign.threads)
     require_outputs(campaign_outputs(cfg.output_dir, campaign.n))
-    plan = cfg.require_plan()
+    plan = _plan(cfg)
     matrix = rank_normalize(_load_scored_matrix(cfg, args))
     cfg.require_trainer()
     records = run_campaign(matrix, plan, campaign, seed=cfg.seed, out_dir=cfg.output_dir)
@@ -319,9 +335,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
     config recipe."""
     if cfg.synthesis is None:
         raise ValidationError("config has no synthesis section")
-    unknown = sorted(set(cfg.synthesis.domain_mix) - set(cfg.corpus.domains))
-    if unknown:
-        raise ValidationError(f"synthesis.domain_mix: domains {unknown} are not in corpus.domains")
+    _check_domains("synthesis.domain_mix", cfg.synthesis.domain_mix, cfg)
     out_path = Path(args.output) if args.output else cfg.output_dir / "synth.jsonl"
     require_outputs([out_path, store_path(out_path)])
     counts, corpus = synthesize_corpus(cfg.synthesis, cfg.seed, cfg.corpus)

@@ -22,6 +22,7 @@ import copy
 import hashlib
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,13 @@ class ScoreMatrix:
     def ids_at(self, rows: np.ndarray) -> list[str]:
         """Doc ids of ``rows``, in the order given."""
         return self._ids[rows].tolist()
+
+    @cached_property
+    def domain_rows(self) -> dict[str, np.ndarray]:
+        """Each domain's rows, in id order, built on first use. Threads that
+        race to build it build equal dicts, and one of them is kept."""
+        domains = self.domains[self.id_order]
+        return {domain: self.id_order[domains == domain] for domain in set(domains.tolist())}
 
     @classmethod
     def from_documents(cls, corpus: Corpus, added: Sequence[str] = ()) -> "ScoreMatrix":
@@ -298,8 +306,13 @@ def _median(values: np.ndarray) -> float:
 
 
 def _average_ranks(col: np.ndarray) -> np.ndarray:
-    """1-based ranks of a column; tied values share their average rank."""
-    order = np.argsort(col, kind="stable")
+    """1-based ranks of a column; tied values share their average rank.
+
+    The sort need not be stable: a tie's values are equal (-0.0 equals
+    0.0), so they sit in one run of the sorted column in any order, and
+    every row of the run gets the run's one average rank.
+    """
+    order = np.argsort(col)
     ordered = col[order]
     boundaries = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
     starts = np.concatenate(([0], boundaries))

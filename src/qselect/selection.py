@@ -5,14 +5,23 @@ independently, taking documents in descending aggregate score. The
 document that crosses a quota is included, so per-domain overshoot is at
 most one document. Ties break by document id, so results are
 reproducible across runs and thread counts. It runs on the score
-matrix's columns alone: one stable sort of the aggregate scores over the
-rows in id order, then per domain a token cumsum and a searchsorted for
-the quota.
+matrix's columns alone: one aggregate per experiment, then per domain a
+partition, a stable sort of the candidate rows, a token cumsum and a
+searchsorted for the quota.
+
+The candidates are exact. A domain's rows (``ScoreMatrix.domain_rows``)
+are in id order, so its full order is their stable sort by descending
+score. A partition finds the c-th best score; the rows scoring at least
+that are the first rows of the full order, ties at the cut included, and
+their own stable sort is that order's prefix. If their tokens reach the
+quota, the row that crosses it is among them, and so is every row taken;
+otherwise the whole domain is sorted.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +34,11 @@ from .matrix import ScoreMatrix
 from .registry import DEFAULT_DOMAIN_WEIGHTS
 
 SIMPLEX_TOL = 1e-9
+
+# Candidate rows a domain's partition keeps beyond those its quota needs
+# at the domain's mean token count, so that rows shorter than the mean
+# seldom make the candidates fall short of the quota.
+CANDIDATE_SLACK = 64
 
 
 @dataclass(frozen=True)
@@ -127,9 +141,7 @@ class SelectionResult:
         return sum(self.domain_tokens.values())
 
     def write_manifest(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for doc_id in self.selected_ids:
-                fh.write(doc_id + "\n")
+        Path(path).write_text("".join(doc_id + "\n" for doc_id in self.selected_ids), encoding="utf-8")
 
     def report_dict(self, seed: int | None = None) -> dict:
         report: dict = {}
@@ -167,6 +179,21 @@ def aggregate_scores(matrix: ScoreMatrix, w: WeightVector) -> np.ndarray:
     return normalized @ w.aligned_to(matrix.score_names)
 
 
+def _ranked_prefix(scores: np.ndarray, rows: np.ndarray, tokens: np.ndarray, target: float) -> np.ndarray:
+    """Positions in ``rows`` (one domain's rows, in id order) of a prefix of
+    their order by descending score, ties by id: the candidates at or above
+    a partition's cut when their ``tokens`` reach ``target``, else the
+    whole order."""
+    count = target / tokens.mean() + CANDIDATE_SLACK if tokens.any() else math.inf
+    if count < rows.size:
+        domain_scores = scores[rows]
+        cut = rows.size - math.ceil(count)
+        candidates = np.flatnonzero(domain_scores >= np.partition(domain_scores, cut)[cut])
+        if tokens[candidates].sum() >= target:
+            return candidates[np.argsort(-domain_scores[candidates], kind="stable")]
+    return np.argsort(-scores[rows], kind="stable")
+
+
 def select_top_k(
     matrix: ScoreMatrix, w: WeightVector, plan: SelectionPlan
 ) -> SelectionResult:
@@ -174,13 +201,14 @@ def select_top_k(
 
     Equivalent to sorting each domain by aggregate score (ties by id) and
     taking the shortest prefix whose token sum reaches the domain target;
-    the document that crosses the target is included. Domains whose pools
-    run out early are reported as shortfalls. Documents of domains outside
-    the plan contribute nothing to any quota.
+    the document that crosses the target is included. Only a prefix of
+    that order is sorted: the rows a partition puts at or above the cut,
+    when their tokens reach the target (see the module docstring).
+    Domains whose pools run out early are reported as shortfalls.
+    Documents of domains outside the plan contribute nothing to any quota.
     """
     scores = aggregate_scores(matrix, w)
-    ranked = matrix.id_order[np.argsort(-scores[matrix.id_order], kind="stable")]
-    ranked_domains = matrix.domains[ranked]
+    empty = np.empty(0, dtype=np.intp)
 
     taken: list[np.ndarray] = []
     domain_tokens: dict[str, int] = {}
@@ -188,8 +216,10 @@ def select_top_k(
     shortfalls: list[DomainShortfall] = []
     for domain, proportion in plan.domain_targets.items():
         target = plan.token_budget * proportion
-        rows = ranked[ranked_domains == domain]
-        row_tokens = matrix.tokens[rows]
+        rows = matrix.domain_rows.get(domain, empty)
+        domain_row_tokens = matrix.tokens[rows]
+        order = _ranked_prefix(scores, rows, domain_row_tokens, target)
+        rows, row_tokens = rows[order], domain_row_tokens[order]
         cumulative = np.cumsum(row_tokens)
         # A row is taken while the tokens before it are still short of target.
         k = int(np.searchsorted(cumulative - row_tokens, target, "left"))

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -217,25 +220,38 @@ class TestSelectTopK:
         assert set(result.domain_tokens) == {"C4"}
 
     def test_matches_brute_force_on_100_seeded_pools(self):
-        # Odd trials draw tie-heavy integer scores. Every pool has 0-token
-        # documents, ids out of row order, a domain outside the plan, and a
-        # plan domain with proportion 0.
+        # Trials cycle through four kinds of scores: normal, tie-heavy
+        # integers, normal with the tokens in the lowest-scoring rows (so a
+        # partition's candidates fall short of the quota and the whole
+        # domain is sorted), and three integer levels shared by every
+        # column (so large tie blocks straddle the partition's cut). Every
+        # pool has 0-token documents, ids out of row order, a domain
+        # outside the plan, and a plan domain with proportion 0.
         names = [f"s{j}" for j in range(4)]
         plan_domains = list(DEFAULT_DOMAIN_WEIGHTS)
         for trial in range(100):
             rng = np.random.default_rng(5000 + trial)
             n = int(rng.integers(50, 2000)) if trial < 98 else 10_000
+            kind = trial % 4
             tags = rng.choice(plan_domains + ["Elsewhere"], size=n)
             tokens = rng.integers(20, 200, size=n)
             tokens[rng.random(n) < 0.1] = 0
             ids = rng.permutation(n)
-            docs = [Row(f"d{ids[i]:05d}", str(tags[i]), int(tokens[i])) for i in range(n)]
-            if trial % 2:
-                raw = rng.integers(0, 4, size=(n, len(names)))
-            else:
+            if kind == 0 or kind == 2:
                 raw = rng.normal(size=(n, len(names)))
-            matrix = matrix_of(docs, names, raw)
+            else:
+                raw = rng.integers(0, 4 if kind == 1 else 3, size=(n, len(names)))
+            if kind == 3:
+                raw[:, 1:] = raw[:, :1]
             w = WeightVector(tuple(names), rng.dirichlet(np.ones(4)))
+            if kind == 2:
+                # The top-scoring half holds 0-4 tokens a row, the rest 100-199.
+                agg = aggregate_scores(matrix_of([Row(str(i), "C4", 0) for i in range(n)], names, raw), w)
+                top = agg > np.median(agg)
+                tokens[top] = rng.integers(0, 5, size=int(top.sum()))
+                tokens[~top] = rng.integers(100, 200, size=n - int(top.sum()))
+            docs = [Row(f"d{ids[i]:05d}", str(tags[i]), int(tokens[i])) for i in range(n)]
+            matrix = matrix_of(docs, names, raw)
             targets = dict(DEFAULT_DOMAIN_WEIGHTS)
             targets[plan_domains[trial % len(plan_domains)]] = 0.0
             total = sum(targets.values())
@@ -244,6 +260,50 @@ class TestSelectTopK:
             plan = SelectionPlan(budget, targets)
             got = select_top_k(matrix, w, plan)
             assert outcome(got) == brute_force_select(matrix, docs, w, plan)
+
+    def test_sorts_a_quarter_of_each_domain_at_most(self, rng, monkeypatch):
+        # A 5% budget on a 100k-row pool: each domain's quota is a small
+        # prefix of its order, and no argsort may cover more than a quarter
+        # of the domain. A return to a full sort per call fails here alone.
+        names = ["a", "b", "c"]
+        _, matrix = build_pool(rng, 100_000, names, mix=DEFAULT_DOMAIN_WEIGHTS)
+        w = WeightVector(tuple(names), rng.dirichlet(np.ones(3)))
+        budget = int(matrix.tokens.sum()) // 20
+        domain_rows = matrix.domain_rows
+        sorted_sizes = []
+        argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        for domain, proportion in DEFAULT_DOMAIN_WEIGHTS.items():
+            sorted_sizes.clear()
+            result = select_top_k(matrix, w, SelectionPlan(int(budget * proportion), {domain: 1.0}))
+            assert result.selected_ids and not result.shortfalls
+            assert sorted_sizes and max(sorted_sizes) <= domain_rows[domain].size / 4
+
+    def test_threads_sharing_a_fresh_matrix_agree(self, rng):
+        # A campaign's worker threads share one matrix, whose domain rows
+        # are built on first use; threads that race to build them must all
+        # select what one thread alone selects.
+        names = ["a", "b"]
+        docs, first = build_pool(rng, 3000, names, integer_scores=True)
+        plan = SelectionPlan(20_000)
+        w = WeightVector.uniform(names)
+        want = outcome(select_top_k(first, w, plan))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                matrix = matrix_of(docs, names, first.raw)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(select_top_k, matrix, w, plan) for _ in range(16)]
+                    got = [outcome(f.result(timeout=60)) for f in futures]
+                assert all(g == want for g in got)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_rank_invariance_under_monotone_transform(self, rng):
         names = ["u", "v", "w"]
@@ -309,3 +369,10 @@ class TestManifest:
         report = json.loads(report_path.read_text())
         assert report["seed"] == 42
         assert report["total_tokens"] == result.total_tokens
+
+    def test_empty_selection_writes_an_empty_manifest(self, tmp_path):
+        matrix = matrix_of([Row("a", "C4", 5)], ["s"], [[1.0]])
+        result = select_top_k(matrix, S, SelectionPlan(5, {"Books": 1.0}))
+        path = tmp_path / "manifest.txt"
+        result.write_manifest(path)
+        assert result.selected_ids == [] and path.read_bytes() == b""

@@ -279,3 +279,35 @@ def test_synth_refuses_domains_outside_the_schema(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["message"] == "synthesis.domain_mix: domains ['Books'] are not in corpus.domains"
     assert not (tmp_path / "out" / "synth.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "targets, argv, unknown",
+    [
+        ({"Commoncrawl": 0.6, "C4": 0.4}, ["select"], ["Commoncrawl"]),
+        ({"Commoncrawl": 0.6, "C4": 0.4}, ["campaign"], ["Commoncrawl"]),
+        ({"C4": 1.0}, ["select", "--cc-only"], ["CommonCrawl"]),
+    ],
+    ids=["select", "campaign", "cc-only"],
+)
+def test_select_and_campaign_refuse_plan_domains_outside_the_schema(tmp_path, capsys, targets, argv, unknown):
+    # The store holds documents of every plan domain that is in the schema,
+    # so the refusal comes before the store loads, and nothing is written.
+    write_scored_corpus(tmp_path / "c.jsonl", 3)
+    schema = ["C4", "Books", "Wikipedia"] if "--cc-only" in argv else DOMAINS
+    config = write_config(tmp_path, corpus={"path": "c.jsonl", "domains": schema})
+    assert cli.main(["annotate", "--config", str(config)]) == 0
+    (tmp_path / "w.json").write_text(json.dumps([{"name": n, "weight": 1} for n in SCORE_NAMES]))
+    config = write_config(
+        tmp_path,
+        corpus={"path": "out/annotated.jsonl", "domains": schema},
+        plan={"token_budget": 50, "domain_targets": targets},
+        campaign={"n": 2, "trainer": {"type": "oracle", "w_star": {n: 0.2 for n in SCORE_NAMES}}},
+    )
+    before = {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")}
+    capsys.readouterr()
+    weights = ["--weights", str(tmp_path / "w.json")] if argv[0] == "select" else []
+    assert cli.main([argv[0], "--config", str(config), *argv[1:], *weights]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["message"] == f"plan.domain_targets: domains {unknown} are not in corpus.domains"
+    assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
