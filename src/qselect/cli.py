@@ -219,7 +219,7 @@ def _plan(cfg: RunConfig, cc_only: bool = False) -> SelectionPlan:
     plan = cfg.require_plan()
     if cc_only:
         plan = SelectionPlan.cc_only(plan.token_budget)
-    _check_domains("plan.domain_targets", plan.domain_targets, cfg)
+    _check_domains("--cc-only plan" if cc_only else "plan.domain_targets", plan.domain_targets, cfg)
     return plan
 
 

@@ -73,7 +73,6 @@ class ScoreMatrix:
         self.normalized = normalized
         # An object array compares and gathers the ids as Python strings.
         self._ids = np.array(ids, dtype=object)
-        self.id_order = np.argsort(self._ids, kind="stable")
 
     @property
     def n_docs(self) -> int:
@@ -82,6 +81,11 @@ class ScoreMatrix:
     def ids_at(self, rows: np.ndarray) -> list[str]:
         """Doc ids of ``rows``, in the order given."""
         return self._ids[rows].tolist()
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """The rows by id, built on first use: only selection reads them."""
+        return np.argsort(self._ids, kind="stable")
 
     @cached_property
     def domain_rows(self) -> dict[str, np.ndarray]:

@@ -77,6 +77,47 @@ def outcome(result):
     return result.selected_ids, result.domain_tokens, result.thresholds, shortfalls
 
 
+def seeded_pool(trial, kind, large):
+    """Seeded pool ``trial`` of the brute-force tests: its matrix, docs,
+    weights and plan.
+
+    Kinds of raw scores: 0 normal; 1 tie-heavy integers; 2 normal, with
+    0-4 tokens in each top-scoring row and 100-199 in the rest, so a
+    partition's candidates fall short of the quota and the whole domain is
+    sorted; 3 three integer levels shared by every column, so large tie
+    blocks straddle the partition's cut. A ``large`` pool has 10,000 rows.
+    Every pool has 0-token documents, ids out of row order, a domain
+    outside the plan, and a plan domain with proportion 0.
+    """
+    names = [f"s{j}" for j in range(4)]
+    plan_domains = list(DEFAULT_DOMAIN_WEIGHTS)
+    rng = np.random.default_rng(5000 + trial)
+    n = 10_000 if large else int(rng.integers(50, 2000))
+    tags = rng.choice(plan_domains + ["Elsewhere"], size=n)
+    tokens = rng.integers(20, 200, size=n)
+    tokens[rng.random(n) < 0.1] = 0
+    ids = rng.permutation(n)
+    if kind in (1, 3):
+        raw = rng.integers(0, 4 if kind == 1 else 3, size=(n, len(names)))
+    else:
+        raw = rng.normal(size=(n, len(names)))
+    if kind == 3:
+        raw[:, 1:] = raw[:, :1]
+    w = WeightVector(tuple(names), rng.dirichlet(np.ones(4)))
+    if kind == 2:
+        agg = aggregate_scores(matrix_of([Row(str(i), "C4", 0) for i in range(n)], names, raw), w)
+        top = agg > np.median(agg)
+        tokens[top] = rng.integers(0, 5, size=int(top.sum()))
+        tokens[~top] = rng.integers(100, 200, size=n - int(top.sum()))
+    docs = [Row(f"d{ids[i]:05d}", str(tags[i]), int(tokens[i])) for i in range(n)]
+    targets = dict(DEFAULT_DOMAIN_WEIGHTS)
+    targets[plan_domains[trial % len(plan_domains)]] = 0.0
+    total = sum(targets.values())
+    targets = {d: p / total for d, p in targets.items()}
+    budget = max(1, int(rng.integers(1, 60) / 100 * int(tokens.sum())))
+    return matrix_of(docs, names, raw), docs, w, SelectionPlan(budget, targets)
+
+
 class TestWeightVector:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
@@ -220,46 +261,17 @@ class TestSelectTopK:
         assert set(result.domain_tokens) == {"C4"}
 
     def test_matches_brute_force_on_100_seeded_pools(self):
-        # Trials cycle through four kinds of scores: normal, tie-heavy
-        # integers, normal with the tokens in the lowest-scoring rows (so a
-        # partition's candidates fall short of the quota and the whole
-        # domain is sorted), and three integer levels shared by every
-        # column (so large tie blocks straddle the partition's cut). Every
-        # pool has 0-token documents, ids out of row order, a domain
-        # outside the plan, and a plan domain with proportion 0.
-        names = [f"s{j}" for j in range(4)]
-        plan_domains = list(DEFAULT_DOMAIN_WEIGHTS)
+        # Odd trials draw tie-heavy integer scores.
         for trial in range(100):
-            rng = np.random.default_rng(5000 + trial)
-            n = int(rng.integers(50, 2000)) if trial < 98 else 10_000
-            kind = trial % 4
-            tags = rng.choice(plan_domains + ["Elsewhere"], size=n)
-            tokens = rng.integers(20, 200, size=n)
-            tokens[rng.random(n) < 0.1] = 0
-            ids = rng.permutation(n)
-            if kind == 0 or kind == 2:
-                raw = rng.normal(size=(n, len(names)))
-            else:
-                raw = rng.integers(0, 4 if kind == 1 else 3, size=(n, len(names)))
-            if kind == 3:
-                raw[:, 1:] = raw[:, :1]
-            w = WeightVector(tuple(names), rng.dirichlet(np.ones(4)))
-            if kind == 2:
-                # The top-scoring half holds 0-4 tokens a row, the rest 100-199.
-                agg = aggregate_scores(matrix_of([Row(str(i), "C4", 0) for i in range(n)], names, raw), w)
-                top = agg > np.median(agg)
-                tokens[top] = rng.integers(0, 5, size=int(top.sum()))
-                tokens[~top] = rng.integers(100, 200, size=n - int(top.sum()))
-            docs = [Row(f"d{ids[i]:05d}", str(tags[i]), int(tokens[i])) for i in range(n)]
-            matrix = matrix_of(docs, names, raw)
-            targets = dict(DEFAULT_DOMAIN_WEIGHTS)
-            targets[plan_domains[trial % len(plan_domains)]] = 0.0
-            total = sum(targets.values())
-            targets = {d: p / total for d, p in targets.items()}
-            budget = max(1, int(rng.integers(1, 60) / 100 * int(tokens.sum())))
-            plan = SelectionPlan(budget, targets)
-            got = select_top_k(matrix, w, plan)
-            assert outcome(got) == brute_force_select(matrix, docs, w, plan)
+            matrix, docs, w, plan = seeded_pool(trial, trial % 2, large=trial >= 98)
+            assert outcome(select_top_k(matrix, w, plan)) == brute_force_select(matrix, docs, w, plan)
+
+    def test_matches_brute_force_on_short_and_tied_pools(self):
+        # Even trials put the tokens in the lowest-scoring rows, odd trials
+        # share large tie blocks across the partition's cut.
+        for trial in range(100, 150):
+            matrix, docs, w, plan = seeded_pool(trial, 2 + trial % 2, large=trial >= 148)
+            assert outcome(select_top_k(matrix, w, plan)) == brute_force_select(matrix, docs, w, plan)
 
     def test_sorts_a_quarter_of_each_domain_at_most(self, rng, monkeypatch):
         # A 5% budget on a 100k-row pool: each domain's quota is a small

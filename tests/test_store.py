@@ -282,15 +282,15 @@ def test_synth_refuses_domains_outside_the_schema(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "targets, argv, unknown",
+    "targets, argv, message",
     [
-        ({"Commoncrawl": 0.6, "C4": 0.4}, ["select"], ["Commoncrawl"]),
-        ({"Commoncrawl": 0.6, "C4": 0.4}, ["campaign"], ["Commoncrawl"]),
-        ({"C4": 1.0}, ["select", "--cc-only"], ["CommonCrawl"]),
+        ({"Commoncrawl": 0.6, "C4": 0.4}, ["select"], "plan.domain_targets: domains ['Commoncrawl']"),
+        ({"Commoncrawl": 0.6, "C4": 0.4}, ["campaign"], "plan.domain_targets: domains ['Commoncrawl']"),
+        ({"C4": 1.0}, ["select", "--cc-only"], "--cc-only plan: domains ['CommonCrawl']"),
     ],
     ids=["select", "campaign", "cc-only"],
 )
-def test_select_and_campaign_refuse_plan_domains_outside_the_schema(tmp_path, capsys, targets, argv, unknown):
+def test_select_and_campaign_refuse_plan_domains_outside_the_schema(tmp_path, capsys, targets, argv, message):
     # The store holds documents of every plan domain that is in the schema,
     # so the refusal comes before the store loads, and nothing is written.
     write_scored_corpus(tmp_path / "c.jsonl", 3)
@@ -309,5 +309,5 @@ def test_select_and_campaign_refuse_plan_domains_outside_the_schema(tmp_path, ca
     weights = ["--weights", str(tmp_path / "w.json")] if argv[0] == "select" else []
     assert cli.main([argv[0], "--config", str(config), *argv[1:], *weights]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert err["message"] == f"plan.domain_targets: domains {unknown} are not in corpus.domains"
+    assert err["message"] == f"{message} are not in corpus.domains"
     assert {path: path.is_dir() or path.read_bytes() for path in tmp_path.rglob("*")} == before
