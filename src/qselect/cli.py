@@ -22,8 +22,6 @@ from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import RunConfig, load_config
 from .corpus import check_encodable, load_corpus, numbered_lines, synthesize_corpus, write_corpus
@@ -151,8 +149,8 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     matrix = ScoreMatrix.from_documents(corpus, names)
     column = matrix.score_names.index
 
-    # Ratings are ingested and held to min_coverage before the passes, so that a
-    # refusal costs none of them.
+    # The rater columns are ingested, held to min_coverage and imputed before
+    # the passes, so that a refusal costs none of them.
     if ratings:
         filled, unknown = ingest_ratings(matrix, ratings)
         coverage = {rater: filled[rater] / max(matrix.n_docs, 1) for rater in sorted(filled)}
@@ -164,9 +162,9 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         low = {r: c for r, c in coverage.items() if c < min_cov}
         if low:
             raise ValidationError(f"rating coverage below {min_cov}: {low}")
-        unobserved = [r for r in sorted(ratings) if np.isnan(matrix.raw[:, column(r)]).all()]
-        if unobserved and matrix.n_docs:
-            raise ValidationError(f"raters {unobserved} rate no document of the corpus")
+        imputed = impute_missing(matrix, list(ratings))
+        if imputed:
+            logger.warning("imputed %d missing rating cells to column medians", len(imputed))
 
     # The source corpus is tokenized once, for its signals and its hashing.
     tokens = tokenize(corpus.texts) if cfg.scores.signals or imp is not None else None
@@ -180,14 +178,12 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
         del tokens  # free the word ids before the targets are read
         source_model = fit_bag_model(source, imp.smoothing)
         for target, target_path in imp.targets.items():
-            hashed = hash_corpus(tokenize(_load_logged(target_path, cfg).texts), imp.bucket_count, cfg.seed)
+            target_corpus = _load_logged(target_path, cfg)
+            if not len(target_corpus):
+                raise ValidationError(f"scores.importance.targets.{target}: {target_path} has no valid document")
+            hashed = hash_corpus(tokenize(target_corpus.texts), imp.bucket_count, cfg.seed)
             target_model = fit_bag_model(hashed, imp.smoothing)
             matrix.raw[:, column(f"{target}_importance")] = importance_scores(source, target_model, source_model)
-
-    if ratings:
-        imputed = impute_missing(matrix, list(ratings))
-        if imputed:
-            logger.warning("imputed %d missing rating cells to column medians", len(imputed))
 
     publish(_corpus_writers(out_path, corpus, matrix, cfg, names))
     print(json.dumps({"annotated": len(corpus), "scores": names, "output": str(out_path)}))
@@ -230,7 +226,10 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     require_outputs([manifest, report])
     weights = read_weights(args.weights)
     matrix = rank_normalize(_load_scored_matrix(cfg, args))
-    result = select_top_k(matrix, weights, plan)
+    try:
+        result = select_top_k(matrix, weights, plan)
+    except ValidationError as exc:
+        raise ValidationError(f"weights file {args.weights}: {exc}") from None
     publish({manifest: result.write_manifest, report: lambda temp: result.write_report(temp, seed=cfg.seed)})
     print(json.dumps({"selected": len(result.selected_ids), "manifest": str(manifest)}))
     return 0

@@ -1,15 +1,17 @@
 """Gradient-boosted regression trees, implemented from scratch.
 
 Squared-error boosting: start from the target mean, then repeatedly fit a
-depth-limited regression tree to the current residuals on a random
-subsample and add it with shrinkage. Trees split greedily on the
-axis-aligned threshold that maximizes the reduction in sum of squared
-errors: the exact greedy search, not a histogram one. Everything is
-deterministic given the seed and the input order.
+depth-limited regression tree to the current residuals on a row sample
+and add it with shrinkage. The sample is drawn afresh for each tree when
+``subsample`` leaves rows out; otherwise it is every row, and nothing is
+drawn. Trees split greedily on the axis-aligned threshold that maximizes
+the reduction in sum of squared errors: the exact greedy search, not a
+histogram one. Everything is deterministic given the seed and the input
+order.
 
 Split search sorts each feature's rows once per fit (a stable argsort, one
 row of an (m, n) index array per feature, as in XGBoost's exact greedy
-search). A tree takes the sorted rows that lie in its subsample, and a
+search). A tree takes the sorted rows that lie in its sample, and a
 child the parent's sorted rows that fall on its side. Both are in
 ascending row order, so each is the order a fresh stable sort would give.
 A child builds its sorted rows only when it goes on to split; a leaf needs
@@ -27,7 +29,9 @@ that ``id + (x <= threshold)`` indexes the tree's child table. The
 ensemble takes the rows a fixed-size block at a time and walks each block
 through every tree, adding the trees' shrunken leaf values in tree order:
 one block stays in cache across all the trees, where walking the whole
-matrix tree by tree would read it once per tree.
+matrix tree by tree would read it once per tree. The fit adds each new
+tree's leaf values to its residuals by the same walk, over all its
+training rows at once.
 
 A block walk may also take a cutoff and drop the rows sure to predict
 above it (exact early exit for additive ensembles, as in Cambazoglu et al.,
@@ -121,13 +125,6 @@ class RegressionTree:
             np.repeat(value, 2),
         )
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.ascontiguousarray(X)
-        out = np.empty(X.shape[0])
-        for rows, block in _blocks(X):
-            out[rows] = self._walk(block, _row_offsets(block))
-        return out
-
     def _walk(self, block: np.ndarray, row_base: np.ndarray) -> np.ndarray:
         """The leaf value of each row of ``block``; ``row_base`` holds each row's
         offset in the raveled block."""
@@ -139,14 +136,6 @@ class RegressionTree:
             x = flat.take(row_base + feature.take(node))
             node = child.take(node + (x <= threshold.take(node)))
         return value.take(node)
-
-
-def _blocks(X: np.ndarray):
-    """Cut the C-contiguous ``X`` into blocks of ``BLOCK_ROWS`` rows; yields
-    each block's row slice and the block."""
-    for start in range(0, X.shape[0], BLOCK_ROWS):
-        block = X[start : start + BLOCK_ROWS]
-        yield slice(start, start + block.shape[0]), block
 
 
 def _row_offsets(block: np.ndarray) -> np.ndarray:
@@ -222,9 +211,9 @@ class _TreeGrower:
             counts = self._counts[n] = (left_n, n - left_n)
         return counts
 
-    def grow(self, y: np.ndarray, sample: np.ndarray | None = None) -> RegressionTree:
-        """Grow one tree greedily on the rows ``sample`` (ascending indices;
-        every row if None), whose targets are ``y``, one per sampled row.
+    def grow(self, y: np.ndarray, sample: np.ndarray) -> RegressionTree:
+        """Grow one tree greedily on the rows ``sample`` (ascending indices),
+        whose targets are ``y``, one per sampled row.
 
         A node keeps its rows in ascending order (for its sums and value)
         and, per feature, in sorted order. The sample's sorted rows are the
@@ -233,14 +222,12 @@ class _TreeGrower:
         since the sample and the parent's rows are in ascending order. A
         child builds them only when it splits.
         """
-        order, x_sorted = self.order, self.x_sorted
-        if sample is not None:
-            in_sample = np.zeros(order.shape[1], dtype=bool)
-            in_sample[sample] = True
-            local = np.cumsum(in_sample) - 1  # each sampled row's index in the sample
-            keep = in_sample[order]
-            order = local[order[keep]].reshape(order.shape[0], -1)
-            x_sorted = x_sorted[keep].reshape(order.shape[0], -1)
+        in_sample = np.zeros(self.order.shape[1], dtype=bool)
+        in_sample[sample] = True
+        local = np.cumsum(in_sample) - 1  # each sampled row's index in the sample
+        keep = in_sample[self.order]
+        order = local[self.order[keep]].reshape(self.order.shape[0], -1)
+        x_sorted = self.x_sorted[keep].reshape(order.shape[0], -1)
         max_depth, min_leaf = self.max_depth, self.min_leaf
         n = y.size
         feature: list[int] = []
@@ -296,11 +283,6 @@ class _TreeGrower:
         )
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> RegressionTree:
-    """Grow one tree greedily on all rows of ``X``."""
-    return _TreeGrower(X, max_depth, min_leaf).grow(y)
-
-
 class GradientBoostedRegressor:
     """Additive ensemble of shrunken regression trees."""
 
@@ -322,8 +304,8 @@ class GradientBoostedRegressor:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.ascontiguousarray(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         out = np.empty(X.shape[0])
-        for rows, block in _blocks(X):
-            out[rows] = self.predict_block(block)
+        for start in range(0, X.shape[0], BLOCK_ROWS):
+            out[start : start + BLOCK_ROWS] = self.predict_block(X[start : start + BLOCK_ROWS])
         return out
 
     def predict_block(
@@ -367,7 +349,7 @@ def fit_gradient_boosted(
 ) -> GradientBoostedRegressor:
     """Fit the boosted ensemble. Constant targets yield a zero-tree model."""
     hyper = hyper or RegressorHyper()
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise ValidationError(f"bad training shapes X={X.shape}, y={y.shape}")
@@ -384,13 +366,12 @@ def fit_gradient_boosted(
     sample_size = max(1, int(round(hyper.subsample * n)))
     pred = np.full(n, base)
     grower = _TreeGrower(X, hyper.max_depth, hyper.min_samples_leaf)
+    row_base = _row_offsets(X)
+    sample = np.arange(n)  # every row, unless subsample leaves some out
     for _ in range(hyper.n_trees):
         if sample_size < n:
-            idx = rng.choice(n, size=sample_size, replace=False)
-            idx.sort()
-            tree = grower.grow(y[idx] - pred[idx], idx)
-        else:
-            tree = grower.grow(y - pred)
-        pred += hyper.learning_rate * tree.predict(X)
+            sample = np.sort(rng.choice(n, size=sample_size, replace=False))
+        tree = grower.grow(y[sample] - pred[sample], sample)
+        pred += hyper.learning_rate * tree._walk(X, row_base)
         trees.append(tree)
     return GradientBoostedRegressor(base, trees, hyper.learning_rate)

@@ -273,24 +273,26 @@ def _strict_gap(name: str, col: np.ndarray) -> str | None:
 
 
 def impute_missing(matrix: ScoreMatrix, names: Sequence[str] | None = None) -> list[tuple[str, str]]:
-    """Fill remaining gaps in the columns ``names`` (default: all) with
-    column medians; return the cells filled. A gap in a signal or
-    importance column is refused (``_strict_gap``)."""
+    """Fill the gaps in the columns ``names`` (default: all) with column
+    medians; return the cells filled.
+
+    Before it fills any cell, it refuses with one ValidationError naming
+    every column with no observed value and every signal or importance
+    column with a gap (``_strict_gap``).
+    """
+    names = matrix.score_names if names is None else names
+    columns = (matrix.raw[:, matrix.score_names.index(name)] for name in names)
+    gaps = {name: col for name, col in zip(names, columns) if np.isnan(col).any()}
+    problems = [f"column {name!r} has no observed value to impute from"
+                for name, col in gaps.items() if np.isnan(col).all()]
+    problems += filter(None, (_strict_gap(name, col) for name, col in gaps.items()))
+    if problems:
+        raise ValidationError("; ".join(problems))
     flagged: list[tuple[str, str]] = []
-    for name in matrix.score_names if names is None else names:
-        col = matrix.raw[:, matrix.score_names.index(name)]
+    for name, col in gaps.items():
         missing = np.isnan(col)
-        if not missing.any():
-            continue
-        problem = _strict_gap(name, col)
-        if problem:
-            raise MatrixError(problem)
-        if missing.all():
-            raise MatrixError(f"column {name!r} has no observed values to impute from")
-        median = _median(col[~missing])
-        for i in np.nonzero(missing)[0]:
-            flagged.append((matrix.doc_ids[i], name))
-        col[missing] = median
+        flagged.extend((matrix.doc_ids[i], name) for i in np.flatnonzero(missing))
+        col[missing] = _median(col[~missing])
     return flagged
 
 

@@ -233,15 +233,15 @@ def rank_weights(w: WeightVector) -> list[dict]:
     return report
 
 
-def write_weights(path: str | Path, w: WeightVector, seed: int | None = None) -> None:
+def write_weights(path: str | Path, w: WeightVector, seed: int) -> None:
     """Write the weight report file: {seed, weights: [{name, weight, rank}]}."""
-    payload: dict = {}
-    if seed is not None:
-        payload["seed"] = seed
-    payload["weights"] = [
-        {"name": row["name"], "weight": row["weight"], "rank": row["rank"]}
-        for row in rank_weights(w)
-    ]
+    payload = {
+        "seed": seed,
+        "weights": [
+            {"name": row["name"], "weight": row["weight"], "rank": row["rank"]}
+            for row in rank_weights(w)
+        ],
+    }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number
+from .errors import CampaignError, FieldError, TrainerError, ValidationError, is_finite_number, publish
 from .matrix import ScoreMatrix
 from .selection import SelectionPlan, WeightVector, select_top_k
 
@@ -346,6 +346,9 @@ def run_campaign(
     budget's CampaignError, or anything but a TrainerError from the
     trainer) queued experiments are cancelled, and those already running
     finish unlogged. The caller checks ``campaign_outputs`` first.
+    A fresh log is published empty, and each manifest whole before its
+    trainer runs (``errors.publish``, which makes their directory), so no
+    manifest is left torn; records are appended to the log during the run.
     """
     n, trainer = campaign.n, campaign.trainer
     probe_trainer(trainer, matrix.score_names)
@@ -358,14 +361,15 @@ def run_campaign(
         planned = {f"exp-{i:04d}": w for i, w in enumerate(weight_vectors)}
         for record in _read_log_to_resume(log_path, planned):
             existing[record.experiment_id] = record
+    else:
+        publish({log_path: Path.touch})
     pending = [(i, f"exp-{i:04d}") for i in range(n) if f"exp-{i:04d}" not in existing]
-    (out_dir / "manifests").mkdir(parents=True, exist_ok=True)
 
     def run_one(index: int, experiment_id: str) -> ExperimentRecord:
         w = weight_vectors[index]
         manifest_path = manifest_paths[index]
         result = select_top_k(matrix, w, plan)
-        result.write_manifest(manifest_path)
+        publish({manifest_path: result.write_manifest})
         request = TrainerRequest(
             experiment_id=experiment_id,
             weights=w,

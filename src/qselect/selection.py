@@ -76,11 +76,6 @@ class WeightVector:
             raise ValidationError("cannot normalize an all-zero weight vector")
         return cls(names, values / total)
 
-    @classmethod
-    def uniform(cls, names: Sequence[str]) -> "WeightVector":
-        n = len(names)
-        return cls(tuple(names), np.full(n, 1.0 / n))
-
     def as_mapping(self) -> dict[str, float]:
         return {name: float(v) for name, v in zip(self.names, self.values)}
 
@@ -143,31 +138,24 @@ class SelectionResult:
     def write_manifest(self, path: str | Path) -> None:
         Path(path).write_text("".join(doc_id + "\n" for doc_id in self.selected_ids), encoding="utf-8")
 
-    def report_dict(self, seed: int | None = None) -> dict:
-        report: dict = {}
-        if seed is not None:
-            report["seed"] = seed
-        report.update(
-            {
-                "total_tokens": self.total_tokens,
-                "domain_tokens": self.domain_tokens,
-                "achieved_proportions": self.achieved_proportions,
-                "thresholds": self.thresholds,
-                "shortfalls": [
-                    {
-                        "domain": s.domain,
-                        "target_tokens": s.target_tokens,
-                        "achieved_tokens": s.achieved_tokens,
-                    }
-                    for s in self.shortfalls
-                ],
-            }
-        )
-        return report
-
-    def write_report(self, path: str | Path, seed: int | None = None) -> None:
+    def write_report(self, path: str | Path, seed: int) -> None:
+        report = {
+            "seed": seed,
+            "total_tokens": self.total_tokens,
+            "domain_tokens": self.domain_tokens,
+            "achieved_proportions": self.achieved_proportions,
+            "thresholds": self.thresholds,
+            "shortfalls": [
+                {
+                    "domain": s.domain,
+                    "target_tokens": s.target_tokens,
+                    "achieved_tokens": s.achieved_tokens,
+                }
+                for s in self.shortfalls
+            ],
+        }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.report_dict(seed), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
 
 

@@ -55,6 +55,11 @@ def reference_weights() -> WeightVector:
     return WeightVector.from_mapping(REFERENCE_WEIGHT_PCT)
 
 
+def uniform_weights(names: Sequence[str]) -> WeightVector:
+    """Equal weights over ``names``."""
+    return WeightVector(tuple(names), np.full(len(names), 1.0 / len(names)))
+
+
 class Row(NamedTuple):
     """The labels of one matrix row, for tests that build a matrix directly."""
 

@@ -53,6 +53,7 @@ from conftest import (
     mixed_language_fixture,
     random_text,
     reference_weights,
+    uniform_weights,
 )
 from oracles import ref_all_signals, ref_dot, ref_spearman, ref_unhashed_log_ratio
 
@@ -344,7 +345,7 @@ class TestCriterion7EndToEndSuperiority:
                 select_top_k(matrix, outcome.w_star, plan).selected_ids
             )
             loss_mean = noiseless.loss_for_ids(
-                select_top_k(matrix, WeightVector.uniform(names), plan).selected_ids
+                select_top_k(matrix, uniform_weights(names), plan).selected_ids
             )
             wins += loss_star < loss_mean
         ok = wins >= 19

@@ -428,6 +428,21 @@ class TestAnnotate:
         assert f"{target}:2 rejected" in caplog.text
         assert f"corpus read {target}: 5 records read, 1 rejected" in caplog.text
 
+    def test_target_with_no_valid_document_is_named(self, tmp_path, capsys):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=5, domains=["C4"])
+        target = write_corpus_fixture(tmp_path / "books.jsonl", n=1, domains=["Books"])
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl", "domains": ["C4"]},
+            scores={"signals": False, "importance": {"targets": {"books": "books.jsonl"}}},
+        )
+        before = tree(tmp_path)
+        assert run_cli("annotate", "--config", str(config)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError",
+                       "message": f"scores.importance.targets.books: {target} has no valid document"}
+        assert tree(tmp_path) == before
+
 
 class TestUndecodableInput:
     """A byte that is not UTF-8, or a lone surrogate escape that UTF-8
@@ -641,6 +656,16 @@ class TestSelect:
         assert err == {"error": "ValidationError", "message":
                        f"malformed weights file {weights}: ValueError: name 'ch0' is listed twice"}
         assert not (tmp_path / "out" / "selection.txt").exists()
+
+    def test_weight_names_that_miss_the_scores_name_the_file(self, tmp_path, capsys):
+        config = synth_config(tmp_path)
+        weights = self.make_weights(tmp_path, {"ch0": 0.5, "ch1": 0.3, "y": 0.2})
+        before = tree(tmp_path)
+        assert run_cli("select", "--config", str(config), "--weights", str(weights)) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "ValidationError", "message": f"weights file {weights}: "
+                       "weight names do not match matrix: missing=['ch2'], extra=['y']"}
+        assert tree(tmp_path) == before
 
     def test_byte_identical_rerun(self, tmp_path, capsys):
         config = synth_config(tmp_path)
@@ -1099,13 +1124,34 @@ def rater_with_no_observed_value(tmp_path):
         corpus={"path": "corpus.jsonl"},
         scores={"signals": True, "ratings": {"files": ["ratings.jsonl"], "min_coverage": 0}},
     )
-    return ["annotate", "--config", str(config)], "raters ['Fluency'] rate no document of the corpus"
+    return ["annotate", "--config", str(config)], "column 'Fluency' has no observed value to impute from"
+
+
+def rater_named_like_a_score_not_computed(column):
+    """A rater named like a signal or an importance score that this run does
+    not compute, rating one of two documents: the gap is refused, since such
+    a column must be complete."""
+
+    def setup(tmp_path):
+        write_corpus_fixture(tmp_path / "corpus.jsonl", n=2)
+        write_ratings(tmp_path / "ratings.jsonl", ["d0000"], [column])
+        config = write_config(
+            tmp_path / "cfg.json",
+            corpus={"path": "corpus.jsonl"},
+            scores={"signals": False, "ratings": {"files": ["ratings.jsonl"], "min_coverage": 0}},
+        )
+        message = f"column {column!r} has 1 missing cells; signals and importance scores must be complete"
+        return ["annotate", "--config", str(config)], message
+
+    setup.__name__ = f"{column}_rater_with_a_gap"
+    return setup
 
 
 @pytest.mark.parametrize(
     "setup",
     [file_at_output_dir, file_at_manifest_directory, duplicate_document_id, one_document_store,
-     rater_with_no_observed_value],
+     rater_with_no_observed_value, rater_named_like_a_score_not_computed("doc_word_count"),
+     rater_named_like_a_score_not_computed("books_importance")],
 )
 def test_input_fault_exits_1_naming_its_place_before_any_work(tmp_path, capsys, monkeypatch, setup):
     argv, message = setup(tmp_path)

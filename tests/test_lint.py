@@ -95,20 +95,36 @@ def _loaded(tree: ast.AST) -> set[str]:
     return loaded
 
 
+def _public_methods(stmt: ast.stmt) -> list[ast.FunctionDef]:
+    """The public methods and properties of a public class statement."""
+    if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+        return []
+    return [node for node in stmt.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")]
+
+
 def uncalled_public_names(sources: dict[str, str], callers: list[str]) -> list[str]:
-    """``module.name`` of each public top-level name of ``sources`` (module
-    -> source) that no top-level statement but its own definition loads,
-    in ``sources`` or ``callers``."""
-    defined: dict[str, str] = {}
+    """``module.name`` of each public top-level name, and ``module.Class.name``
+    of each public method or property of a public class, of ``sources``
+    (module -> source) that nothing but its own definition loads, in
+    ``sources`` or ``callers``. A method counts as called when its name is
+    loaded as an attribute anywhere else, whatever the object."""
+    defined: list[tuple[str, str]] = []  # (qualified name, name)
     used: set[str] = set()
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = _defined(stmt)
-            defined.update((name, module) for name in own)
-            used |= _loaded(stmt) - own
+            defined += [(f"{module}.{name}", name) for name in own]
+            methods = _public_methods(stmt)
+            for method in methods:
+                defined.append((f"{module}.{stmt.name}.{method.name}", method.name))
+                used |= _loaded(method) - {method.name}
+            for node in ast.iter_child_nodes(stmt):
+                if node not in methods:
+                    used |= _loaded(node) - own
     for source in callers:
         used |= _loaded(ast.parse(source))
-    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in used)
+    return sorted(qualified for qualified, name in defined if name not in used)
 
 
 def test_every_public_name_has_a_caller():
@@ -123,10 +139,16 @@ def test_caller_scan_ignores_a_name_only_its_own_body_loads():
         "LIMIT = 3\n"
         "def loop(n):\n    return loop(n - 1) if n else LIMIT\n"
         "def used() -> 'Kept':\n    return 1\n"
-        "class Kept:\n    pass\n"
+        "class Kept:\n"
+        "    size: int = 0\n"
+        "    @property\n    def total(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return self.helper\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    def __len__(self):\n        return 0\n"
+        "class _Private:\n    def error(self):\n        pass\n"
         "def _private():\n    pass\n",
     }
-    assert uncalled_public_names(sources, ["import m\nm.used()\n"]) == ["m.loop"]
+    assert uncalled_public_names(sources, ["import m\nm.used().total\n"]) == ["m.Kept.unused", "m.loop"]
 
 
 def path_placing_calls(source: str) -> list[tuple[int, str]]:
@@ -142,13 +164,10 @@ def path_placing_calls(source: str) -> list[tuple[int, str]]:
 
 
 def test_only_errors_places_output_paths():
-    # Every artifact is placed by errors.publish; a campaign makes its manifests/
-    # directory itself, since it writes the manifests during the run.
+    # Every artifact, the campaign's manifests included, is placed by errors.publish.
     calls = {path.name: [call for _, call in path_placing_calls(path.read_text(encoding="utf-8"))]
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "errors.py"}
-    assert {name: found for name, found in calls.items() if found} == {
-        "proxy.py": ["(out_dir / 'manifests').mkdir(parents=True, exist_ok=True)"]
-    }
+    assert {name: found for name, found in calls.items() if found} == {}
 
 
 def test_path_scan_finds_mkdir_and_os_replace():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qselect.errors import MatrixError
+from qselect.errors import MatrixError, ValidationError
 from qselect.matrix import (
     ScoreMatrix,
     _median,
@@ -145,7 +145,7 @@ class TestIngest:
 
     def test_strict_column_gap_is_error(self):
         matrix = matrix_of_docs(self.docs(), ["doc_word_count"])
-        with pytest.raises(MatrixError, match="must be complete"):
+        with pytest.raises(ValidationError, match="must be complete"):
             impute_missing(matrix)
 
 

@@ -27,7 +27,7 @@ from qselect.optimizer import (
 from qselect.proxy import ExperimentRecord, OracleTrainer, oracle_loss, sample_simplex, sample_weights
 from qselect.selection import WeightVector
 
-from conftest import reference_weights
+from conftest import reference_weights, uniform_weights
 from oracles import ref_landscape_points, ref_search_optimal
 
 
@@ -57,7 +57,7 @@ class TestFitRegressor:
         for r in records:
             r.loss = 4.2
         model = fit_regressor(records)
-        assert model.predict(WeightVector.uniform(names)) == 4.2
+        assert model.predict(uniform_weights(names)) == 4.2
 
     def test_permutation_invariance(self):
         names = ["a", "b", "c"]
@@ -416,7 +416,7 @@ class TestRankWeights:
         assert by_name["doc_frac_chars_top_2gram"]["rank"] == 8
 
     def test_uniform_all_rank_one(self):
-        report = rank_weights(WeightVector.uniform(["a", "b", "c"]))
+        report = rank_weights(uniform_weights(["a", "b", "c"]))
         assert all(row["rank"] == 1 for row in report)
 
     def test_percentages_sum_to_100(self):

@@ -23,7 +23,7 @@ from qselect.proxy import (
 )
 from qselect.selection import SelectionPlan, WeightVector
 
-from conftest import SubsetOracleTrainer
+from conftest import SubsetOracleTrainer, uniform_weights
 
 
 class TestFlops:
@@ -134,7 +134,7 @@ def single_domain_fixture(n_docs=40, seed=0):
 class TestRunCampaign:
     def test_smoke_with_oracle(self, tmp_path):
         matrix, plan = single_domain_fixture()
-        trainer = OracleTrainer(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
+        trainer = OracleTrainer(uniform_weights(["a", "b", "c"]), base=2.0, sigma=0.0)
         records = run_campaign(
             matrix, plan, CampaignConfig(n=4, trainer=trainer), seed=1, out_dir=tmp_path
         )
@@ -166,7 +166,7 @@ class TestRunCampaign:
 
     def test_resume_reproduces_same_weights(self, tmp_path):
         matrix, plan = single_domain_fixture()
-        trainer = OracleTrainer(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.0)
+        trainer = OracleTrainer(uniform_weights(["a", "b", "c"]), base=2.0, sigma=0.0)
         four, two = CampaignConfig(n=4, trainer=trainer), CampaignConfig(n=2, trainer=trainer)
         full = run_campaign(matrix, plan, four, seed=9, out_dir=tmp_path / "one")
         (tmp_path / "two").mkdir()
@@ -221,7 +221,7 @@ class TestRunCampaign:
 
     def test_threaded_matches_sequential(self, tmp_path):
         matrix, plan = single_domain_fixture()
-        trainer = OracleTrainer(WeightVector.uniform(["a", "b", "c"]), base=2.0, sigma=0.05, seed=3)
+        trainer = OracleTrainer(uniform_weights(["a", "b", "c"]), base=2.0, sigma=0.05, seed=3)
         seq = run_campaign(
             matrix, plan, CampaignConfig(n=8, trainer=trainer), seed=2, out_dir=tmp_path / "seq"
         )
@@ -281,7 +281,7 @@ class TestCommandTrainer:
         trainer = CommandTrainer(["python3", str(script)])
         request = TrainerRequest(
             "exp-0000",
-            WeightVector.uniform(["a", "b"]),
+            uniform_weights(["a", "b"]),
             manifest,
             ProxyConfig(),
             valset="val",
@@ -294,7 +294,7 @@ class TestCommandTrainer:
         trainer = CommandTrainer(["python3", str(script)])
         request = TrainerRequest(
             "exp-0000",
-            WeightVector.uniform(["a", "b"]),
+            uniform_weights(["a", "b"]),
             tmp_path / "m.txt",
             ProxyConfig(),
             "",
@@ -353,7 +353,7 @@ class TestCommandTrainer:
         trainer = CommandTrainer(["python3", str(script)])
         request = TrainerRequest(
             "exp-0000",
-            WeightVector.uniform(["a", "b"]),
+            uniform_weights(["a", "b"]),
             tmp_path / "m.txt",
             ProxyConfig(),
             "",

@@ -14,7 +14,7 @@ from qselect.selection import (
     select_top_k,
 )
 
-from conftest import Row, matrix_of, reference_weights
+from conftest import Row, matrix_of, reference_weights, uniform_weights
 from oracles import ref_dot
 
 
@@ -132,7 +132,7 @@ class TestWeightVector:
         assert w.as_mapping() == {"a": 0.25, "b": 0.75}
 
     def test_uniform(self):
-        w = WeightVector.uniform(["a", "b", "c", "d"])
+        w = uniform_weights(["a", "b", "c", "d"])
         assert np.allclose(w.values, 0.25)
 
     def test_alignment(self):
@@ -158,7 +158,7 @@ class TestAggregate:
 
     def test_uniform_equals_mean(self):
         names = ["a", "b", "c", "d"]
-        w = WeightVector.uniform(names)
+        w = uniform_weights(names)
         matrix = normalized_matrix(names, [[0.1, 0.2, 0.6, 0.9]])
         assert aggregate_scores(matrix, w)[0] == pytest.approx(0.45, abs=1e-12)
 
@@ -303,7 +303,7 @@ class TestSelectTopK:
         names = ["a", "b"]
         docs, first = build_pool(rng, 3000, names, integer_scores=True)
         plan = SelectionPlan(20_000)
-        w = WeightVector.uniform(names)
+        w = uniform_weights(names)
         want = outcome(select_top_k(first, w, plan))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -345,7 +345,7 @@ class TestSelectTopK:
         # changes nothing: ties break by id, not by row position.
         names = ["a", "b"]
         docs, matrix = build_pool(rng, 400, names, integer_scores=True)
-        w = WeightVector.uniform(names)
+        w = uniform_weights(names)
         plan = SelectionPlan(5000)
         perm = rng.permutation(len(docs))
         permuted = matrix_of([docs[i] for i in perm], names, matrix.raw[perm])
