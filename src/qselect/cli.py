@@ -227,9 +227,10 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     weights = read_weights(args.weights)
     matrix = rank_normalize(_load_scored_matrix(cfg, args))
     try:
-        result = select_top_k(matrix, weights, plan)
+        weights.aligned_to(matrix.score_names)
     except ValidationError as exc:
         raise ValidationError(f"weights file {args.weights}: {exc}") from None
+    result = select_top_k(matrix, weights, plan)
     publish({manifest: result.write_manifest, report: lambda temp: result.write_report(temp, seed=cfg.seed)})
     print(json.dumps({"selected": len(result.selected_ids), "manifest": str(manifest)}))
     return 0

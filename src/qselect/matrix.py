@@ -277,15 +277,19 @@ def impute_missing(matrix: ScoreMatrix, names: Sequence[str] | None = None) -> l
     medians; return the cells filled.
 
     Before it fills any cell, it refuses with one ValidationError naming
-    every column with no observed value and every signal or importance
-    column with a gap (``_strict_gap``).
+    every signal or importance column with a gap (``_strict_gap``) and
+    every other column with no observed value, each column once.
     """
     names = matrix.score_names if names is None else names
     columns = (matrix.raw[:, matrix.score_names.index(name)] for name in names)
     gaps = {name: col for name, col in zip(names, columns) if np.isnan(col).any()}
-    problems = [f"column {name!r} has no observed value to impute from"
-                for name, col in gaps.items() if np.isnan(col).all()]
-    problems += filter(None, (_strict_gap(name, col) for name, col in gaps.items()))
+    problems = []
+    for name, col in gaps.items():
+        problem = _strict_gap(name, col)
+        if problem is None and np.isnan(col).all():
+            problem = f"column {name!r} has no observed value to impute from"
+        if problem:
+            problems.append(problem)
     if problems:
         raise ValidationError("; ".join(problems))
     flagged: list[tuple[str, str]] = []

@@ -118,7 +118,7 @@ def uncalled_public_names(sources: dict[str, str], callers: list[str]) -> list[s
             methods = _public_methods(stmt)
             for method in methods:
                 defined.append((f"{module}.{stmt.name}.{method.name}", method.name))
-                used |= _loaded(method) - {method.name}
+                used |= _loaded(method) - {method.name} - own
             for node in ast.iter_child_nodes(stmt):
                 if node not in methods:
                     used |= _loaded(node) - own
@@ -145,10 +145,13 @@ def test_caller_scan_ignores_a_name_only_its_own_body_loads():
         "    def helper(self):\n        return self.helper\n"
         "    def unused(self):\n        return self.unused()\n"
         "    def __len__(self):\n        return 0\n"
+        "class Self:\n"
+        "    @classmethod\n    def make(cls) -> 'Self':\n        return cls()\n"
         "class _Private:\n    def error(self):\n        pass\n"
         "def _private():\n    pass\n",
     }
-    assert uncalled_public_names(sources, ["import m\nm.used().total\n"]) == ["m.Kept.unused", "m.loop"]
+    callers = ["import m\nm.used().total\nx.make()\n"]
+    assert uncalled_public_names(sources, callers) == ["m.Kept.unused", "m.Self", "m.loop"]
 
 
 def path_placing_calls(source: str) -> list[tuple[int, str]]:

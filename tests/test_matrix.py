@@ -148,6 +148,17 @@ class TestIngest:
         with pytest.raises(ValidationError, match="must be complete"):
             impute_missing(matrix)
 
+    def test_each_refused_column_is_named_once(self):
+        matrix = matrix_of_docs(self.docs(), ["doc_word_count", "Fluency", "Reasoning"])
+        ingest_ratings(matrix, {"Reasoning": {"d0": 1.0}})
+        with pytest.raises(ValidationError) as refused:
+            impute_missing(matrix)
+        assert str(refused.value) == (
+            "column 'doc_word_count' has 10 missing cells; signals and importance scores must be complete; "
+            "column 'Fluency' has no observed value to impute from"
+        )
+        assert np.isnan(matrix.raw[1:, 2]).all()  # nothing filled
+
 
 class TestSpearman:
     def test_self_correlation(self, rng):
