@@ -190,15 +190,19 @@ def cmd_annotate(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_scored_matrix(cfg: RunConfig, args: argparse.Namespace) -> ScoreMatrix:
-    """The imputed matrix of the corpus's score store; the JSONL is not parsed."""
-    corpus_path = _corpus_path(cfg, args)
+def _load_scored_matrix(cfg: RunConfig, corpus_path: Path) -> ScoreMatrix:
+    """The imputed matrix of the score store of the corpus file
+    ``corpus_path``; the JSONL is not parsed. It has a document, a score
+    and no missing cell."""
     matrix = load_score_store(corpus_path, cfg.corpus)
     if not matrix.n_docs:
         raise ValidationError(f"corpus {corpus_path} has no valid documents")
     if not matrix.score_names:
         raise ValidationError("corpus documents carry no scores; run annotate first")
-    impute_missing(matrix)
+    try:
+        impute_missing(matrix)
+    except ValidationError as exc:
+        raise ValidationError(f"score store {store_path(corpus_path)}: {exc}") from None
     return matrix
 
 
@@ -225,7 +229,7 @@ def cmd_select(cfg: RunConfig, args: argparse.Namespace) -> int:
     manifest, report = cfg.output_dir / "selection.txt", cfg.output_dir / "selection.json"
     require_outputs([manifest, report])
     weights = read_weights(args.weights)
-    matrix = rank_normalize(_load_scored_matrix(cfg, args))
+    matrix = rank_normalize(_load_scored_matrix(cfg, _corpus_path(cfg, args)))
     try:
         weights.aligned_to(matrix.score_names)
     except ValidationError as exc:
@@ -243,8 +247,9 @@ def cmd_campaign(cfg: RunConfig, args: argparse.Namespace) -> int:
     campaign = replace(cfg.campaign, threads=args.threads or cfg.campaign.threads)
     require_outputs(campaign_outputs(cfg.output_dir, campaign.n))
     plan = _plan(cfg)
-    matrix = rank_normalize(_load_scored_matrix(cfg, args))
+    corpus_path = _corpus_path(cfg, args)
     cfg.require_trainer()
+    matrix = rank_normalize(_load_scored_matrix(cfg, corpus_path))
     records = run_campaign(matrix, plan, campaign, seed=cfg.seed, out_dir=cfg.output_dir)
     ok = sum(1 for r in records if r.status == "ok")
     print(json.dumps({"experiments": len(records), "ok": ok, "log": str(cfg.output_dir / "campaign.jsonl")}))
@@ -287,11 +292,10 @@ def cmd_correlate(cfg: RunConfig, args: argparse.Namespace) -> int:
     """Export the Spearman correlation matrix of all scores as CSV."""
     out_path = Path(args.output) if args.output else cfg.output_dir / "spearman.csv"
     require_outputs([out_path])
-    matrix = _load_scored_matrix(cfg, args)
+    corpus_path = _corpus_path(cfg, args)
+    matrix = _load_scored_matrix(cfg, corpus_path)
     if matrix.n_docs < 2:
-        raise ValidationError(
-            f"corpus {_corpus_path(cfg, args)} has one valid document; correlation needs at least 2"
-        )
+        raise ValidationError(f"corpus {corpus_path} has one valid document; correlation needs at least 2")
     rho, flagged = spearman_matrix(matrix)
     if flagged.any():
         logger.warning("%d correlation cells undefined (constant columns)", int(flagged.sum()))

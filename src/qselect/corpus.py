@@ -255,10 +255,8 @@ def apportion(proportions: Mapping[str, float], total: int) -> dict[str, int]:
     Fractional remainders are quantized to 9 decimals before comparison so
     that float dust cannot reorder ties; remaining ties go to the earlier
     key in iteration order. The returned counts sum to ``total`` exactly.
+    ``total`` is nonnegative and the proportions pass ``check_proportions``.
     """
-    if total < 0:
-        raise ValidationError("total must be nonnegative")
-    check_proportions(proportions)
     names = list(proportions)
     floors: list[int] = []
     remainders: list[float] = []

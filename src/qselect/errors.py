@@ -36,10 +36,6 @@ class FieldError(ValidationError):
         self.problem = problem
 
 
-class MatrixError(QselectError):
-    """Score matrix construction or ingestion failure."""
-
-
 class TrainerError(QselectError):
     """A proxy trainer invocation failed or returned garbage."""
 

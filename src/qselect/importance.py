@@ -107,9 +107,8 @@ def _pair_codes(ids: np.ndarray, lengths: np.ndarray, vocab_size: int) -> tuple[
 
 
 def hash_corpus(tokens: Tokens, bucket_count: int, seed: int) -> HashedCorpus:
-    """Hash every feature of a tokenized corpus, each distinct one once."""
-    if bucket_count > 1 << 31:
-        raise ValidationError("bucket_count must be at most 2**31 (buckets are C ints)")
+    """Hash every feature of a tokenized corpus, each distinct one once,
+    into ``bucket_count`` buckets, at most 2**31 (buckets are C ints)."""
     vocab_size = len(tokens.vocab)
     words = list(map(str.encode, tokens.vocab))
     word_buckets = _hash_buckets(iter(words), vocab_size, bucket_count, seed)
@@ -149,11 +148,9 @@ class HashedBagModel:
 def fit_bag_model(corpus: HashedCorpus, smoothing: float) -> HashedBagModel:
     """The additively smoothed bag model of a hashed corpus.
 
-    Raises on an empty corpus (a model fit on nothing would silently
-    score everything 0 against itself).
+    ``smoothing`` is positive. Raises on an empty corpus (a model fit on
+    nothing would silently score everything 0 against itself).
     """
-    if not smoothing > 0:  # NaN too
-        raise ValidationError("smoothing must be positive")
     if not len(corpus.lengths):
         raise ValidationError("cannot fit a bag model on an empty corpus")
     counts = np.bincount(corpus.buckets, minlength=corpus.bucket_count)
@@ -161,25 +158,15 @@ def fit_bag_model(corpus: HashedCorpus, smoothing: float) -> HashedBagModel:
     return HashedBagModel(log_probs, corpus.seed)
 
 
-def _check_compatible(corpus: HashedCorpus, p: HashedBagModel, q: HashedBagModel) -> None:
-    """Refuse a corpus and models whose features land in different buckets."""
-    counts = sorted({corpus.bucket_count, len(p.log_probs), len(q.log_probs)})
-    seeds = sorted({corpus.seed, p.seed, q.seed})
-    if len(counts) > 1:
-        raise ValidationError(f"bucket_count mismatch: {counts}")
-    if len(seeds) > 1:
-        raise ValidationError(f"hash seed mismatch: {seeds}")
-
-
 def importance_scores(corpus: HashedCorpus, p: HashedBagModel, q: HashedBagModel) -> np.ndarray:
     """Each text's sum over its hashed features of log p - log q (nats).
 
-    Zero-feature texts score 0. ``p``, ``q`` and the corpus must share
-    bucket count and hash seed so features land in the same buckets.
-    Each sum is numpy's sum of that text's slice alone, so a text scores
-    the same bits whatever corpus it is hashed with.
+    Zero-feature texts score 0. Precondition: ``p``, ``q`` and the corpus
+    share bucket count and hash seed, so features land in the same buckets;
+    ``annotate`` hashes every corpus under one of each. Each sum is numpy's
+    sum of that text's slice alone, so a text scores the same bits whatever
+    corpus it is hashed with.
     """
-    _check_compatible(corpus, p, q)
     scores = np.empty(len(corpus.lengths))
     for texts, span in blocks(corpus.lengths):
         buckets = corpus.buckets[span]

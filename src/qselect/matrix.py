@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, CorpusSchema
-from .errors import MatrixError, ValidationError, require_file
+from .errors import ValidationError, require_file
 from .registry import IMPORTANCE_NAMES, SIGNAL_NAMES, canonical_order
 
 # Columns that must be complete before normalization; everything else is
@@ -40,7 +40,9 @@ class ScoreMatrix:
     """Documents x score-names matrix of raw and normalized values.
 
     Row ``i`` is document ``doc_ids[i]`` of domain ``domains[i]`` with
-    ``tokens[i]`` estimated tokens; ``id_order`` lists the rows by id.
+    ``tokens[i]`` estimated tokens; ``id_order`` lists the rows by id. The
+    ids are unique, and so are the names, and the arrays agree in shape:
+    the corpus reader, the synthesizer and ``load_score_store`` see to it.
     """
 
     def __init__(
@@ -52,27 +54,14 @@ class ScoreMatrix:
         raw: np.ndarray,
         normalized: np.ndarray | None = None,
     ) -> None:
-        names = list(score_names)
-        if len(set(names)) != len(names):
-            raise MatrixError("duplicate score names")
-        ids = list(doc_ids)
-        if len(set(ids)) != len(ids):
-            raise MatrixError("duplicate doc ids")
-        domains = np.asarray(domains, dtype=str)
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if domains.shape != (len(ids),) or tokens.shape != (len(ids),):
-            raise MatrixError("domains and tokens must have one entry per doc id")
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.shape != (len(ids), len(names)):
-            raise MatrixError(f"raw shape {raw.shape} does not match ids x names")
-        self.score_names = names
-        self.doc_ids = ids
-        self.domains = domains
-        self.tokens = tokens
-        self.raw = raw
+        self.score_names = list(score_names)
+        self.doc_ids = list(doc_ids)
+        self.domains = np.asarray(domains, dtype=str)
+        self.tokens = np.asarray(tokens, dtype=np.int64)
+        self.raw = np.asarray(raw, dtype=np.float64)
         self.normalized = normalized
         # An object array compares and gathers the ids as Python strings.
-        self._ids = np.array(ids, dtype=object)
+        self._ids = np.array(self.doc_ids, dtype=object)
 
     @property
     def n_docs(self) -> int:
@@ -150,9 +139,9 @@ def write_score_store(path: Path, corpus_path: Path, matrix: ScoreMatrix, schema
     """Write at ``path`` the score store of the corpus file ``corpus_path``, written from ``matrix``.
 
     The store holds the raw matrix a reader of the file under ``schema``
-    would build: a file with no lines carries no score names.
+    would build: a file with no lines carries no score names. The caller
+    refuses ids that the store cannot hold (``check_store_ids``).
     """
-    check_store_ids(matrix.doc_ids)
     names = matrix.score_names if matrix.n_docs else []
     np.savez(
         path,
@@ -170,10 +159,10 @@ def write_score_store(path: Path, corpus_path: Path, matrix: ScoreMatrix, schema
 def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatrix:
     """Read the raw matrix of the corpus file ``corpus_path`` from its score store.
 
-    The store must exist, be a well-formed npz of the layout above, mirror
-    the file's current bytes and have been built under ``schema``. NaN
-    cells are missing scores; infinite ones, and a gap in a signal or
-    importance column (``_strict_gap``), are refused.
+    The store must exist, be a well-formed npz of the layout above with
+    unique ids and score names, mirror the file's current bytes and have
+    been built under ``schema``. NaN cells are missing scores, which
+    ``impute_missing`` fills or refuses; infinite ones are refused here.
     """
     import zipfile  # numpy imports it lazily as well
 
@@ -197,6 +186,10 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
             raise ValidationError(
                 f"score store {path}: array {name!r} has dtype {arr.dtype} and shape {arr.shape}"
             )
+    ids, names = arrays["ids"].tolist(), arrays["score_names"].tolist()
+    for name, labels in (("ids", ids), ("score_names", names)):
+        if len(set(labels)) < len(labels):
+            raise ValidationError(f"score store {path}: array {name!r} repeats a value")
     if str(arrays["sha256"]) != _file_sha256(corpus_path):
         raise ValidationError(
             f"score store {path} does not match {corpus_path}, "
@@ -213,22 +206,11 @@ def load_score_store(corpus_path: str | Path, schema: CorpusSchema) -> ScoreMatr
                 f"this config has {wanted!r}; run annotate again"
             )
     raw = arrays["raw"]
-    names = arrays["score_names"].tolist()
     infinite = np.isinf(raw).any(axis=0)
     if infinite.any():
         name = names[int(np.argmax(infinite))]
         raise ValidationError(f"score store {path}: column {name!r} holds an infinite score")
-    for j, name in enumerate(names):
-        problem = _strict_gap(name, raw[:, j])
-        if problem:
-            raise ValidationError(f"score store {path}: {problem}")
-    return ScoreMatrix(
-        names,
-        arrays["ids"].tolist(),
-        arrays["domains"],
-        arrays["tokens"],
-        raw,
-    )
+    return ScoreMatrix(names, ids, arrays["domains"], arrays["tokens"], raw)
 
 
 def ingest_ratings(
@@ -238,16 +220,13 @@ def ingest_ratings(
 
     Returns the missing cells each rater filled, and the number of ratings
     whose doc id has no row: those are counted, not raised (shard
-    mismatches are routine). A rater without a column is an error.
+    mismatches are routine). Every rater must have a column of the raw,
+    not yet normalized, matrix.
     """
-    if matrix.normalized is not None:
-        raise MatrixError("cannot ingest into a normalized matrix")
     rows = {doc_id: i for i, doc_id in enumerate(matrix.doc_ids)}
     filled: dict[str, int] = {}
     unknown = 0
     for rater, values in ratings.items():
-        if rater not in matrix.score_names:
-            raise MatrixError(f"unregistered rater {rater!r}")
         col = matrix.raw[:, matrix.score_names.index(rater)]
         at = np.fromiter((rows.get(doc_id, -1) for doc_id in values), np.intp, len(values))
         known = at >= 0
@@ -342,11 +321,8 @@ def _rank_unit(col: np.ndarray) -> np.ndarray:
 def rank_normalize(matrix: ScoreMatrix) -> ScoreMatrix:
     """Return a copy of the matrix (sharing its arrays) whose normalized
     columns are the raw ones' average-tie ranks scaled to [0, 1]; a
-    single-document matrix maps to 0.5."""
-    if matrix.n_docs == 0:
-        raise MatrixError("cannot normalize an empty matrix")
-    if np.isnan(matrix.raw).any():
-        raise MatrixError("matrix has missing cells; impute before normalizing")
+    single-document matrix maps to 0.5. The matrix has a document, a
+    column and no missing cell."""
     result = copy.copy(matrix)
     result.normalized = np.column_stack(
         [_rank_unit(matrix.raw[:, j]) for j in range(len(matrix.score_names))]
@@ -359,13 +335,10 @@ def spearman_matrix(matrix: ScoreMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(rho, flagged)``: a symmetric matrix with unit diagonal, and
     a boolean mask marking cells involving a constant column, whose
-    correlation is undefined and reported as NaN.
+    correlation is undefined and reported as NaN. The matrix has at least
+    2 documents and no missing cell.
     """
-    n, m = matrix.raw.shape
-    if n < 2:
-        raise MatrixError("spearman correlation needs at least 2 documents")
-    if np.isnan(matrix.raw).any():
-        raise MatrixError("matrix has missing cells; impute before correlating")
+    m = len(matrix.score_names)
     ranks = np.column_stack([_average_ranks(matrix.raw[:, j]) for j in range(m)])
     constant = ranks.std(axis=0) == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):

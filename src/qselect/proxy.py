@@ -77,12 +77,9 @@ def sample_simplex(
     The draws come as (rows, m) arrays of ``block`` rows, the last one
     shorter (one array of all n rows when ``block`` is None). numpy draws a
     Dirichlet row by row, so the blocks stacked are the bits of one draw of
-    all n rows, whatever the block size.
+    all n rows, whatever the block size. m and n are at least 1 and
+    ``concentration`` is positive.
     """
-    if m < 1 or n < 1:
-        raise ValidationError("m and n must be at least 1")
-    if concentration <= 0:
-        raise ValidationError("concentration must be positive")
     rng = np.random.default_rng(seed)
     alpha = np.full(m, concentration)
     block = block or n
@@ -316,8 +313,6 @@ def probe_trainer(trainer: Trainer, score_names: Sequence[str]) -> None:
                 f"campaign.trainer.w_star must name the corpus's scores: "
                 f"missing={sorted(names - planted)}, unknown={sorted(planted - names)}"
             )
-    elif not callable(trainer):
-        raise TrainerError(f"trainer {trainer!r} is not callable")
 
 
 def campaign_outputs(out_dir: Path, n: int) -> list[Path]:

@@ -160,11 +160,8 @@ class SelectionResult:
 
 
 def aggregate_scores(matrix: ScoreMatrix, w: WeightVector) -> np.ndarray:
-    """Aggregate scores for every document, in matrix row order."""
-    normalized = matrix.normalized
-    if normalized is None:
-        raise ValidationError("matrix must be normalized before aggregation")
-    return normalized @ w.aligned_to(matrix.score_names)
+    """Aggregate scores for every document of a normalized matrix, in row order."""
+    return matrix.normalized @ w.aligned_to(matrix.score_names)
 
 
 def _ranked_prefix(scores: np.ndarray, rows: np.ndarray, tokens: np.ndarray, target: float) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from qselect.corpus import _synth_text, apportion, check_encodable, numbered_lines
-from qselect.errors import MatrixError, ValidationError, is_finite_number
+from qselect.errors import ValidationError, is_finite_number
 from qselect.importance import HashedBagModel, fit_bag_model, hash_corpus, importance_scores
 from qselect.matrix import (
     ScoreMatrix,
@@ -727,13 +727,13 @@ def ref_ingest_ratings(
     PRRC value is an error.
     """
     if matrix.normalized is not None:
-        raise MatrixError("cannot ingest into a normalized matrix")
+        raise ValidationError("cannot ingest into a normalized matrix")
     rows = {doc_id: i for i, doc_id in enumerate(matrix.doc_ids)}
     cols = {name: j for j, name in enumerate(matrix.score_names)}
     report = IngestReport()
     for ann in annotations:
         if ann.rater not in cols:
-            raise MatrixError(f"unregistered rater {ann.rater!r}")
+            raise ValidationError(f"unregistered rater {ann.rater!r}")
         if ann.rater in PRRC_NAMES and not (PRRC_RANGE[0] <= ann.value <= PRRC_RANGE[1]):
             raise ValidationError(
                 f"{ann.rater} value {ann.value} outside {list(PRRC_RANGE)}"

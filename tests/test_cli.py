@@ -1166,6 +1166,19 @@ def test_input_fault_exits_1_naming_its_place_before_any_work(tmp_path, capsys, 
     assert tokenized == []
 
 
+def test_campaign_without_a_trainer_exits_1_before_the_store_is_read(tmp_path, capsys, monkeypatch):
+    config = synth_config(tmp_path, n_docs=60, budget=500)
+    before = tree(tmp_path)
+    loads = []
+    monkeypatch.setattr(cli, "load_score_store", lambda *args: loads.append(args))
+    capsys.readouterr()
+    assert run_cli("campaign", "--config", str(config)) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValidationError", "message": "config has no campaign.trainer"}
+    assert tree(tmp_path) == before
+    assert loads == []
+
+
 def correlate_argv(tmp_path):
     write_corpus_fixture(tmp_path / "corpus.jsonl", n=5)
     config = write_config(tmp_path / "cfg.json", corpus={"path": "corpus.jsonl"})

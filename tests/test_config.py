@@ -97,6 +97,11 @@ MISTAKES = {
         "scores.importance.bucket_count",
     ),
     "zero-campaign-n": ({"campaign": {"n": 0}}, "campaign.n"),
+    "negative-doc-count": ({"synthesis": {"doc_count": -1}}, "synthesis.doc_count"),
+    "domain-mix-off-simplex": (
+        {"synthesis": {"doc_count": 5, "domain_mix": {"C4": 0.5, "Books": 0.4}}},
+        "synthesis",
+    ),
     "min-coverage-above-1": (
         {"scores": {"ratings": {"files": ["r.jsonl"], "min_coverage": 1.5}}},
         "scores.ratings.min_coverage",

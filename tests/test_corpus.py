@@ -219,10 +219,6 @@ class TestApportion:
     def test_exact_split(self):
         assert apportion({"a": 0.5, "b": 0.5}, 10) == {"a": 5, "b": 5}
 
-    def test_bad_proportions(self):
-        with pytest.raises(ValidationError):
-            apportion({"a": 0.7, "b": 0.2}, 10)
-
 
 class TestSynthesize:
     def test_domain_mix_within_one_doc(self, tmp_path):

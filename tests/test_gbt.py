@@ -81,12 +81,6 @@ class TestFit:
         pred = model.predict(np.array([[0.1], [0.9]]))
         assert pred[0] < 0.1 and pred[1] > 0.9
 
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValidationError):
-            fit_gradient_boosted(np.zeros((4, 2)), np.zeros(5))
-        with pytest.raises(ValidationError):
-            fit_gradient_boosted(np.zeros((0, 2)), np.zeros(0))
-
     def test_depth_limit_respected(self):
         X, y = quadratic_data(m=3, n=200)
         model = fit_gradient_boosted(X, y, RegressorHyper(max_depth=2, n_trees=10))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qselect.errors import MatrixError, ValidationError
+from qselect.errors import ValidationError
 from qselect.matrix import (
     ScoreMatrix,
     _median,
@@ -77,16 +77,6 @@ class TestRankNormalize:
             got = rank_normalize(matrix_from({"s": col.tolist()})).normalized[:, 0]
             assert got.tolist() == ref_rank_unit(col.tolist())
 
-    def test_missing_cells_rejected(self):
-        m = matrix_from({"s": [1.0, float("nan")]})
-        with pytest.raises(MatrixError, match="missing"):
-            rank_normalize(m)
-
-    def test_empty_matrix_rejected(self):
-        m = ScoreMatrix(["s"], [], [], [], np.zeros((0, 1)))
-        with pytest.raises(MatrixError):
-            rank_normalize(m)
-
 
 class TestIngest:
     def docs(self):
@@ -97,11 +87,6 @@ class TestIngest:
         filled, unknown = ingest_ratings(matrix, {"Professionalism": {"d1": 4.0}})
         assert matrix.raw[1, 0] == 4.0
         assert (filled, unknown) == ({"Professionalism": 1}, 0)
-
-    def test_unregistered_rater_rejected(self):
-        matrix = matrix_of_docs(self.docs(), ["Professionalism"])
-        with pytest.raises(MatrixError, match="unregistered"):
-            ingest_ratings(matrix, {"Sparkle": {"d1": 1.0}})
 
     def test_unknown_doc_ids_reported(self):
         matrix = matrix_of_docs(self.docs(), ["Fluency", "Reasoning"])
@@ -217,15 +202,6 @@ class TestSpearman:
         )
         assert rho1[0, 1] == pytest.approx(rho2[0, 1], abs=1e-12)
 
-    def test_too_few_rows(self):
-        with pytest.raises(MatrixError):
-            spearman_matrix(matrix_from({"a": [1.0]}))
-
-    def test_missing_cells_rejected(self):
-        m = matrix_from({"a": [1.0, float("nan"), 3.0], "b": [2.0, 1.0, 3.0]})
-        with pytest.raises(MatrixError, match="missing"):
-            spearman_matrix(m)
-
     def test_csv_export(self):
         rho, _ = spearman_matrix(matrix_from({"a": [1.0, 2.0], "b": [2.0, 1.0]}))
         csv = correlation_csv(["a", "b"], rho)
@@ -235,16 +211,6 @@ class TestSpearman:
 
 
 class TestMatrixIO:
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(MatrixError):
-            ScoreMatrix(["s"], ["d0", "d0"], ["C4", "C4"], [1, 1], np.zeros((2, 1)))
-
-    def test_row_columns_must_match_ids(self):
-        with pytest.raises(MatrixError, match="one entry per doc id"):
-            ScoreMatrix(["s"], ["d0", "d1"], ["C4"], [1, 1], np.zeros((2, 1)))
-        with pytest.raises(MatrixError, match="one entry per doc id"):
-            ScoreMatrix(["s"], ["d0", "d1"], ["C4", "C4"], [1], np.zeros((2, 1)))
-
     def test_domains_and_tokens_carried_through(self):
         docs = [
             ("b", "two words", "Books", {"s": 2.0}),

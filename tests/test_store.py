@@ -1,6 +1,5 @@
 """The score store: annotate and synth write it, select/campaign/correlate read it."""
 
-import argparse
 import json
 
 import numpy as np
@@ -55,7 +54,7 @@ def write_config(tmp_path, **sections):
 def loaded(config, corpus):
     """The matrix ``select`` and ``campaign`` work on: the store, imputed and normalized."""
     cfg = cli.load_config(config)
-    matrix = cli._load_scored_matrix(cfg, argparse.Namespace(corpus=str(corpus)))
+    matrix = cli._load_scored_matrix(cfg, corpus)
     return cli.rank_normalize(matrix)
 
 
@@ -142,8 +141,8 @@ class TestStoreChecks:
         capsys.readouterr()
         return config, tmp_path / "out" / "annotated.jsonl"
 
-    def correlate_error(self, config, corpus, capsys, code=1):
-        assert cli.main(["correlate", "--config", str(config), "--corpus", str(corpus)]) == code
+    def correlate_error(self, config, corpus, capsys):
+        assert cli.main(["correlate", "--config", str(config), "--corpus", str(corpus)]) == 1
         return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
     def rewrite_store(self, corpus, **changes):
@@ -244,14 +243,14 @@ class TestStoreChecks:
         self.rewrite_store(corpus, raw=raw)
         self.assert_refused(config, corpus, capsys, f"column {str(names[2])!r} holds an infinite")
 
-    def test_duplicate_ids_stay_a_matrix_error(self, annotated, capsys):
+    @pytest.mark.parametrize("name", ["ids", "score_names"])
+    def test_repeated_label(self, annotated, capsys, name):
         config, corpus = annotated
         with np.load(store_path(corpus)) as store:
-            ids = store["ids"].copy()
-        ids[1] = ids[0]
-        self.rewrite_store(corpus, ids=ids)
-        err = self.correlate_error(config, corpus, capsys, code=2)
-        assert err == {"error": "MatrixError", "message": "duplicate doc ids"}
+            labels = store[name].copy()
+        labels[1] = labels[0]
+        self.rewrite_store(corpus, **{name: labels})
+        self.assert_refused(config, corpus, capsys, f"score store {store_path(corpus)}: array {name!r} repeats a value")
 
     def test_no_valid_documents(self, tmp_path, capsys):
         (tmp_path / "c.jsonl").write_text('{"id": "bad"}\n')
